@@ -64,6 +64,9 @@ class KernelConfig:
     phi_rule: PhiRule = field(default_factory=LooCvPhi)
     lambda_rule: LambdaRule = field(default_factory=GcvLambda)
 
+    def __post_init__(self):
+        self.spec(1.0)  # rejects an unknown family or an unsupported nu
+
     def spec(self, phi: float) -> KernelSpec:
         return KernelSpec(self.family, phi, self.nu)
 
@@ -176,7 +179,11 @@ def _check_data(points, y) -> tuple[np.ndarray, np.ndarray]:
 
 def fit_response_surface(points, y, config: KernelConfig,
                          jitter: float = rkhs.DEFAULT_JITTER) -> tuple[KrrModel, float]:
-    """Resolve (phi, lambda) per the config rules and fit the regressor."""
+    """Resolve (phi, lambda) per the config rules and fit the regressor.
+
+    The model (with its Gram eigenpairs) can be passed as ``surface`` to
+    ``l2_calibrate`` and ``ko_calibrate`` on the same data.
+    """
     if isinstance(config.phi_rule, FixedPhi):
         phi = config.phi_rule.value
     else:
@@ -189,15 +196,17 @@ def fit_response_surface(points, y, config: KernelConfig,
 
 def l2_calibrate(points, y, kernel_cfg: KernelConfig, model: ComputerModel,
                  rule: QuadratureRule,
-                 opt: OptimizerConfig = OptimizerConfig()) -> CalibrationEstimate:
+                 opt: OptimizerConfig = OptimizerConfig(),
+                 surface: KrrModel | None = None) -> CalibrationEstimate:
     """L2 calibration: smooth, then project onto the simulator sweep.
 
     The reported objective value is the achieved L2 distance (square
     root of the minimized squared distance).  ``meta`` records the
-    selected tuning parameters and flags boundary solutions.
+    selected tuning parameters and flags boundary solutions.  A given
+    ``surface`` replaces the smoothing step.
     """
     pts, yv = _check_data(points, y)
-    zeta_hat, phi = fit_response_surface(pts, yv, kernel_cfg)
+    zeta_hat = surface or fit_response_surface(pts, yv, kernel_cfg)[0]
     zeta_nodes = rkhs.predict(zeta_hat, rule.nodes)
     ys_nodes = lambda th: model(rule.nodes, th)
 
@@ -209,8 +218,8 @@ def l2_calibrate(points, y, kernel_cfg: KernelConfig, model: ComputerModel,
     return CalibrationEstimate(
         theta_hat=res.x, method="L2",
         objective_value=float(np.sqrt(max(res.fun, 0.0))),
-        meta={"phi": phi, "lambda": zeta_hat.lam, "iterations": res.iterations,
-              "boundary": res.on_boundary},
+        meta={"phi": zeta_hat.kernel.phi, "lambda": zeta_hat.lam,
+              "iterations": res.iterations, "boundary": res.on_boundary},
     )
 
 
@@ -236,22 +245,22 @@ class _ProfiledGpLikelihood:
     With correlation matrix ``R`` (fixed phi), noise-to-process ratio
     ``eta`` and residual ``r(theta)``, the process variance profiles to
     ``tau2 = r^T (R + eta I)^{-1} r / n`` and the objective becomes
-    ``(n/2) log tau2 + (1/2) log det(R + eta I)``.
+    ``(n/2) log tau2 + (1/2) log det(R + eta I)``; ``(rho, Q)`` are the
+    eigenpairs of ``R``.
     """
 
     def __init__(self, points: np.ndarray, y: np.ndarray, model: ComputerModel,
-                 spec: KernelSpec, jitter: float):
+                 rho: np.ndarray, Q: np.ndarray):
         self.pts = points
         self.y = y
         self.model = model
         self.n = y.shape[0]
-        R = kernels.gram(spec, points) + jitter * np.eye(self.n)
-        self.rho, self.Q = np.linalg.eigh(R)
+        self.rho, self.Q = rho, Q
         if self.rho.min() <= 0:
             raise rkhs.FitError("GP correlation matrix is not positive definite "
                                 f"after jitter (smallest eigenvalue {self.rho.min():.3e})")
-        self._lo = np.log(ETA_BOUNDS[0])
-        self._hi = np.log(ETA_BOUNDS[1])
+        self._lo = np.append(model.theta_domain.lower, np.log(ETA_BOUNDS[0]))
+        self._hi = np.append(model.theta_domain.upper, np.log(ETA_BOUNDS[1]))
 
     def residual_sq(self, theta: np.ndarray) -> np.ndarray:
         r = self.y - self.model(self.pts, theta)
@@ -265,12 +274,21 @@ class _ProfiledGpLikelihood:
         return 0.5 * self.n * np.log(tau2) + 0.5 * float(np.sum(np.log(denom)))
 
     def __call__(self, params: np.ndarray) -> float:
-        theta, log_eta = params[:-1], params[-1]
-        if not self.model.theta_domain.contains(theta):
+        if not ((params >= self._lo).all() and (params <= self._hi).all()):
             return np.inf
-        if not (self._lo <= log_eta <= self._hi):
-            return np.inf
-        return self.value_from_parts(self.residual_sq(theta), log_eta)
+        return self.value_from_parts(self.residual_sq(params[:-1]), params[-1])
+
+    def grid_start(self, theta_grid: np.ndarray, log_etas: np.ndarray) -> np.ndarray:
+        """First minimizer over ``theta_grid x log_etas``, scanned row-major.
+
+        tau2 sums run along the last axis, as in ``value_from_parts``."""
+        qtr2 = np.array([self.residual_sq(th) for th in theta_grid])
+        denom = self.rho + np.exp(log_etas)[:, None]
+        tau2 = np.sum(qtr2[:, None, :] / denom, axis=-1) / self.n
+        tau2 = np.where(np.isfinite(tau2) & (tau2 > 0.0), tau2, np.finfo(float).tiny)
+        vals = 0.5 * self.n * np.log(tau2) + 0.5 * np.sum(np.log(denom), axis=-1)
+        i, j = np.unravel_index(np.argmin(vals), vals.shape)
+        return np.append(theta_grid[i], log_etas[j])
 
     def tau2_sigma2(self, theta: np.ndarray, log_eta: float) -> tuple[float, float]:
         denom = self.rho + np.exp(log_eta)
@@ -285,24 +303,30 @@ def ko_calibrate(points, y, model: ComputerModel,
                  nu: float | None = None,
                  seed: int = 0,
                  n_starts: int = 5,
-                 jitter: float = rkhs.DEFAULT_JITTER) -> CalibrationEstimate:
+                 jitter: float = rkhs.DEFAULT_JITTER,
+                 surface: KrrModel | None = None) -> CalibrationEstimate:
     """Gaussian-process calibration by profiled maximum likelihood.
 
     phi is fixed up front by cross-validation on the physical data (or
     taken as given), then (theta, log eta) are searched jointly: a
     coarse grid pass, Nelder-Mead from the best cell, and ``n_starts``
-    seeded random restarts to dodge likelihood multimodality.
+    seeded random restarts to dodge likelihood multimodality.  A given
+    ``surface`` supplies the kernel and its Gram eigenpairs, in place of
+    ``family``, ``nu``, ``phi_rule`` and ``jitter``.
     """
     pts, yv = _check_data(points, y)
     if yv.shape[0] < 3:
         raise ValueError("GP calibration needs at least 3 observations")
-    if isinstance(phi_rule, FixedPhi):
-        phi = phi_rule.value
+    if surface is None:
+        phi = phi_rule.value if isinstance(phi_rule, FixedPhi) else rkhs.loo_cv_phi(
+            pts, yv, family, phi_rule.grid, phi_rule.lambda_rule, nu, jitter)
+        spec = KernelSpec(family, phi, nu)
+        rho, Q = np.linalg.eigh(kernels.gram(spec, pts) + jitter * np.eye(yv.shape[0]))
+    elif surface.gram_eig is None:
+        raise ValueError("surface has no Gram eigenpairs; fit it with fit_response_surface")
     else:
-        phi = rkhs.loo_cv_phi(pts, yv, family, phi_rule.grid,
-                              phi_rule.lambda_rule, nu, jitter)
-    spec = KernelSpec(family, phi, nu)
-    nll = _ProfiledGpLikelihood(pts, yv, model, spec, jitter)
+        spec, (rho, Q) = surface.kernel, surface.gram_eig
+    nll = _ProfiledGpLikelihood(pts, yv, model, rho, Q)
     box = model.theta_domain
 
     # Coarse deterministic pass over theta x log(eta).
@@ -310,16 +334,9 @@ def ko_calibrate(points, y, model: ComputerModel,
     axes = [np.linspace(lo, hi, n_theta) for lo, hi in zip(box.lower, box.upper)]
     theta_grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     log_etas = np.linspace(np.log(ETA_BOUNDS[0]), np.log(ETA_BOUNDS[1]), 17)
-    best_val, best_start = np.inf, None
-    for th in theta_grid:
-        qtr2 = nll.residual_sq(th)
-        for le in log_etas:
-            v = nll.value_from_parts(qtr2, le)
-            if v < best_val:
-                best_val, best_start = v, np.append(th, le)
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x6B6F]))
-    starts = [best_start]
+    starts = [nll.grid_start(theta_grid, log_etas)]
     for _ in range(n_starts):
         th0 = rng.uniform(box.lower, box.upper)
         le0 = rng.uniform(np.log(1e-6), np.log(1e4))
@@ -341,7 +358,7 @@ def ko_calibrate(points, y, model: ComputerModel,
     return CalibrationEstimate(
         theta_hat=np.asarray(theta_hat, dtype=float), method="KO",
         objective_value=float(best.fun),
-        meta={"phi": phi, "eta": float(np.exp(log_eta)), "tau2": tau2,
+        meta={"phi": spec.phi, "eta": float(np.exp(log_eta)), "tau2": tau2,
               "sigma2": sigma2, "boundary": on_boundary,
               "iterations": int(best.nit)},
     )

@@ -30,9 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import inference, rkhs, testbed
-from .calibrate import (KernelConfig, LooCvPhi, ko_calibrate, l2_calibrate,
-                        ols_calibrate)
+from . import calibrate, inference, rkhs, testbed
+from .calibrate import (CalibrationEstimate, ComputerModel, KernelConfig,
+                        LooCvPhi, ko_calibrate, l2_calibrate, ols_calibrate)
 from .numerics import BoxDomain, OptimizerConfig, gauss_legendre, l2_distance_sq
 from .rkhs import GcvLambda
 from .testbed import SyntheticSystem, generate, make_system
@@ -47,6 +47,12 @@ class CliConfigError(ValueError):
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _log(log, msg: str) -> None:
+    """Print one progress line to ``log``; ``log=None`` is silent."""
+    if log is not None:
+        print(msg, file=log)
 
 
 # ---------------------------------------------------------------------------
@@ -72,21 +78,27 @@ class RunConfig:
     output: str = "report.csv"
 
     def __post_init__(self):
-        if self.example not in ("example1", "example2", "custom"):
-            raise CliConfigError(f"unknown example {self.example!r}")
+        if self.example not in ("example1", "example2"):
+            raise CliConfigError(f"unknown example {self.example!r}; custom systems "
+                                 "are driven through the Python API")
         if not self.methods:
             raise CliConfigError("methods must be nonempty")
         for m in self.methods:
             if m not in METHODS:
                 raise CliConfigError(f"unknown method {m!r}; expected subset of {METHODS}")
-        if self.replications < 1:
-            raise CliConfigError("replications must be at least 1")
+        for name in ("replications", "design_n", "quadrature_m"):
+            if getattr(self, name) < 1:
+                raise CliConfigError(f"{name} must be at least 1")
         if any(s < 0 for s in self.sigma2) or not self.sigma2:
             raise CliConfigError("sigma2 must be a nonempty list of nonnegative values")
         if self.design not in ("fixed_grid", "uniform_random"):
             raise CliConfigError(f"unknown design {self.design!r}")
-        if self.theta_domain[0] >= self.theta_domain[1]:
+        if len(self.theta_domain) != 2 or self.theta_domain[0] >= self.theta_domain[1]:
             raise CliConfigError("theta_domain must be [lo, hi] with lo < hi")
+        try:
+            self.kernel_config()
+        except ValueError as e:
+            raise CliConfigError(str(e))
 
     def kernel_config(self) -> KernelConfig:
         return KernelConfig(
@@ -95,17 +107,30 @@ class RunConfig:
             lambda_rule=GcvLambda(self.lambda_grid),
         )
 
-    def theta_box(self) -> BoxDomain:
-        return BoxDomain((self.theta_domain[0],), (self.theta_domain[1],))
+
+def _floats(v) -> tuple[float, ...]:
+    return tuple(float(x) for x in (v if isinstance(v, list) else [v]))
 
 
-_CONFIG_KEYS = {"example", "methods", "sigma2", "replications", "seed", "design",
-                "kernel", "phi_grid", "lambda_grid", "quadrature_m", "optimizer",
-                "theta_domain", "output"}
+# JSON key -> (RunConfig or OptimizerConfig field, coercion); a dotted key
+# lives in the nested object named by its prefix.
+_FIELDS = {
+    "example": ("example", str), "methods": ("methods", tuple),
+    "sigma2": ("sigma2", _floats), "replications": ("replications", int),
+    "seed": ("seed", int), "design.kind": ("design", str), "design.n": ("design_n", int),
+    "kernel.family": ("kernel_family", str),
+    "kernel.nu": ("kernel_nu", lambda v: None if v is None else float(v)),
+    "phi_grid": ("phi_grid", _floats), "lambda_grid": ("lambda_grid", _floats),
+    "quadrature_m": ("quadrature_m", int), "optimizer.grid_points": ("grid_points", int),
+    "optimizer.tolerance": ("tolerance", float),
+    "optimizer.max_iterations": ("max_iterations", int),
+    "theta_domain": ("theta_domain", _floats), "output": ("output", str),
+}
+_NESTED = ("design", "kernel", "optimizer")
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Parse a JSON config; unknown keys are an error."""
+    """Parse a JSON config; unknown keys and ill-typed values are an error."""
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -114,62 +139,30 @@ def load_config(path: str | Path) -> RunConfig:
         raise CliConfigError(f"config is not valid JSON: {e}")
     if not isinstance(raw, dict):
         raise CliConfigError("config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    flat = {}
+    for key, value in raw.items():
+        if key not in _NESTED:
+            flat[key] = value
+        elif isinstance(value, dict):
+            flat.update({f"{key}.{sub}": v for sub, v in value.items()})
+        else:
+            raise CliConfigError(f"{key} must be a JSON object, got {value!r}")
+    unknown = set(flat) - set(_FIELDS)
     if unknown:
         raise CliConfigError(f"unknown config keys: {sorted(unknown)}; "
-                             f"allowed keys: {sorted(_CONFIG_KEYS)}")
-    kw = {}
-    if "example" in raw:
-        kw["example"] = raw["example"]
-    if "methods" in raw:
-        kw["methods"] = tuple(raw["methods"])
-    if "sigma2" in raw:
-        vals = raw["sigma2"] if isinstance(raw["sigma2"], list) else [raw["sigma2"]]
-        kw["sigma2"] = tuple(float(v) for v in vals)
-    if "replications" in raw:
-        kw["replications"] = int(raw["replications"])
-    if "seed" in raw:
-        kw["seed"] = int(raw["seed"])
-    if "design" in raw:
-        d = raw["design"]
-        if not isinstance(d, dict) or "kind" not in d:
-            raise CliConfigError('design must be {"kind": ..., "n": ...}')
-        extra = set(d) - {"kind", "n"}
-        if extra:
-            raise CliConfigError(f"unknown design keys: {sorted(extra)}")
-        kw["design"] = d["kind"]
-        if "n" in d:
-            kw["design_n"] = int(d["n"])
-    if "kernel" in raw:
-        k = raw["kernel"]
-        extra = set(k) - {"family", "nu"}
-        if extra:
-            raise CliConfigError(f"unknown kernel keys: {sorted(extra)}")
-        kw["kernel_family"] = k.get("family", "gaussian")
-        kw["kernel_nu"] = None if k.get("nu") is None else float(k["nu"])
-    if "phi_grid" in raw:
-        g = raw["phi_grid"] if isinstance(raw["phi_grid"], list) else [raw["phi_grid"]]
-        kw["phi_grid"] = tuple(float(v) for v in g)
-    if "lambda_grid" in raw:
-        g = raw["lambda_grid"] if isinstance(raw["lambda_grid"], list) else [raw["lambda_grid"]]
-        kw["lambda_grid"] = tuple(float(v) for v in g)
-    if "quadrature_m" in raw:
-        kw["quadrature_m"] = int(raw["quadrature_m"])
-    if "optimizer" in raw:
-        o = raw["optimizer"]
-        extra = set(o) - {"grid_points", "tolerance", "max_iterations"}
-        if extra:
-            raise CliConfigError(f"unknown optimizer keys: {sorted(extra)}")
-        kw["optimizer"] = OptimizerConfig(
-            grid_points=int(o.get("grid_points", 401)),
-            tolerance=float(o.get("tolerance", 1e-9)),
-            max_iterations=int(o.get("max_iterations", 200)))
-    if "theta_domain" in raw:
-        lo, hi = raw["theta_domain"]
-        kw["theta_domain"] = (float(lo), float(hi))
-    if "output" in raw:
-        kw["output"] = str(raw["output"])
+                             f"allowed keys: {sorted(_FIELDS)}")
+    if "design" in raw and "design.kind" not in flat:
+        raise CliConfigError('design must be {"kind": ..., "n": ...}')
+    kw, opt = {}, {}
+    for key, value in flat.items():
+        name, conv = _FIELDS[key]
+        try:
+            (opt if key.startswith("optimizer.") else kw)[name] = conv(value)
+        except (TypeError, ValueError) as e:
+            raise CliConfigError(f"config key {key!r}: cannot use {value!r} ({e})")
     try:
+        if "optimizer" in raw:
+            kw["optimizer"] = OptimizerConfig(**opt)
         return RunConfig(**kw)
     except (ValueError, TypeError) as e:
         raise CliConfigError(str(e))
@@ -218,42 +211,62 @@ def _cached_rule(m: int):
     return gauss_legendre(testbed.OMEGA, m)
 
 
-def _ko_seed(seed: int, r: int) -> int:
-    return (seed * 1_000_003 + r) & (2 ** 63 - 1)
+# Input and numerical failures a method may report; anything else propagates.
+NUMERICAL_ERRORS = (ValueError, np.linalg.LinAlgError, FloatingPointError)
 
 
-def _replicate(args: tuple[RunConfig, float, int]) -> dict[str, tuple[float, float, str | None]]:
-    """Run every configured method on replication r; never raises.
+def _run_methods(config: RunConfig, pts: np.ndarray, y: np.ndarray,
+                 model: ComputerModel, ko_seed: int, sandwich: bool = False,
+                 log=None) -> dict[str, tuple[CalibrationEstimate | None, float, str | None]]:
+    """Tune phi and lambda once, then run every configured method.
 
-    Returns ``method -> (theta, seconds, error)`` with theta = NaN on
-    failure.
+    Returns ``method -> (estimate, seconds, error)``; estimate is None on
+    failure.  The one fitted surface goes to L2, KO and, with ``sandwich``,
+    the L2/OLS standard errors, so a method's seconds exclude the tuning.
+    If that tuning fails, each method tunes alone and reports its own error.
     """
-    config, sigma2, r = args
-    system = _cached_system(config.example, sigma2, config.design,
-                            config.design_n, config.theta_domain)
-    pts, y = generate(system, config.seed, r)
+    kcfg = config.kernel_config()
     rule = _cached_rule(config.quadrature_m)
-    out: dict[str, tuple[float, float, str | None]] = {}
+    with_se = sandwich and model.smooth_in_theta
+    zeta_hat = None
+    if {"L2", "KO"} & set(config.methods) or (with_se and "OLS" in config.methods):
+        try:
+            zeta_hat, _ = calibrate.fit_response_surface(pts, y, kcfg)
+        except NUMERICAL_ERRORS as e:
+            _log(log, f"[calibrate] shared surface fit failed: {e}")
+    out: dict[str, tuple[CalibrationEstimate | None, float, str | None]] = {}
     for meth in config.methods:
         t0 = time.perf_counter()
         try:
             if meth == "L2":
-                est = l2_calibrate(pts, y, config.kernel_config(),
-                                   system.computer_model, rule, config.optimizer)
+                est = l2_calibrate(pts, y, kcfg, model, rule, config.optimizer,
+                                   surface=zeta_hat)
             elif meth == "OLS":
-                est = ols_calibrate(pts, y, system.computer_model, config.optimizer)
+                est = ols_calibrate(pts, y, model, config.optimizer)
             else:
-                est = ko_calibrate(pts, y, system.computer_model,
-                                   family=config.kernel_family,
-                                   phi_rule=LooCvPhi(config.phi_grid,
-                                                     GcvLambda(config.lambda_grid)),
-                                   opt=config.optimizer, nu=config.kernel_nu,
-                                   seed=_ko_seed(config.seed, r))
-            out[meth] = (float(est.theta_hat[0]), time.perf_counter() - t0, None)
-        except Exception as e:  # isolated per method, counted by the caller
-            out[meth] = (float("nan"), time.perf_counter() - t0,
-                         f"{type(e).__name__}: {e}")
+                est = ko_calibrate(pts, y, model, family=kcfg.family,
+                                   phi_rule=kcfg.phi_rule, opt=config.optimizer,
+                                   nu=kcfg.nu, seed=ko_seed, surface=zeta_hat)
+            if with_se and meth != "KO" and zeta_hat is not None:
+                sand = inference.estimate_sandwich(pts, y, zeta_hat, model,
+                                                   est.theta_hat)
+                est = replace(est, covariance=sand.cov_l2 if meth == "L2" else sand.cov_ols)
+            out[meth] = (est, time.perf_counter() - t0, None)
+        except NUMERICAL_ERRORS as e:
+            out[meth] = (None, time.perf_counter() - t0, f"{type(e).__name__}: {e}")
     return out
+
+
+def _replicate(args: tuple[RunConfig, float, int]) -> dict[str, tuple[float, float, str | None]]:
+    """Replication r: ``method -> (theta, seconds, error)``, theta NaN on failure."""
+    config, sigma2, r = args
+    system = _cached_system(config.example, sigma2, config.design,
+                            config.design_n, config.theta_domain)
+    pts, y = generate(system, config.seed, r)
+    ko_seed = (config.seed * 1_000_003 + r) & (2 ** 63 - 1)  # KO restarts per replication
+    results = _run_methods(config, pts, y, system.computer_model, ko_seed)
+    return {meth: (float("nan") if est is None else float(est.theta_hat[0]), secs, err)
+            for meth, (est, secs, err) in results.items()}
 
 
 def simulate(config: RunConfig, workers: int = 1,
@@ -265,9 +278,6 @@ def simulate(config: RunConfig, workers: int = 1,
     replication order before aggregation.  More than 1% failures for
     any (method, sigma2) aborts with diagnostics.
     """
-    if config.example == "custom":
-        raise CliConfigError("the simulation engine needs a bundled example; "
-                             "drive custom systems through the Python API")
     rows: list[MethodSummary] = []
     theta_star = _cached_system(config.example, config.sigma2[0], config.design,
                                 config.design_n, config.theta_domain).theta_star
@@ -298,10 +308,9 @@ def simulate(config: RunConfig, workers: int = 1,
                                       sd=sd, reps=int(ok.size),
                                       theta_star=theta_star, wall_time_s=secs,
                                       failures=len(errors)))
-            if log is not None:
-                print(f"[simulate] {meth:3s} sigma2={s2:g} reps={ok.size} "
+            _log(log, f"[simulate] {meth:3s} sigma2={s2:g} reps={ok.size} "
                       f"mean={mean:.6g} sd={sd:.4g} mse={mse:.4g} "
-                      f"({secs:.1f}s method time)", file=log)
+                      f"({secs:.1f}s method time)")
     return SimulationReport(theta_star=theta_star, rows=tuple(rows))
 
 
@@ -376,57 +385,27 @@ def cmd_calibrate(config: RunConfig, data_path: str | Path,
     remaining methods.  Standard errors come from the plug-in sandwich
     covariances and are reported only where the model is smooth.
     """
-    if config.example == "custom":
-        raise CliConfigError("calibrate needs a bundled example model; "
-                             "drive custom models through the Python API")
     pts, y = read_data_csv(data_path)
     if pts.shape[1] != 1:
         raise CliConfigError(f"{config.example} expects 1 control variable, "
                              f"data has {pts.shape[1]}")
     system = _cached_system(config.example, config.sigma2[0], config.design,
                             config.design_n, config.theta_domain)
-    model = system.computer_model
-    rule = _cached_rule(config.quadrature_m)
-    kcfg = config.kernel_config()
-
-    zeta_hat = phi_sel = None
-    if model.smooth_in_theta and ({"L2", "OLS"} & set(config.methods)):
-        try:
-            from .calibrate import fit_response_surface
-            zeta_hat, phi_sel = fit_response_surface(pts, y, kcfg)
-        except Exception as e:
-            print(f"[calibrate] surface fit for standard errors failed: {e}",
-                  file=log)
-
+    results = _run_methods(config, pts, y, system.computer_model, config.seed,
+                           sandwich=True, log=log)
     lines = ["method,theta_hat,objective,lambda,phi,stderr,status"]
     for meth in config.methods:
-        try:
-            if meth == "L2":
-                est = l2_calibrate(pts, y, kcfg, model, rule, config.optimizer)
-            elif meth == "OLS":
-                est = ols_calibrate(pts, y, model, config.optimizer)
-            else:
-                est = ko_calibrate(pts, y, model, family=config.kernel_family,
-                                   phi_rule=kcfg.phi_rule, opt=config.optimizer,
-                                   nu=config.kernel_nu, seed=config.seed)
-            se = ""
-            if meth in ("L2", "OLS") and zeta_hat is not None and model.smooth_in_theta:
-                sand = inference.estimate_sandwich(pts, y, zeta_hat, model,
-                                                   est.theta_hat)
-                cov = sand.cov_l2 if meth == "L2" else sand.cov_ols
-                est = replace(est, covariance=cov)
-                se = _fmt(np.sqrt(cov[0, 0]))
-            lam = est.meta.get("lambda", "")
-            phi = est.meta.get("phi", "")
-            lines.append(",".join([
-                meth, _fmt(est.theta_hat[0]), _fmt(est.objective_value),
-                _fmt(lam) if lam != "" else "", _fmt(phi) if phi != "" else "",
-                se, "ok"]))
-        except Exception as e:
-            lines.append(",".join([meth, "", "", "", "", "",
-                                   f"error: {type(e).__name__}: {e}".replace(",", ";")]))
+        est, _, err = results[meth]
+        if est is None:
+            cells = [""] * 5 + [f"error: {err}".replace(",", ";")]
+        else:
+            se = None if est.covariance is None else np.sqrt(est.covariance[0, 0])
+            cells = ["" if v is None else _fmt(v) for v in (
+                est.theta_hat[0], est.objective_value, est.meta.get("lambda"),
+                est.meta.get("phi"), se)] + ["ok"]
+        lines.append(",".join([meth] + cells))
     Path(out_path).write_text("\n".join(lines) + "\n")
-    print(f"[calibrate] wrote {out_path}", file=log)
+    _log(log, f"[calibrate] wrote {out_path}")
     return 0
 
 
@@ -463,14 +442,14 @@ def cmd_discrepancy(example: str, theta_min: float, theta_max: float,
     for t, cf, qv in rows:
         lines.append(f"{_fmt(t)},{_fmt(cf)},{_fmt(qv)}")
     Path(out_path).write_text("\n".join(lines) + "\n")
-    print(f"[discrepancy] wrote {out_path}", file=log)
+    _log(log, f"[discrepancy] wrote {out_path}")
     if check:
         rel = np.abs(rows[:, 1] - rows[:, 2]) / np.maximum(np.abs(rows[:, 1]), 1e-300)
         inner = np.abs(rows[:, 0]) < 1e-3
         worst_out = float(rel[~inner].max()) if np.any(~inner) else 0.0
         worst_in = float(rel[inner].max()) if np.any(inner) else 0.0
-        print(f"[discrepancy] agreement: outer {worst_out:.3e} (tol 1e-9), "
-              f"inner {worst_in:.3e} (tol 1e-6)", file=log)
+        _log(log, f"[discrepancy] agreement: outer {worst_out:.3e} (tol 1e-9), "
+                  f"inner {worst_in:.3e} (tol 1e-6)")
         if worst_out > 1e-9 or worst_in > 1e-6:
             return 3
     return 0
@@ -480,11 +459,11 @@ def cmd_simulate(config: RunConfig, out_path: str | Path, workers: int = 1,
                  check: bool = False, log=sys.stderr) -> int:
     report = simulate(config, workers=workers, log=log)
     Path(out_path).write_text(report.to_csv())
-    print(f"[simulate] wrote {out_path}", file=log)
+    _log(log, f"[simulate] wrote {out_path}")
     if check:
         problems = check_report(report)
         for p in problems:
-            print(f"[simulate] check failed: {p}", file=log)
+            _log(log, f"[simulate] check failed: {p}")
         if problems:
             return 3
     return 0

@@ -98,6 +98,8 @@ class KrrModel:
     lam: float
     fitted: np.ndarray      # (n,)
     hat_trace: float
+    # eigenpairs (w, Q) of the jittered Gram matrix; None for interpolants
+    gram_eig: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -150,12 +152,13 @@ class _EigenPanel:
         shrink = self.n * lam / self._shift(lam)
         rss_term = float(np.sum((shrink * self.qty) ** 2)) / self.n
         denom = (float(np.sum(shrink)) / self.n) ** 2
-        return rss_term / denom
+        return rss_term / denom if denom > 0.0 else np.inf
 
     def model(self, lam: float) -> KrrModel:
         return KrrModel(kernel=self.spec, design=self.points,
                         coeffs=self.coeffs(lam), lam=float(lam),
-                        fitted=self.fitted(lam), hat_trace=self.hat_trace(lam))
+                        fitted=self.fitted(lam), hat_trace=self.hat_trace(lam),
+                        gram_eig=(self.w, self.Q))
 
 
 def fit(points, y, kernel: KernelSpec, lam: float,

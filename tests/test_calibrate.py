@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from l2calib import rkhs, testbed
-from l2calib.calibrate import (ComputerModel, FixedPhi, KernelConfig,
-                               emulator_model, fit_response_surface,
-                               ko_calibrate, l2_calibrate, ols_calibrate)
+from l2calib import kernels, rkhs, testbed
+from l2calib.calibrate import (ETA_BOUNDS, ComputerModel, FixedPhi, KernelConfig,
+                               _ProfiledGpLikelihood, emulator_model,
+                               fit_response_surface, ko_calibrate, l2_calibrate,
+                               ols_calibrate)
 from l2calib.numerics import BoxDomain, OptimizerConfig, gauss_legendre, \
     l2_distance_sq, minimize
 from l2calib.rkhs import FixedLambda
@@ -144,11 +145,79 @@ class TestKo:
                            phi_rule=FixedPhi(0.3), seed=13)
         assert est.meta["phi"] == 0.3
 
+    def test_two_parameter_box(self):
+        model = ComputerModel(eval=lambda p, th: th[0] * np.sin(p[:, 0]) + th[1],
+                              theta_domain=BoxDomain((-2.0, -2.0), (2.0, 2.0)))
+        x = np.linspace(0.0, 6.0, 12)[:, None]
+        y = 0.5 * np.sin(x[:, 0]) + 0.3
+        est = ko_calibrate(x, y, model, phi_rule=FixedPhi(1.0),
+                           opt=OptimizerConfig(grid_points=45), n_starts=1)
+        assert est.theta_hat == pytest.approx([0.5, 0.3], abs=1e-4)
+
     def test_deterministic_given_seed(self):
         system, pts, y = noisy_example2(seed=14)
         a = ko_calibrate(pts, y, system.computer_model, seed=5)
         b = ko_calibrate(pts, y, system.computer_model, seed=5)
         assert a.theta_hat[0] == b.theta_hat[0]
+
+
+class TestSharedSurface:
+    """One tuned surface handed to several calibrators changes no estimate."""
+
+    @pytest.mark.parametrize("example", ["example1", "example2"])
+    def test_shared_surface_estimates_match_self_tuned(self, example):
+        system = testbed.make_system(example, 0.1, "uniform_random", 41)
+        pts, y = testbed.generate(system, 21, 0)
+        model, kcfg = system.computer_model, KernelConfig()
+        surface, _ = fit_response_surface(pts, y, kcfg)
+        for shared, alone in (
+                (l2_calibrate(pts, y, kcfg, model, RULE, OPT, surface=surface),
+                 l2_calibrate(pts, y, kcfg, model, RULE, OPT)),
+                (ko_calibrate(pts, y, model, seed=2, surface=surface),
+                 ko_calibrate(pts, y, model, seed=2))):
+            assert np.array_equal(shared.theta_hat, alone.theta_hat)
+            assert shared.objective_value == alone.objective_value
+            assert shared.meta == alone.meta
+
+    def test_interpolant_is_not_a_ko_surface(self):
+        system, pts, y = noisy_example2(seed=24)
+        interpolant = rkhs.interpolate_emulator(pts, y, rkhs.KernelSpec("gaussian", 1.0))
+        with pytest.raises(ValueError, match="no Gram eigenpairs"):
+            ko_calibrate(pts, y, system.computer_model, surface=interpolant)
+
+    def test_fit_keeps_gram_eigenpairs(self):
+        _, pts, y = noisy_example2(seed=22)
+        surface, phi = fit_response_surface(pts, y, KernelConfig())
+        w, Q = surface.gram_eig
+        K = kernels.gram(surface.kernel, pts) + rkhs.DEFAULT_JITTER * np.eye(len(y))
+        assert surface.kernel.phi == phi
+        assert np.allclose(Q @ np.diag(w) @ Q.T, K, atol=1e-10)
+
+    @pytest.mark.parametrize("example", ["example1", "example2"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_grid_start_matches_scalar_scan(self, example, seed):
+        system = testbed.make_system(example, 0.1)
+        pts, y = testbed.generate(system, seed, 0)
+        surface, _ = fit_response_surface(pts, y, KernelConfig())
+        nll = _ProfiledGpLikelihood(pts, y, system.computer_model, *surface.gram_eig)
+        theta_grid = np.linspace(-2.0, 2.0, 80)[:, None]
+        log_etas = np.linspace(np.log(ETA_BOUNDS[0]), np.log(ETA_BOUNDS[1]), 17)
+        best_val, best_start = np.inf, None
+        for th in theta_grid:
+            qtr2 = nll.residual_sq(th)
+            for le in log_etas:
+                v = nll.value_from_parts(qtr2, le)
+                if v < best_val:
+                    best_val, best_start = v, np.append(th, le)
+        assert np.array_equal(nll.grid_start(theta_grid, log_etas), best_start)
+
+    def test_likelihood_is_infinite_outside_the_box(self):
+        system, pts, y = noisy_example2(seed=23)
+        surface, _ = fit_response_surface(pts, y, KernelConfig())
+        nll = _ProfiledGpLikelihood(pts, y, system.computer_model, *surface.gram_eig)
+        assert np.isfinite(nll(np.array([0.0, 0.0])))
+        for params in ([2.5, 0.0], [-2.5, 0.0], [0.0, 30.0], [0.0, -30.0], [np.nan, 0.0]):
+            assert nll(np.array(params)) == np.inf
 
 
 class TestEmulatorModel:

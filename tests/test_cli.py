@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from l2calib import testbed
-from l2calib.cli import (CliConfigError, RunConfig, check_report, load_config,
-                         main, read_data_csv, simulate)
+from l2calib import cli, rkhs, testbed
+from l2calib.calibrate import l2_calibrate
+from l2calib.numerics import gauss_legendre
+from l2calib.cli import (CliConfigError, RunConfig, check_report, cmd_calibrate,
+                         load_config, main, read_data_csv, simulate)
 
 
 def write_config(path, **overrides):
@@ -24,12 +26,26 @@ def write_config(path, **overrides):
     return path
 
 
-def write_noiseless_example1_csv(path):
-    system = testbed.make_system("example1", 0.0)
-    pts, y = testbed.generate(system, 0, 0)
+def write_data_csv(path, pts, y):
     lines = ["x1,y"] + [f"{x:.17g},{v:.17g}" for x, v in zip(pts[:, 0], y)]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper; return the list of its calls."""
+    calls, fn = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def write_noiseless_example1_csv(path):
+    system = testbed.make_system("example1", 0.0)
+    return write_data_csv(path, *testbed.generate(system, 0, 0))
 
 
 class TestConfig:
@@ -130,10 +146,7 @@ class TestCalibrateCommand:
 
     def test_standard_errors_emitted_for_smooth_model(self, tmp_path):
         system = testbed.make_system("example2", 0.01)
-        pts, y = testbed.generate(system, 3, 0)
-        data = tmp_path / "d.csv"
-        lines = ["x1,y"] + [f"{x:.17g},{v:.17g}" for x, v in zip(pts[:, 0], y)]
-        data.write_text("\n".join(lines) + "\n")
+        data = write_data_csv(tmp_path / "d.csv", *testbed.generate(system, 3, 0))
         cfg = write_config(tmp_path / "c.json", methods=["L2", "OLS", "KO"])
         out = tmp_path / "o.csv"
         assert main(["calibrate", "--config", str(cfg), "--data", str(data),
@@ -143,6 +156,68 @@ class TestCalibrateCommand:
         assert float(rows["L2"][5]) > 0.0
         assert float(rows["OLS"][5]) > 0.0
         assert rows["KO"][5] == ""
+
+
+class TestTuneOnce:
+    """phi and lambda are tuned once per dataset and shared by every method."""
+
+    def test_calibrate_tunes_once_for_all_methods(self, tmp_path, monkeypatch):
+        system = testbed.make_system("example2", 0.1, "uniform_random", 101)
+        data = write_data_csv(tmp_path / "d.csv", *testbed.generate(system, 4, 0))
+        cfg = write_config(tmp_path / "c.json", methods=["L2", "OLS", "KO"])
+        loo = counting(monkeypatch, rkhs, "loo_cv_phi")
+        eigh = counting(monkeypatch, np.linalg, "eigh")
+        assert main(["calibrate", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "o.csv")]) == 0
+        assert len(loo) == 1
+        assert len(eigh) <= len(rkhs.DEFAULT_PHI_GRID) + 1
+        rows = (tmp_path / "o.csv").read_text().strip().splitlines()[1:]
+        assert all(r.endswith(",ok") for r in rows)
+
+    def test_replication_tunes_once_for_l2_and_ko(self, monkeypatch):
+        loo = counting(monkeypatch, rkhs, "loo_cv_phi")
+        cfg = RunConfig(example="example2", methods=("L2", "KO"), sigma2=(0.01,),
+                        replications=1, seed=3, quadrature_m=128)
+        simulate(cfg, log=None)
+        assert len(loo) == 1
+
+    def test_tuning_failure_fails_each_method_that_needs_it(self, tmp_path):
+        # a vanishing penalty makes every GCV score 0/0: tuning fails, and
+        # the L2 and KO rows carry the error each raises on its own
+        system = testbed.make_system("example2", 0.01)
+        pts, y = testbed.generate(system, 5, 0)
+        data = write_data_csv(tmp_path / "d.csv", pts, y)
+        cfg = write_config(tmp_path / "c.json", methods=["L2", "OLS", "KO"],
+                           lambda_grid=[1e-300])
+        out = tmp_path / "o.csv"
+        assert main(["calibrate", "--config", str(cfg), "--data", str(data),
+                     "--out", str(out)]) == 0
+        rows = {r.split(",")[0]: r for r in out.read_text().strip().splitlines()[1:]}
+        assert rows["OLS"].endswith(",ok")
+        kcfg = load_config(cfg).kernel_config()
+        with pytest.raises(rkhs.FitError) as alone:
+            l2_calibrate(pts, y, kcfg, system.computer_model,
+                         gauss_legendre(testbed.OMEGA, 128))
+        for meth in ("L2", "KO"):
+            assert rows[meth].endswith(f"error: FitError: {alone.value}")
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in a calibrator")
+        monkeypatch.setattr(cli, "ols_calibrate", broken)
+        cfg = RunConfig(example="example2", methods=("OLS",), sigma2=(0.01,),
+                        replications=2, seed=3, quadrature_m=64)
+        with pytest.raises(TypeError, match="bug in a calibrator"):
+            simulate(cfg, log=None)
+
+    def test_calibrate_without_log_is_silent(self, tmp_path, capsys):
+        # NaN responses make the shared surface fit fail, which is logged
+        data = tmp_path / "d.csv"
+        data.write_text("x1,y\n1.0,0.9\n2.0,nan\n4.0,-0.6\n5.0,0.2\n")
+        cfg = load_config(write_config(tmp_path / "c.json", methods=["L2", "OLS"]))
+        assert cmd_calibrate(cfg, data, tmp_path / "o.csv", log=None) == 0
+        assert capsys.readouterr() == ("", "")
+        assert "error" in (tmp_path / "o.csv").read_text()
 
 
 class TestSimulateCommand:
@@ -210,6 +285,26 @@ class TestDiscrepancyCommand:
     def test_rejects_bad_range(self, tmp_path):
         assert main(["discrepancy", "--theta-min", "2.0", "--theta-max", "-2.0",
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("override", [
+        {"theta_domain": [1]},
+        {"replications": "abc"},
+        {"quadrature_m": 0},
+        {"design": {"kind": "uniform_random", "n": 0}},
+        {"kernel": "gaussian"},
+        {"kernel": {"family": "foo"}},
+    ], ids=["theta_domain", "replications", "quadrature_m", "design_n",
+            "kernel_string", "kernel_family"])
+    def test_bad_value_is_one_error_line(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path / "c.json", **override)
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestExitCodes:
