@@ -11,8 +11,7 @@ from .calibrate import (CalibrationEstimate, ComputerModel, FixedPhi,
                         KernelConfig, LooCvPhi, emulator_model, ko_calibrate,
                         l2_calibrate, ols_calibrate)
 from .inference import (EfficiencyGap, SandwichEstimate, efficiency_gap,
-                        estimate_sandwich, estimate_sigma2, estimate_V,
-                        estimate_W, l2_cov, ols_cov)
+                        estimate_sandwich, l2_cov, ols_cov)
 from .kernels import KernelSpec, gram
 from .numerics import (BoxDomain, OptimizerConfig, QuadratureRule, fd_grad,
                        fd_hess, gauss_legendre, l2_distance_sq, minimize)
@@ -30,10 +29,9 @@ __all__ = [
     "KrrConfig", "KrrModel", "LooCvPhi", "OptimizerConfig", "QuadratureRule",
     "RateLambda", "SandwichEstimate", "SyntheticSystem",
     "default_lambda", "discrepancy_closed_form", "efficiency_gap",
-    "emulator_model", "estimate_sandwich", "estimate_sigma2", "estimate_V",
-    "estimate_W", "fd_grad", "fd_hess", "fit", "gauss_legendre", "gcv_select",
-    "generate", "gram", "interpolate_emulator", "ko_calibrate", "l2_calibrate",
-    "l2_cov", "l2_distance_sq", "loo_cv_phi", "make_system", "minimize",
-    "ols_calibrate", "ols_cov", "predict", "rkhs_norm_sq", "ys_example1",
-    "ys_example2", "zeta_true",
+    "emulator_model", "estimate_sandwich", "fd_grad", "fd_hess", "fit",
+    "gauss_legendre", "gcv_select", "generate", "gram", "interpolate_emulator",
+    "ko_calibrate", "l2_calibrate", "l2_cov", "l2_distance_sq", "loo_cv_phi",
+    "make_system", "minimize", "ols_calibrate", "ols_cov", "predict",
+    "rkhs_norm_sq", "ys_example1", "ys_example2", "zeta_true",
 ]

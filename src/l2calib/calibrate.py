@@ -22,10 +22,10 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from . import kernels, rkhs
+from . import rkhs
 from .kernels import KernelSpec
 from .numerics import (BoxDomain, OptimizerConfig, QuadratureRule,
-                       as_points, fd_step, minimize)
+                       as_points, fd_grad, fd_hess, minimize)
 from .rkhs import GcvLambda, KrrModel, LambdaRule
 
 ETA_BOUNDS = (1e-8, 1e8)  # noise-to-process variance ratio search range
@@ -42,8 +42,10 @@ class FixedPhi:
 
 @dataclass(frozen=True)
 class LooCvPhi:
+    """phi by leave-one-out over ``grid``, lambda per candidate by the
+    ``KernelConfig``'s lambda rule."""
+
     grid: tuple[float, ...] = rkhs.DEFAULT_PHI_GRID
-    lambda_rule: LambdaRule = field(default_factory=GcvLambda)
 
     def __post_init__(self):
         grid = tuple(float(g) for g in self.grid)
@@ -109,13 +111,7 @@ class ComputerModel:
         if self.grad is not None:
             g = np.asarray(self.grad(pts, th), dtype=float)
             return g.reshape(pts.shape[0], self.q)
-        steps = fd_step(th)
-        cols = []
-        for j in range(self.q):
-            e = np.zeros_like(th)
-            e[j] = steps[j]
-            cols.append((self(pts, th + e) - self(pts, th - e)) / (2.0 * steps[j]))
-        return np.stack(cols, axis=1)
+        return fd_grad(lambda t: self(pts, t), th)
 
     def hess_theta(self, x, theta) -> np.ndarray:
         """Per-point Hessian of the output in theta, shape ``(n, q, q)``."""
@@ -124,21 +120,7 @@ class ComputerModel:
         if self.hess is not None:
             H = np.asarray(self.hess(pts, th), dtype=float)
             return H.reshape(pts.shape[0], self.q, self.q)
-        steps = fd_step(th)
-        n, q = pts.shape[0], self.q
-        H = np.empty((n, q, q))
-        f0 = self(pts, th)
-        for j in range(q):
-            ej = np.zeros_like(th)
-            ej[j] = steps[j]
-            H[:, j, j] = (self(pts, th + ej) - 2.0 * f0 + self(pts, th - ej)) / steps[j] ** 2
-            for k in range(j + 1, q):
-                ek = np.zeros_like(th)
-                ek[k] = steps[k]
-                mixed = (self(pts, th + ej + ek) - self(pts, th + ej - ek)
-                         - self(pts, th - ej + ek) + self(pts, th - ej - ek))
-                H[:, j, k] = H[:, k, j] = mixed / (4.0 * steps[j] * steps[k])
-        return H
+        return fd_hess(lambda t: self(pts, t), th)
 
 
 def emulator_model(surrogate: KrrModel, theta_domain: BoxDomain,
@@ -177,8 +159,7 @@ def _check_data(points, y) -> tuple[np.ndarray, np.ndarray]:
     return pts, yv
 
 
-def fit_response_surface(points, y, config: KernelConfig,
-                         jitter: float = rkhs.DEFAULT_JITTER) -> tuple[KrrModel, float]:
+def fit_response_surface(points, y, config: KernelConfig) -> tuple[KrrModel, float]:
     """Resolve (phi, lambda) per the config rules and fit the regressor.
 
     The model (with its Gram eigenpairs) can be passed as ``surface`` to
@@ -188,9 +169,9 @@ def fit_response_surface(points, y, config: KernelConfig,
         phi = config.phi_rule.value
     else:
         phi = rkhs.loo_cv_phi(points, y, config.family, config.phi_rule.grid,
-                              config.phi_rule.lambda_rule, config.nu, jitter)
+                              config.lambda_rule, config.nu)
     model = rkhs.fit_with_rule(points, y, config.spec(phi),
-                               rkhs.KrrConfig(config.lambda_rule, jitter))
+                               rkhs.KrrConfig(config.lambda_rule))
     return model, phi
 
 
@@ -297,36 +278,26 @@ class _ProfiledGpLikelihood:
 
 
 def ko_calibrate(points, y, model: ComputerModel,
-                 family: str = "gaussian",
-                 phi_rule: PhiRule = LooCvPhi(),
+                 kernel_cfg: KernelConfig = KernelConfig(),
                  opt: OptimizerConfig = OptimizerConfig(),
-                 nu: float | None = None,
                  seed: int = 0,
                  n_starts: int = 5,
-                 jitter: float = rkhs.DEFAULT_JITTER,
                  surface: KrrModel | None = None) -> CalibrationEstimate:
     """Gaussian-process calibration by profiled maximum likelihood.
 
-    phi is fixed up front by cross-validation on the physical data (or
-    taken as given), then (theta, log eta) are searched jointly: a
+    The kernel (phi by ``kernel_cfg``'s rule) and the eigenpairs of its
+    jittered Gram matrix come from ``fit_response_surface``, or from a
+    given ``surface``; then (theta, log eta) are searched jointly: a
     coarse grid pass, Nelder-Mead from the best cell, and ``n_starts``
-    seeded random restarts to dodge likelihood multimodality.  A given
-    ``surface`` supplies the kernel and its Gram eigenpairs, in place of
-    ``family``, ``nu``, ``phi_rule`` and ``jitter``.
+    seeded random restarts to dodge likelihood multimodality.
     """
     pts, yv = _check_data(points, y)
     if yv.shape[0] < 3:
         raise ValueError("GP calibration needs at least 3 observations")
-    if surface is None:
-        phi = phi_rule.value if isinstance(phi_rule, FixedPhi) else rkhs.loo_cv_phi(
-            pts, yv, family, phi_rule.grid, phi_rule.lambda_rule, nu, jitter)
-        spec = KernelSpec(family, phi, nu)
-        rho, Q = np.linalg.eigh(kernels.gram(spec, pts) + jitter * np.eye(yv.shape[0]))
-    elif surface.gram_eig is None:
+    surface = surface or fit_response_surface(pts, yv, kernel_cfg)[0]
+    if surface.gram_eig is None:
         raise ValueError("surface has no Gram eigenpairs; fit it with fit_response_surface")
-    else:
-        spec, (rho, Q) = surface.kernel, surface.gram_eig
-    nll = _ProfiledGpLikelihood(pts, yv, model, rho, Q)
+    nll = _ProfiledGpLikelihood(pts, yv, model, *surface.gram_eig)
     box = model.theta_domain
 
     # Coarse deterministic pass over theta x log(eta).
@@ -352,13 +323,10 @@ def ko_calibrate(points, y, model: ComputerModel,
     theta_hat = box.clip(best.x[:-1])
     log_eta = float(np.clip(best.x[-1], np.log(ETA_BOUNDS[0]), np.log(ETA_BOUNDS[1])))
     tau2, sigma2 = nll.tau2_sigma2(theta_hat, log_eta)
-    eps = 1e-12
-    on_boundary = bool(np.any(np.abs(theta_hat - np.asarray(box.lower)) <= eps)
-                       or np.any(np.abs(theta_hat - np.asarray(box.upper)) <= eps))
     return CalibrationEstimate(
         theta_hat=np.asarray(theta_hat, dtype=float), method="KO",
         objective_value=float(best.fun),
-        meta={"phi": spec.phi, "eta": float(np.exp(log_eta)), "tau2": tau2,
-              "sigma2": sigma2, "boundary": on_boundary,
+        meta={"phi": surface.kernel.phi, "eta": float(np.exp(log_eta)), "tau2": tau2,
+              "sigma2": sigma2, "boundary": box.on_boundary(theta_hat),
               "iterations": int(best.nit)},
     )

@@ -12,7 +12,7 @@ typos fail fast.  Data files are headed CSV with columns ``x1..xd``
 then ``y``.  Reports carry 17 significant digits so byte-identical
 output is a meaningful determinism check.
 
-Exit codes: 0 success, 1 config/parse error, 2 numerical failure,
+Exit codes: 0 success, 1 usage/config/parse error, 2 numerical failure,
 3 threshold violation under ``--check``.
 """
 
@@ -93,8 +93,9 @@ class RunConfig:
             raise CliConfigError("sigma2 must be a nonempty list of nonnegative values")
         if self.design not in ("fixed_grid", "uniform_random"):
             raise CliConfigError(f"unknown design {self.design!r}")
-        if len(self.theta_domain) != 2 or self.theta_domain[0] >= self.theta_domain[1]:
-            raise CliConfigError("theta_domain must be [lo, hi] with lo < hi")
+        dom = self.theta_domain
+        if len(dom) != 2 or not (np.all(np.isfinite(dom)) and dom[0] < dom[1]):
+            raise CliConfigError("theta_domain must be finite [lo, hi] with lo < hi")
         try:
             self.kernel_config()
         except ValueError as e:
@@ -103,8 +104,7 @@ class RunConfig:
     def kernel_config(self) -> KernelConfig:
         return KernelConfig(
             family=self.kernel_family, nu=self.kernel_nu,
-            phi_rule=LooCvPhi(self.phi_grid, GcvLambda(self.lambda_grid)),
-            lambda_rule=GcvLambda(self.lambda_grid),
+            phi_rule=LooCvPhi(self.phi_grid), lambda_rule=GcvLambda(self.lambda_grid),
         )
 
 
@@ -158,7 +158,7 @@ def load_config(path: str | Path) -> RunConfig:
         name, conv = _FIELDS[key]
         try:
             (opt if key.startswith("optimizer.") else kw)[name] = conv(value)
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise CliConfigError(f"config key {key!r}: cannot use {value!r} ({e})")
     try:
         if "optimizer" in raw:
@@ -244,9 +244,8 @@ def _run_methods(config: RunConfig, pts: np.ndarray, y: np.ndarray,
             elif meth == "OLS":
                 est = ols_calibrate(pts, y, model, config.optimizer)
             else:
-                est = ko_calibrate(pts, y, model, family=kcfg.family,
-                                   phi_rule=kcfg.phi_rule, opt=config.optimizer,
-                                   nu=kcfg.nu, seed=ko_seed, surface=zeta_hat)
+                est = ko_calibrate(pts, y, model, kcfg, config.optimizer,
+                                   seed=ko_seed, surface=zeta_hat)
             if with_se and meth != "KO" and zeta_hat is not None:
                 sand = inference.estimate_sandwich(pts, y, zeta_hat, model,
                                                    est.theta_hat)
@@ -332,11 +331,13 @@ def check_report(report: SimulationReport, tol: float = 1e-10) -> list[str]:
 
 
 def read_data_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a headed CSV with columns x1..xd then y."""
+    """Read a headed UTF-8 CSV with columns x1..xd then y; cells must be finite."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise CliConfigError(f"data file not found: {path}")
+    except UnicodeDecodeError as e:
+        raise CliConfigError(f"{path}: not UTF-8 text ({e})")
     reader = csv.reader(text.splitlines())
     try:
         header = next(reader)
@@ -360,12 +361,15 @@ def read_data_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         if not row or all(not c.strip() for c in row):
             continue
         def parse(idx: int, name: str) -> float:
+            cell = row[idx] if idx < len(row) else "<missing>"
             try:
-                return float(row[idx])
-            except (ValueError, IndexError):
-                cell = row[idx] if idx < len(row) else "<missing>"
+                value = float(cell)
+            except ValueError:
+                value = np.nan
+            if not np.isfinite(value):
                 raise CliConfigError(f"{path}: line {lineno}, column {name!r}: "
-                                     f"cannot parse {cell!r} as a number")
+                                     f"{cell!r} is not a finite number")
+            return value
         xs.append([parse(i, f"x{j + 1}") for j, i in enumerate(x_idx)])
         ys.append(parse(y_idx, "y"))
     if not xs:
@@ -473,30 +477,31 @@ def cmd_simulate(config: RunConfig, out_path: str | Path, workers: int = 1,
 # Entry point
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="l2calib",
-                                description="Calibration toolkit for imperfect "
-                                            "computer models")
-    sub = p.add_subparsers(dest="command", required=True)
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are config errors (exit 1), not argparse's exit 2."""
 
-    def common(sp):
+    def error(self, message):
+        raise CliConfigError(f"{self.prog}: {message}")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    p = _Parser(prog="l2calib",
+                description="Calibration toolkit for imperfect computer models")
+    sub = p.add_subparsers(dest="command", required=True)
+    sc = sub.add_parser("calibrate", help="calibrate one dataset")
+    ss = sub.add_parser("simulate", help="run a Monte-Carlo study")
+    sd = sub.add_parser("discrepancy", help="emit discrepancy curves")
+    for sp in (sc, ss, sd):
         sp.add_argument("--config", help="JSON run configuration")
         sp.add_argument("--out", help="output CSV path (overrides config)")
+    for sp in (sc, ss):
         sp.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="parallel replication workers")
+    for sp in (ss, sd):
         sp.add_argument("--check", action="store_true",
                         help="verify built-in thresholds; exit 3 on violation")
-
-    sc = sub.add_parser("calibrate", help="calibrate one dataset")
-    common(sc)
     sc.add_argument("--data", required=True, help="CSV with columns x1..xd,y")
-
-    ss = sub.add_parser("simulate", help="run a Monte-Carlo study")
-    common(ss)
-
-    sd = sub.add_parser("discrepancy", help="emit discrepancy curves")
-    common(sd)
+    ss.add_argument("--workers", type=int, default=1,
+                    help="parallel replication workers")
     sd.add_argument("--example", default="example2",
                     choices=["example1", "example2"])
     sd.add_argument("--theta-min", type=float, default=-2.0)
@@ -506,8 +511,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "discrepancy":
             out = args.out or "discrepancy.csv"
             m = 256

@@ -7,17 +7,17 @@ at the estimate, the two building blocks are
     V = E[2 (g g^T - delta * H)] (objective curvature, H the theta-Hessian)
 
 with the expectation taken under the uniform distribution on the
-control domain and estimated by empirical means over the design points.
-The asymptotic covariances are then
+control domain.  It is estimated as a weighted mean over the nodes of a
+rule, divided by the sum of its weights: unit weights at the design
+points give the plug-in estimate, a quadrature rule over the domain the
+population oracle.  The asymptotic covariances are then
 
     cov(L2)  = (4 sigma^2 / n) V^{-1} W V^{-1}
     cov(OLS) = (1 / n) V^{-1} Sigma2 V^{-1},
     Sigma2   = 4 sigma^2 W + 4 E[delta^2 g g^T]
 
 so the least-squares spread exceeds the L2 spread exactly when the
-model discrepancy is nonzero where the sweep moves.  Quadrature
-variants of W, V, Sigma2 (divided by the domain volume, same
-uniform-expectation convention) serve as population oracles.
+model discrepancy is nonzero where the sweep moves.
 """
 
 from __future__ import annotations
@@ -63,41 +63,62 @@ class SandwichEstimate:
         return np.sqrt(np.diag(self.cov_ols))
 
 
-def _require_smooth(model: ComputerModel):
+def design_rule(points) -> QuadratureRule:
+    """Unit weights at the design points: rule means become sample means."""
+    pts = as_points(points)
+    return QuadratureRule(nodes=pts, weights=np.ones(pts.shape[0]))
+
+
+@dataclass(frozen=True)
+class Expansion:
+    """Simulator derivatives and discrepancy at theta on a rule's nodes.
+
+    ``G`` (n, q) and ``H`` (n, q, q) are the theta-gradient and Hessian,
+    ``delta`` (n,) is surface minus simulator.
+    """
+
+    G: np.ndarray
+    H: np.ndarray
+    delta: np.ndarray
+    weights: np.ndarray
+
+    def _sum_ggT(self, u: np.ndarray) -> np.ndarray:
+        return (self.G * u[:, None]).T @ self.G
+
+    def W(self) -> np.ndarray:
+        """``E[g g^T]``."""
+        return self._sum_ggT(self.weights) / float(np.sum(self.weights))
+
+    def V(self) -> np.ndarray:
+        """Curvature ``E[2 (g g^T - delta * H)]``, symmetrized."""
+        w = self.weights
+        V = 2.0 * (self._sum_ggT(w) - np.einsum("i,ijk->jk", w * self.delta, self.H)) \
+            / float(np.sum(w))
+        return 0.5 * (V + V.T)
+
+    def Sigma2(self, sigma2: float) -> np.ndarray:
+        """Least-squares middle matrix ``4 sigma^2 W + 4 E[delta^2 g g^T]``."""
+        w = self.weights
+        S = 4.0 * sigma2 * self.W() \
+            + 4.0 * self._sum_ggT(w * self.delta ** 2) / float(np.sum(w))
+        return 0.5 * (S + S.T)
+
+
+def expand(model: ComputerModel, zeta: Callable[[np.ndarray], np.ndarray],
+           theta, rule: QuadratureRule) -> Expansion:
+    """Evaluate the sandwich ingredients of ``model`` at ``theta`` once."""
     if not model.smooth_in_theta:
         raise ValueError(
             f"model {model.name!r} is flagged non-smooth in theta; "
             "derivative-based covariance estimation is not valid for it")
-
-
-def estimate_sigma2(points, y, zeta_hat: KrrModel) -> float:
-    """Noise variance from smoother residuals and effective dof."""
-    return rkhs.sigma2_hat(points, y, zeta_hat)
-
-
-def estimate_W(model: ComputerModel, theta_hat, points) -> np.ndarray:
-    """Empirical mean of ``g g^T`` over the design points."""
-    _require_smooth(model)
-    pts = as_points(points)
-    G = model.grad_theta(pts, theta_hat)
+    G = model.grad_theta(rule.nodes, theta)
     if np.any(~np.isfinite(G)):
         raise ValueError("model gradient is non-finite at some design point")
-    return (G.T @ G) / pts.shape[0]
-
-
-def estimate_V(model: ComputerModel, zeta_hat: Callable[[np.ndarray], np.ndarray],
-               theta_hat, points) -> np.ndarray:
-    """Empirical curvature ``(1/n) sum 2 [g g^T - delta * H]``, symmetrized."""
-    _require_smooth(model)
-    pts = as_points(points)
-    G = model.grad_theta(pts, theta_hat)
-    H = model.hess_theta(pts, theta_hat)
-    if np.any(~np.isfinite(G)) or np.any(~np.isfinite(H)):
+    H = model.hess_theta(rule.nodes, theta)
+    if np.any(~np.isfinite(H)):
         raise ValueError("model derivatives are non-finite at some design point")
-    delta = np.asarray(zeta_hat(pts), dtype=float).reshape(-1) - model(pts, theta_hat)
-    n = pts.shape[0]
-    V = 2.0 * (G.T @ G - np.einsum("i,ijk->jk", delta, H)) / n
-    return 0.5 * (V + V.T)
+    delta = np.asarray(zeta(rule.nodes), dtype=float).reshape(-1) - model(rule.nodes, theta)
+    return Expansion(G=G, H=H, delta=delta, weights=rule.weights)
 
 
 def _inv_v(V_hat: np.ndarray) -> np.ndarray:
@@ -116,20 +137,6 @@ def l2_cov(V_hat, W_hat, sigma2_hat: float, n: int) -> np.ndarray:
     W = np.atleast_2d(np.asarray(W_hat, dtype=float))
     cov = (4.0 * sigma2_hat / n) * (Vinv @ W @ Vinv)
     return 0.5 * (cov + cov.T)
-
-
-def sigma2_matrix(W_hat, sigma2_hat: float, model: ComputerModel,
-                  zeta_hat: Callable[[np.ndarray], np.ndarray],
-                  theta_hat, points) -> np.ndarray:
-    """Middle matrix of the least-squares sandwich:
-    ``4 sigma^2 W + (4/n) sum delta_i^2 g_i g_i^T``."""
-    _require_smooth(model)
-    pts = as_points(points)
-    G = model.grad_theta(pts, theta_hat)
-    delta = np.asarray(zeta_hat(pts), dtype=float).reshape(-1) - model(pts, theta_hat)
-    extra = 4.0 * (G * (delta ** 2)[:, None]).T @ G / pts.shape[0]
-    S = 4.0 * sigma2_hat * np.atleast_2d(np.asarray(W_hat, dtype=float)) + extra
-    return 0.5 * (S + S.T)
 
 
 def ols_cov(V_hat, Sigma2_hat, n: int) -> np.ndarray:
@@ -167,51 +174,10 @@ def estimate_sandwich(points, y, zeta_hat: KrrModel, model: ComputerModel,
                       theta_hat) -> SandwichEstimate:
     """Assemble every sandwich quantity from one dataset and fit."""
     pts, yv = as_points(points), np.asarray(y, dtype=float).reshape(-1)
-    s2 = estimate_sigma2(pts, yv, zeta_hat)
-    W = estimate_W(model, theta_hat, pts)
-    zfun = lambda p: rkhs.predict(zeta_hat, p)
-    V = estimate_V(model, zfun, theta_hat, pts)
-    S2m = sigma2_matrix(W, s2, model, zfun, theta_hat, pts)
+    s2 = rkhs.sigma2_hat(pts, yv, zeta_hat)
+    ex = expand(model, lambda p: rkhs.predict(zeta_hat, p), theta_hat, design_rule(pts))
+    W, V, S2m = ex.W(), ex.V(), ex.Sigma2(s2)
     n = pts.shape[0]
     return SandwichEstimate(V_hat=V, W_hat=W, sigma2_hat=s2, Sigma2_hat=S2m,
                             cov_l2=l2_cov(V, W, s2, n),
                             cov_ols=ols_cov(V, S2m, n), n=n)
-
-
-# ---------------------------------------------------------------------------
-# Population (quadrature) versions, used as Monte-Carlo oracles.
-
-def population_W(model: ComputerModel, theta, rule: QuadratureRule) -> np.ndarray:
-    """Quadrature version of W under the uniform density on the domain."""
-    _require_smooth(model)
-    G = model.grad_theta(rule.nodes, theta)
-    vol = float(np.sum(rule.weights))
-    return (G * rule.weights[:, None]).T @ G / vol
-
-
-def population_V(model: ComputerModel, zeta: Callable[[np.ndarray], np.ndarray],
-                 theta, rule: QuadratureRule) -> np.ndarray:
-    """Quadrature version of the curvature V under the uniform density."""
-    _require_smooth(model)
-    G = model.grad_theta(rule.nodes, theta)
-    H = model.hess_theta(rule.nodes, theta)
-    delta = np.asarray(zeta(rule.nodes), dtype=float).reshape(-1) - model(rule.nodes, theta)
-    vol = float(np.sum(rule.weights))
-    V = 2.0 * ((G * rule.weights[:, None]).T @ G
-               - np.einsum("i,i,ijk->jk", rule.weights, delta, H)) / vol
-    return 0.5 * (V + V.T)
-
-
-def population_sigma2_matrix(model: ComputerModel,
-                             zeta: Callable[[np.ndarray], np.ndarray],
-                             theta, sigma2: float,
-                             rule: QuadratureRule) -> np.ndarray:
-    """Quadrature version of Sigma2 under the uniform density."""
-    _require_smooth(model)
-    G = model.grad_theta(rule.nodes, theta)
-    delta = np.asarray(zeta(rule.nodes), dtype=float).reshape(-1) - model(rule.nodes, theta)
-    vol = float(np.sum(rule.weights))
-    W = (G * rule.weights[:, None]).T @ G / vol
-    extra = 4.0 * (G * (rule.weights * delta ** 2)[:, None]).T @ G / vol
-    S = 4.0 * sigma2 * W + extra
-    return 0.5 * (S + S.T)

@@ -45,9 +45,6 @@ class KernelSpec:
         elif self.nu is not None:
             raise ValueError("nu is only meaningful for the matern family")
 
-    def with_phi(self, phi: float) -> "KernelSpec":
-        return KernelSpec(self.family, float(phi), self.nu)
-
 
 def _corr_from_sqdist(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:
     """Correlation values from squared distances (array of any shape)."""
@@ -57,18 +54,6 @@ def _corr_from_sqdist(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:
     if spec.nu == 1.5:
         return (1.0 + a) * np.exp(-a)
     return (1.0 + a + a * a / 3.0) * np.exp(-a)
-
-
-def eval(spec: KernelSpec, s, t) -> float:
-    """Correlation between two points; 1 exactly when ``s == t``."""
-    sv = np.atleast_1d(np.asarray(s, dtype=float))
-    tv = np.atleast_1d(np.asarray(t, dtype=float))
-    if sv.shape != tv.shape:
-        raise ValueError(f"point shapes differ: {sv.shape} vs {tv.shape}")
-    d2 = float(np.sum((sv - tv) ** 2))
-    if d2 == 0.0:
-        return 1.0
-    return float(_corr_from_sqdist(spec, np.asarray(d2)))
 
 
 def cross_gram(spec: KernelSpec, a, b) -> np.ndarray:

@@ -46,7 +46,6 @@ class BoxDomain:
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    units: str = ""
 
     def __post_init__(self):
         lo = tuple(float(v) for v in np.atleast_1d(self.lower))
@@ -68,11 +67,11 @@ class BoxDomain:
     def volume(self) -> float:
         return float(np.prod(np.asarray(self.upper) - np.asarray(self.lower)))
 
-    def contains(self, x, atol: float = 0.0) -> bool:
-        pts = as_points(x, self.dim)
-        lo = np.asarray(self.lower) - atol
-        hi = np.asarray(self.upper) + atol
-        return bool(np.all(pts >= lo) and np.all(pts <= hi))
+    def on_boundary(self, x, eps: float = 1e-12) -> bool:
+        """True when some coordinate of ``x`` is within ``eps`` of a face."""
+        x = np.asarray(x, dtype=float)
+        return bool(np.any(np.abs(x - np.asarray(self.lower)) <= eps)
+                    or np.any(np.abs(x - np.asarray(self.upper)) <= eps))
 
     def clip(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
@@ -140,12 +139,6 @@ def gauss_legendre(domain: BoxDomain, m: int) -> QuadratureRule:
     for w in wts[1:]:
         weights = np.multiply.outer(weights, w)
     return QuadratureRule(nodes=nodes, weights=np.asarray(weights).ravel())
-
-
-def integrate(f: Evaluator, rule: QuadratureRule) -> float:
-    """Plain weighted sum ``sum_i w_i f(z_i)``."""
-    vals = _eval_on_nodes(f, rule, "f")
-    return float(rule.weights @ vals)
 
 
 def l2_distance_sq(f: Evaluator, g: Evaluator, rule: QuadratureRule) -> float:
@@ -242,11 +235,8 @@ def minimize(objective: Callable[[np.ndarray], float], box: BoxDomain,
         if vals[best] < fs:
             xs, fs, it = pts[best], float(vals[best]), 0
 
-    eps = 1e-12
-    on_boundary = bool(np.any(np.abs(xs - np.asarray(box.lower)) <= eps)
-                       or np.any(np.abs(xs - np.asarray(box.upper)) <= eps))
     return MinimizeResult(x=np.asarray(xs, dtype=float), fun=float(fs),
-                          iterations=it, on_boundary=on_boundary)
+                          iterations=it, on_boundary=box.on_boundary(xs))
 
 
 def fd_step(x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -255,33 +245,34 @@ def fd_step(x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return np.maximum(h, h * np.abs(x))
 
 
-def fd_grad(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function on R^q."""
+def fd_grad(f: Callable[[np.ndarray], np.ndarray], x, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of ``f`` on R^q, shape ``f(x).shape + (q,)``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     steps = fd_step(x, h)
-    g = np.empty_like(x)
+    cols = []
     for j in range(x.size):
         e = np.zeros_like(x)
         e[j] = steps[j]
-        g[j] = (f(x + e) - f(x - e)) / (2.0 * steps[j])
-    return g
+        cols.append((f(x + e) - f(x - e)) / (2.0 * steps[j]))
+    return np.stack(cols, axis=-1)
 
 
-def fd_hess(f: Callable[[np.ndarray], float], x, h: float = 1e-5) -> np.ndarray:
-    """Central-difference Hessian of a scalar function on R^q (symmetrized)."""
+def fd_hess(f: Callable[[np.ndarray], np.ndarray], x, h: float = 1e-5) -> np.ndarray:
+    """Central-difference Hessian of ``f`` on R^q (symmetrized), shape
+    ``f(x).shape + (q, q)``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     steps = fd_step(x, h)
     q = x.size
-    H = np.empty((q, q))
-    f0 = f(x)
+    f0 = np.asarray(f(x), dtype=float)
+    H = np.empty(f0.shape + (q, q))
     for j in range(q):
         ej = np.zeros_like(x)
         ej[j] = steps[j]
-        H[j, j] = (f(x + ej) - 2.0 * f0 + f(x - ej)) / steps[j] ** 2
+        H[..., j, j] = (f(x + ej) - 2.0 * f0 + f(x - ej)) / steps[j] ** 2
         for k in range(j + 1, q):
             ek = np.zeros_like(x)
             ek[k] = steps[k]
-            H[j, k] = (f(x + ej + ek) - f(x + ej - ek)
-                       - f(x - ej + ek) + f(x - ej - ek)) / (4.0 * steps[j] * steps[k])
-            H[k, j] = H[j, k]
+            H[..., j, k] = H[..., k, j] = (
+                f(x + ej + ek) - f(x + ej - ek)
+                - f(x - ej + ek) + f(x - ej - ek)) / (4.0 * steps[j] * steps[k])
     return H

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from l2calib import inference, testbed
+from l2calib import inference, rkhs, testbed
 from l2calib.calibrate import KernelConfig, fit_response_surface
 from l2calib.cli import RunConfig, discrepancy_curve, main, simulate
 from l2calib.kernels import KernelSpec, gram
@@ -131,9 +131,8 @@ def test_criterion_6_sandwich_validity(sandwich_report):
     model = testbed.example2_model()
     theta = np.array([THETA_STAR])
     zeta = lambda p: testbed.zeta_true(p[:, 0])
-    W = inference.population_W(model, theta, rule)
-    V = inference.population_V(model, zeta, theta, rule)
-    S2 = inference.population_sigma2_matrix(model, zeta, theta, sigma2, rule)
+    ex = inference.expand(model, zeta, theta, rule)
+    W, V, S2 = ex.W(), ex.V(), ex.Sigma2(sigma2)
     plug = {"L2": inference.l2_cov(V, W, sigma2, n)[0, 0],
             "OLS": inference.ols_cov(V, S2, n)[0, 0]}
     for method in ("L2", "OLS"):
@@ -187,10 +186,10 @@ def _prop_sigma2_matrix_psd():
     pts, y = testbed.generate(system, 77, 0)
     zeta_hat, _ = fit_response_surface(pts, y, KernelConfig())
     theta = np.array([THETA_STAR])
-    W = inference.estimate_W(system.computer_model, theta, pts)
-    s2 = inference.estimate_sigma2(pts, y, zeta_hat)
-    S2 = inference.sigma2_matrix(W, s2, system.computer_model,
-                                 lambda p: predict(zeta_hat, p), theta, pts)
+    ex = inference.expand(system.computer_model, lambda p: predict(zeta_hat, p),
+                          theta, inference.design_rule(pts))
+    s2 = rkhs.sigma2_hat(pts, y, zeta_hat)
+    W, S2 = ex.W(), ex.Sigma2(s2)
     assert np.linalg.eigvalsh(S2 - 4.0 * s2 * W).min() >= -1e-8
 
 
@@ -199,9 +198,8 @@ def _prop_perfect_model_identity():
     pts = np.linspace(0.05, 6.2, 150)[:, None]
     theta = np.array([THETA_STAR])
     surface = lambda p: model(p, theta)
-    W = inference.estimate_W(model, theta, pts)
-    V = inference.estimate_V(model, surface, theta, pts)
-    S2 = inference.sigma2_matrix(W, 0.3, model, surface, theta, pts)
+    ex = inference.expand(model, surface, theta, inference.design_rule(pts))
+    W, V, S2 = ex.W(), ex.V(), ex.Sigma2(0.3)
     assert np.allclose(S2, 4.0 * 0.3 * W, rtol=1e-12)
     assert np.allclose(inference.ols_cov(V, S2, 150),
                        inference.l2_cov(V, W, 0.3, 150), rtol=1e-12)

@@ -142,7 +142,7 @@ class TestKo:
     def test_fixed_phi_respected(self):
         system, pts, y = noisy_example2(seed=13)
         est = ko_calibrate(pts, y, system.computer_model,
-                           phi_rule=FixedPhi(0.3), seed=13)
+                           KernelConfig(phi_rule=FixedPhi(0.3)), seed=13)
         assert est.meta["phi"] == 0.3
 
     def test_two_parameter_box(self):
@@ -150,7 +150,7 @@ class TestKo:
                               theta_domain=BoxDomain((-2.0, -2.0), (2.0, 2.0)))
         x = np.linspace(0.0, 6.0, 12)[:, None]
         y = 0.5 * np.sin(x[:, 0]) + 0.3
-        est = ko_calibrate(x, y, model, phi_rule=FixedPhi(1.0),
+        est = ko_calibrate(x, y, model, KernelConfig(phi_rule=FixedPhi(1.0)),
                            opt=OptimizerConfig(grid_points=45), n_starts=1)
         assert est.theta_hat == pytest.approx([0.5, 0.3], abs=1e-4)
 
@@ -168,16 +168,17 @@ class TestSharedSurface:
     def test_shared_surface_estimates_match_self_tuned(self, example):
         system = testbed.make_system(example, 0.1, "uniform_random", 41)
         pts, y = testbed.generate(system, 21, 0)
-        model, kcfg = system.computer_model, KernelConfig()
-        surface, _ = fit_response_surface(pts, y, kcfg)
-        for shared, alone in (
-                (l2_calibrate(pts, y, kcfg, model, RULE, OPT, surface=surface),
-                 l2_calibrate(pts, y, kcfg, model, RULE, OPT)),
-                (ko_calibrate(pts, y, model, seed=2, surface=surface),
-                 ko_calibrate(pts, y, model, seed=2))):
-            assert np.array_equal(shared.theta_hat, alone.theta_hat)
-            assert shared.objective_value == alone.objective_value
-            assert shared.meta == alone.meta
+        model = system.computer_model
+        for kcfg in (KernelConfig(), KernelConfig(phi_rule=FixedPhi(0.5))):
+            surface, _ = fit_response_surface(pts, y, kcfg)
+            for shared, alone in (
+                    (l2_calibrate(pts, y, kcfg, model, RULE, OPT, surface=surface),
+                     l2_calibrate(pts, y, kcfg, model, RULE, OPT)),
+                    (ko_calibrate(pts, y, model, kcfg, seed=2, surface=surface),
+                     ko_calibrate(pts, y, model, kcfg, seed=2))):
+                assert np.array_equal(shared.theta_hat, alone.theta_hat)
+                assert shared.objective_value == alone.objective_value
+                assert shared.meta == alone.meta
 
     def test_interpolant_is_not_a_ko_surface(self):
         system, pts, y = noisy_example2(seed=24)

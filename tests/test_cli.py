@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from l2calib import cli, rkhs, testbed
 from l2calib.calibrate import l2_calibrate
@@ -98,6 +99,23 @@ class TestDataCsv:
         p.write_text("x1,y\n1.0,2.0\noops,3.0\n")
         with pytest.raises(CliConfigError, match="line 3, column 'x1'"):
             read_data_csv(p)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["x1", "y"])
+    def test_non_finite_cell_is_one_error_line(self, tmp_path, capsys, cell, column):
+        row = f"{cell},3.0" if column == "x1" else f"2.0,{cell}"
+        data = tmp_path / "d.csv"
+        data.write_text("x1,y\n1.0,2.0\n" + row + "\n2.5,1.0\n")
+        with pytest.raises(CliConfigError, match=f"line 3, column '{column}'"):
+            read_data_csv(data)
+        cfg = write_config(tmp_path / "c.json", methods=["L2", "OLS", "KO"])
+        code = main(["calibrate", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "fit.csv")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert str(data) in lines[0] and f"line 3, column '{column}'" in lines[0]
+        assert not (tmp_path / "fit.csv").exists()
 
     def test_good_file(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -211,10 +229,12 @@ class TestTuneOnce:
             simulate(cfg, log=None)
 
     def test_calibrate_without_log_is_silent(self, tmp_path, capsys):
-        # NaN responses make the shared surface fit fail, which is logged
+        # a lambda grid whose GCV scores are all non-finite makes the shared
+        # surface fit fail, which is logged
         data = tmp_path / "d.csv"
-        data.write_text("x1,y\n1.0,0.9\n2.0,nan\n4.0,-0.6\n5.0,0.2\n")
-        cfg = load_config(write_config(tmp_path / "c.json", methods=["L2", "OLS"]))
+        data.write_text("x1,y\n1.0,0.9\n2.0,0.5\n4.0,-0.6\n5.0,0.2\n")
+        cfg = load_config(write_config(tmp_path / "c.json", methods=["L2", "OLS"],
+                                       lambda_grid=[1e-300]))
         assert cmd_calibrate(cfg, data, tmp_path / "o.csv", log=None) == 0
         assert capsys.readouterr() == ("", "")
         assert "error" in (tmp_path / "o.csv").read_text()
@@ -295,8 +315,11 @@ class TestConfigErrors:
         {"design": {"kind": "uniform_random", "n": 0}},
         {"kernel": "gaussian"},
         {"kernel": {"family": "foo"}},
+        {"replications": float("inf")},
+        {"theta_domain": [float("nan"), 1.0]},
     ], ids=["theta_domain", "replications", "quadrature_m", "design_n",
-            "kernel_string", "kernel_family"])
+            "kernel_string", "kernel_family", "replications_infinity",
+            "theta_domain_nan"])
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path / "c.json", **override)
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
@@ -308,6 +331,27 @@ class TestConfigErrors:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["discrepancy", "--seed", "3"],
+        ["calibrate", "--workers", "2", "--data", "d.csv"],
+        ["calibrate", "--check", "--data", "d.csv"],
+        ["simulate", "--bogus"],
+        ["calibrate"],
+    ], ids=["discrepancy-seed", "calibrate-workers", "calibrate-check", "unknown",
+            "missing-data"])
+    def test_usage_error_is_one(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: l2calib")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert "--workers" in capsys.readouterr().out
+
     def test_config_error_is_one(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"example": "example9"}))
@@ -329,3 +373,61 @@ class TestExitCodes:
             "design": {"kind": "uniform_random", "n": 2}}))
         assert main(["simulate", "--config", str(p),
                      "--out", str(tmp_path / "r.csv")]) == 2
+
+
+# Values a JSON config may hold, including the non-standard NaN/Infinity
+# that Python's json module reads and writes.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["example1", "L2", "KO", "uniform_random", "matern", "1e3", ""]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "n", "nu", "x"]), inner, max_size=2),
+    max_leaves=5)
+VALID_DOC = {
+    "example": "example2", "methods": ["L2"], "sigma2": [0.01], "replications": 2,
+    "seed": 1, "design": {"kind": "fixed_grid", "n": 51},
+    "kernel": {"family": "gaussian", "nu": None},
+    "optimizer": {"grid_points": 11, "tolerance": 1e-8, "max_iterations": 5},
+    "phi_grid": [0.1, 1.0], "lambda_grid": [1e-4, 1e-2], "quadrature_m": 8,
+    "theta_domain": [-2.0, 2.0], "output": "r.csv"}
+# Every known key, dotted for nested ones, plus unknown ones.
+FUZZ_KEYS = sorted(VALID_DOC) + ["bogus", "kernel.bogus"] + [
+    f"{k}.{sub}" for k, v in VALID_DOC.items() if isinstance(v, dict) for sub in v]
+CSV_CELLS = ["x1", "x2", "y", "", " 1.5", "-2e3", "nan", "inf", "-inf", "1_0",
+             "0x1", '"3"', "1e999"]
+
+
+class TestParserFuzz:
+    """Either a parsed value or CliConfigError: never another exception."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(changes=st.dictionaries(st.sampled_from(FUZZ_KEYS), json_values, max_size=3))
+    def test_load_config(self, tmp_path_factory, changes):
+        doc = json.loads(json.dumps(VALID_DOC))
+        for key, value in changes.items():
+            head, _, sub = key.partition(".")
+            if not sub:
+                doc[head] = value
+            elif isinstance(doc.get(head), dict):
+                doc[head][sub] = value
+        path = tmp_path_factory.getbasetemp() / "fuzz_config.json"
+        path.write_text(json.dumps(doc))
+        try:
+            assert isinstance(load_config(path), RunConfig)
+        except CliConfigError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(header=st.sampled_from(["x1,y", "y,x1", "x1,x2,y", "x2,y", "x1", "", "y"]),
+           rows=st.lists(st.lists(st.sampled_from(CSV_CELLS), max_size=4), max_size=4),
+           noise=st.text(max_size=12))
+    def test_read_data_csv(self, tmp_path_factory, header, rows, noise):
+        text = "\n".join([header] + [",".join(r) for r in rows]) + noise
+        path = tmp_path_factory.getbasetemp() / "fuzz_data.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            pts, y = read_data_csv(path)
+        except CliConfigError:
+            return
+        assert pts.ndim == 2 and pts.shape[0] == y.shape[0] > 0
+        assert np.all(np.isfinite(pts)) and np.all(np.isfinite(y))

@@ -3,17 +3,25 @@ import pytest
 
 from l2calib import rkhs, testbed
 from l2calib.calibrate import ComputerModel, KernelConfig, fit_response_surface
-from l2calib.inference import (SingularCurvatureError, efficiency_gap,
-                               estimate_sandwich, estimate_sigma2, estimate_V,
-                               estimate_W, l2_cov, ols_cov, population_V,
-                               population_W, population_sigma2_matrix,
-                               sigma2_matrix)
+from l2calib.inference import (SingularCurvatureError, design_rule,
+                               efficiency_gap, estimate_sandwich, expand,
+                               l2_cov, ols_cov)
 from l2calib.kernels import KernelSpec
 from l2calib.numerics import BoxDomain, fd_hess, gauss_legendre
+from l2calib.rkhs import sigma2_hat
 
 RULE = gauss_legendre(testbed.OMEGA, 512)
 THETA_STAR = np.array([testbed.THETA_STAR_EXAMPLE2])
 ZETA = lambda p: testbed.zeta_true(p[:, 0])
+
+
+def at_design(model, surface, theta, pts):
+    """Sample-mean expansion: unit weights at the design points."""
+    return expand(model, surface, theta, design_rule(pts))
+
+
+def no_surface(pts):
+    return np.zeros(len(pts))
 
 
 def linear_model(coef_dim=2):
@@ -32,14 +40,14 @@ class TestSigma2:
         system = testbed.make_system("example2", 0.0)
         pts, y = testbed.generate(system, 0, 0)
         m = rkhs.fit(pts, y, KernelSpec("gaussian", 1.0), 1e-10)
-        assert estimate_sigma2(pts, y, m) <= 1e-8
+        assert sigma2_hat(pts, y, m) <= 1e-8
 
     def test_degenerate_effective_dof_rejected(self):
         x = np.linspace(0.0, 6.0, 8)[:, None]
         y = np.sin(x[:, 0])
         em = rkhs.interpolate_emulator(x, y, KernelSpec("gaussian", 1.0))
         with pytest.raises(rkhs.FitError, match="degrees of freedom"):
-            estimate_sigma2(x, y, em)
+            sigma2_hat(x, y, em)
 
     def test_monte_carlo_coverage_of_generating_variance(self):
         system = testbed.make_system("example2", 0.1)
@@ -48,7 +56,7 @@ class TestSigma2:
         for r in range(100):
             pts, y = testbed.generate(system, 314, r)
             zeta_hat, _ = fit_response_surface(pts, y, kcfg)
-            if 0.05 <= estimate_sigma2(pts, y, zeta_hat) <= 0.2:
+            if 0.05 <= sigma2_hat(pts, y, zeta_hat) <= 0.2:
                 hits += 1
         assert hits >= 95
 
@@ -59,14 +67,14 @@ class TestW:
             eval=lambda pts, th: np.full(pts.shape[0], 2.0),
             grad=lambda pts, th: np.zeros((pts.shape[0], 1)),
             theta_domain=BoxDomain((-1.0,), (1.0,)))
-        W = estimate_W(model, np.array([0.0]), np.linspace(0, 1, 20))
+        W = at_design(model, no_surface, np.array([0.0]), np.linspace(0, 1, 20)).W()
         assert np.all(W == 0.0)
 
     def test_example2_matches_quadrature(self):
         model = testbed.example2_model()
         pts = np.linspace(0, 2 * np.pi, 201)[:, None]
-        W_emp = estimate_W(model, THETA_STAR, pts)
-        W_pop = population_W(model, THETA_STAR, RULE)
+        W_emp = at_design(model, ZETA, THETA_STAR, pts).W()
+        W_pop = expand(model, ZETA, THETA_STAR, RULE).W()
         assert W_emp[0, 0] == pytest.approx(W_pop[0, 0], rel=0.02)
 
     def test_linear_model_independent_of_theta(self):
@@ -75,12 +83,12 @@ class TestW:
         H = h(pts)
         want = H.T @ H / 50
         for th in (np.array([0.0, 0.0]), np.array([2.0, -1.0])):
-            assert np.allclose(estimate_W(model, th, pts), want, rtol=1e-12)
+            assert np.allclose(at_design(model, no_surface, th, pts).W(), want, rtol=1e-12)
 
     def test_refuses_nonsmooth_model(self):
         model = testbed.example1_model()
         with pytest.raises(ValueError, match="non-smooth"):
-            estimate_W(model, np.array([-1.0]), np.linspace(0, 6, 10))
+            at_design(model, ZETA, np.array([-1.0]), np.linspace(0, 6, 10))
 
 
 class TestV:
@@ -88,9 +96,8 @@ class TestV:
         model = testbed.example2_model()
         pts = np.linspace(0.1, 6.2, 150)[:, None]
         surface = lambda p: model(p, THETA_STAR)
-        V = estimate_V(model, surface, THETA_STAR, pts)
-        W = estimate_W(model, THETA_STAR, pts)
-        assert V[0, 0] == pytest.approx(2.0 * W[0, 0], rel=1e-6)
+        ex = at_design(model, surface, THETA_STAR, pts)
+        assert ex.V()[0, 0] == pytest.approx(2.0 * ex.W()[0, 0], rel=1e-6)
 
     def test_matches_fd_hessian_of_objective(self):
         system = testbed.make_system("example2", 0.01)
@@ -99,7 +106,7 @@ class TestV:
         surface = lambda p: rkhs.predict(zeta_hat, p)
         model = system.computer_model
         theta = THETA_STAR
-        V = estimate_V(model, surface, theta, pts)
+        V = at_design(model, surface, theta, pts).V()
 
         def objective(th):
             d = surface(pts) - model(pts, th)
@@ -109,7 +116,7 @@ class TestV:
         assert V[0, 0] == pytest.approx(H[0, 0], rel=1e-3)
 
     def test_population_curvature_positive_at_minimum(self):
-        V = population_V(testbed.example2_model(), ZETA, THETA_STAR, RULE)
+        V = expand(testbed.example2_model(), ZETA, THETA_STAR, RULE).V()
         assert V[0, 0] > 0.0
 
 
@@ -133,19 +140,18 @@ class TestCovariances:
         model = testbed.example2_model()
         pts = np.linspace(0.1, 6.2, 120)[:, None]
         surface = lambda p: model(p, THETA_STAR)
-        W = estimate_W(model, THETA_STAR, pts)
-        V = estimate_V(model, surface, THETA_STAR, pts)
+        ex = at_design(model, surface, THETA_STAR, pts)
+        W, V = ex.W(), ex.V()
         s2 = 0.25
-        S2 = sigma2_matrix(W, s2, model, surface, THETA_STAR, pts)
+        S2 = ex.Sigma2(s2)
         assert np.allclose(S2, 4.0 * s2 * W, rtol=1e-12)
         assert np.allclose(ols_cov(V, S2, 120), l2_cov(V, W, s2, 120), rtol=1e-12)
 
     def test_population_ols_exceeds_l2(self):
         model = testbed.example2_model()
         s2 = 0.01
-        W = population_W(model, THETA_STAR, RULE)
-        V = population_V(model, ZETA, THETA_STAR, RULE)
-        S2 = population_sigma2_matrix(model, ZETA, THETA_STAR, s2, RULE)
+        ex = expand(model, ZETA, THETA_STAR, RULE)
+        W, V, S2 = ex.W(), ex.V(), ex.Sigma2(s2)
         assert ols_cov(V, S2, 51)[0, 0] > l2_cov(V, W, s2, 51)[0, 0]
 
     def test_sigma2_matrix_dominates_noise_part(self):
@@ -154,10 +160,9 @@ class TestCovariances:
         zeta_hat, _ = fit_response_surface(pts, y, KernelConfig())
         model = system.computer_model
         theta = THETA_STAR
-        W = estimate_W(model, theta, pts)
-        s2 = estimate_sigma2(pts, y, zeta_hat)
-        S2 = sigma2_matrix(W, s2, model, lambda p: rkhs.predict(zeta_hat, p),
-                           theta, pts)
+        ex = at_design(model, lambda p: rkhs.predict(zeta_hat, p), theta, pts)
+        s2 = sigma2_hat(pts, y, zeta_hat)
+        W, S2 = ex.W(), ex.Sigma2(s2)
         assert np.linalg.eigvalsh(S2 - 4.0 * s2 * W).min() >= -1e-8
 
 
@@ -171,8 +176,8 @@ class TestEfficiencyGap:
     def test_population_gap_strictly_positive(self):
         model = testbed.example2_model()
         s2 = 0.01
-        W = population_W(model, THETA_STAR, RULE)
-        S2 = population_sigma2_matrix(model, ZETA, THETA_STAR, s2, RULE)
+        ex = expand(model, ZETA, THETA_STAR, RULE)
+        W, S2 = ex.W(), ex.Sigma2(s2)
         gap = efficiency_gap(4.0 * s2 * W, S2)
         assert gap.psd and gap.min_eigenvalue > 0.0
 
@@ -213,10 +218,29 @@ class TestSandwichAssembly:
             eval=lambda p, th: model(p / 2.0, th),
             theta_domain=model.theta_domain)
         surface = lambda p: rkhs.predict(zeta_hat, p / 2.0)
-        W2 = estimate_W(scaled_model, THETA_STAR, 2.0 * pts)
-        V2 = estimate_V(scaled_model, surface, THETA_STAR, 2.0 * pts)
-        s2 = estimate_sigma2(pts, y, zeta_hat)
-        S22 = sigma2_matrix(W2, s2, scaled_model, surface, THETA_STAR, 2.0 * pts)
+        ex = at_design(scaled_model, surface, THETA_STAR, 2.0 * pts)
+        s2 = sigma2_hat(pts, y, zeta_hat)
+        W2, V2, S22 = ex.W(), ex.V(), ex.Sigma2(s2)
         assert W2[0, 0] == pytest.approx(sand.W_hat[0, 0], rel=1e-4)
         assert V2[0, 0] == pytest.approx(sand.V_hat[0, 0], rel=1e-4)
         assert S22[0, 0] == pytest.approx(sand.Sigma2_hat[0, 0], rel=1e-4)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_matches_rule_formulas_at_unit_design_weights(self, q):
+        system = testbed.make_system("example2", 0.01)
+        pts, y = testbed.generate(system, 66, 0)
+        zeta_hat, _ = fit_response_surface(pts, y, KernelConfig())
+        if q == 1:
+            model, theta = system.computer_model, THETA_STAR
+        else:
+            model = ComputerModel(
+                eval=lambda p, th: th[0] * np.sin(th[1] * p[:, 0]) + th[1] ** 2 * p[:, 0],
+                theta_domain=BoxDomain((-2.0, -2.0), (2.0, 2.0)))
+            theta = np.array([0.4, 0.9])
+        sand = estimate_sandwich(pts, y, zeta_hat, model, theta)
+        ex = at_design(model, lambda p: rkhs.predict(zeta_hat, p), theta, pts)
+        s2 = sigma2_hat(pts, y, zeta_hat)
+        assert sand.sigma2_hat == s2
+        assert np.array_equal(sand.W_hat, ex.W())
+        assert np.array_equal(sand.V_hat, ex.V())
+        assert np.array_equal(sand.Sigma2_hat, ex.Sigma2(s2))

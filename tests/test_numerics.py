@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from l2calib import testbed
+from l2calib.calibrate import ComputerModel
 from l2calib.numerics import (BoxDomain, OptimizerConfig, fd_grad, fd_hess,
-                              gauss_legendre, golden_section, integrate,
+                              fd_step, gauss_legendre, golden_section,
                               l2_distance_sq, minimize)
 
 UNIT = BoxDomain((0.0,), (1.0,))
@@ -20,11 +21,12 @@ class TestBoxDomain:
         with pytest.raises(ValueError):
             BoxDomain((1.0,), (0.0,))
 
-    def test_contains_and_clip(self):
-        box = BoxDomain((0.0,), (1.0,))
-        assert box.contains(0.5)
-        assert not box.contains(1.5)
-        assert box.clip(np.array([1.5]))[0] == 1.0
+    def test_on_boundary_and_clip(self):
+        box = BoxDomain((0.0, -1.0), (1.0, 1.0))
+        assert not box.on_boundary([0.5, 0.0])
+        assert box.on_boundary([0.5, 1.0]) and box.on_boundary([0.0, 0.0])
+        assert box.on_boundary([1.0 + 1e-13, 0.0])
+        assert box.clip(np.array([1.5, -2.0])).tolist() == [1.0, -1.0]
 
 
 class TestGaussLegendre:
@@ -35,12 +37,12 @@ class TestGaussLegendre:
 
     def test_sin_squared_integral(self):
         rule = gauss_legendre(OMEGA, 64)
-        val = integrate(lambda p: np.sin(p[:, 0]) ** 2, rule)
+        val = rule.weights @ np.sin(rule.nodes[:, 0]) ** 2
         assert val == pytest.approx(np.pi, abs=1e-12)
 
     def test_cubic_exactness_with_two_nodes(self):
         rule = gauss_legendre(UNIT, 2)
-        val = integrate(lambda p: p[:, 0] ** 3, rule)
+        val = rule.weights @ rule.nodes[:, 0] ** 3
         assert val == pytest.approx(0.25, abs=1e-15)
 
     def test_weights_sum_to_volume(self):
@@ -54,8 +56,8 @@ class TestGaussLegendre:
 
     def test_doubling_m_converges(self):
         f = lambda p: np.exp(p[:, 0] / 10.0) * np.sin(p[:, 0]) ** 2
-        a = integrate(f, gauss_legendre(OMEGA, 128))
-        b = integrate(f, gauss_legendre(OMEGA, 256))
+        a, b = (rule.weights @ f(rule.nodes)
+                for rule in (gauss_legendre(OMEGA, 128), gauss_legendre(OMEGA, 256)))
         assert abs(a - b) <= 1e-10 * abs(b)
 
 
@@ -165,3 +167,49 @@ class TestFiniteDifferences:
         got = fd_grad(f, np.array([theta]))[0]
         want = float(np.sum(testbed.ys_example2_grad(x, theta)))
         assert got == pytest.approx(want, rel=1e-6)
+
+
+def _column_loop_derivatives(f, x):
+    """Per-column central differences, written out one column at a time."""
+    steps = fd_step(x)
+    q = x.size
+    f0 = f(x)
+    G = np.empty(f0.shape + (q,))
+    H = np.empty(f0.shape + (q, q))
+    for j in range(q):
+        ej = np.zeros_like(x)
+        ej[j] = steps[j]
+        G[..., j] = (f(x + ej) - f(x - ej)) / (2.0 * steps[j])
+        H[..., j, j] = (f(x + ej) - 2.0 * f0 + f(x - ej)) / steps[j] ** 2
+        for k in range(j + 1, q):
+            ek = np.zeros_like(x)
+            ek[k] = steps[k]
+            mixed = (f(x + ej + ek) - f(x + ej - ek)
+                     - f(x - ej + ek) + f(x - ej - ek))
+            H[..., j, k] = H[..., k, j] = mixed / (4.0 * steps[j] * steps[k])
+    return G, H
+
+
+class TestVectorFiniteDifferences:
+    """Vector-valued fd_grad/fd_hess, as ComputerModel uses them, equal the
+    per-column loop bit for bit."""
+
+    MODELS = {
+        1: (lambda p, th: np.exp(th[0] * p[:, 0] / 5.0) * np.sin(p[:, 0]), [0.7]),
+        2: (lambda p, th: th[0] * np.sin(th[1] * p[:, 0]) + th[1] ** 2 * p[:, 0],
+            [0.4, -0.9]),
+    }
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_matches_column_loop(self, q):
+        ev, theta = self.MODELS[q]
+        pts = np.linspace(0.1, 6.0, 13)[:, None]
+        theta = np.array(theta)
+        f = lambda t: ev(pts, t)
+        G, H = _column_loop_derivatives(f, theta)
+        assert fd_grad(f, theta).shape == (13, q)
+        assert np.array_equal(fd_grad(f, theta), G)
+        assert np.array_equal(fd_hess(f, theta), H)
+        model = ComputerModel(eval=ev, theta_domain=BoxDomain((-2.0,) * q, (2.0,) * q))
+        assert np.array_equal(model.grad_theta(pts, theta), G)
+        assert np.array_equal(model.hess_theta(pts, theta), H)
