@@ -92,15 +92,15 @@ class Expansion:
     def V(self) -> np.ndarray:
         """Curvature ``E[2 (g g^T - delta * H)]``, symmetrized."""
         w = self.weights
-        V = 2.0 * (self._sum_ggT(w) - np.einsum("i,ijk->jk", w * self.delta, self.H)) \
-            / float(np.sum(w))
+        curv = self._sum_ggT(w) - np.einsum("i,ijk->jk", w * self.delta, self.H)
+        V = 2.0 * curv / float(np.sum(w))
         return 0.5 * (V + V.T)
 
     def Sigma2(self, sigma2: float) -> np.ndarray:
         """Least-squares middle matrix ``4 sigma^2 W + 4 E[delta^2 g g^T]``."""
         w = self.weights
-        S = 4.0 * sigma2 * self.W() \
-            + 4.0 * self._sum_ggT(w * self.delta ** 2) / float(np.sum(w))
+        extra = 4.0 * self._sum_ggT(w * self.delta ** 2) / float(np.sum(w))
+        S = 4.0 * sigma2 * self.W() + extra
         return 0.5 * (S + S.T)
 
 
