@@ -89,6 +89,11 @@ class RunConfig:
         for name in ("replications", "design_n", "quadrature_m"):
             if getattr(self, name) < 1:
                 raise CliConfigError(f"{name} must be at least 1")
+        for name in ("sigma2", "phi_grid", "lambda_grid"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise CliConfigError(f"{name} must contain only finite numbers")
+        if not np.isfinite(self.optimizer.tolerance):
+            raise CliConfigError("optimizer.tolerance must be finite")
         if any(s < 0 for s in self.sigma2) or not self.sigma2:
             raise CliConfigError("sigma2 must be a nonempty list of nonnegative values")
         if self.design not in ("fixed_grid", "uniform_random"):

@@ -67,11 +67,11 @@ class BoxDomain:
     def volume(self) -> float:
         return float(np.prod(np.asarray(self.upper) - np.asarray(self.lower)))
 
-    def on_boundary(self, x, eps: float = 1e-12) -> bool:
-        """True when some coordinate of ``x`` is within ``eps`` of a face."""
+    def on_boundary(self, x) -> bool:
+        """True when some coordinate of ``x`` is within 1e-12 of a face."""
         x = np.asarray(x, dtype=float)
-        return bool(np.any(np.abs(x - np.asarray(self.lower)) <= eps)
-                    or np.any(np.abs(x - np.asarray(self.upper)) <= eps))
+        return bool(np.any(np.abs(x - np.asarray(self.lower)) <= 1e-12)
+                    or np.any(np.abs(x - np.asarray(self.upper)) <= 1e-12))
 
     def clip(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)

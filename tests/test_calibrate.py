@@ -194,6 +194,17 @@ class TestSharedSurface:
         assert surface.kernel.phi == phi
         assert np.allclose(Q @ np.diag(w) @ Q.T, K, atol=1e-10)
 
+    def test_loo_scores_phi_under_the_config_lambda_rule(self):
+        _, pts, y = noisy_example2(seed=4)
+        grid = sorted(rkhs.DEFAULT_PHI_GRID)
+        surface, phi = fit_response_surface(
+            pts, y, KernelConfig(lambda_rule=FixedLambda(1e-2)))
+        fixed = rkhs.loo_scores_phi(pts, y, "gaussian", grid, FixedLambda(1e-2))
+        gcv = rkhs.loo_scores_phi(pts, y, "gaussian", grid, rkhs.GcvLambda())
+        assert phi == grid[int(np.argmin(fixed))]
+        assert phi != grid[int(np.argmin(gcv))]  # the two rules disagree here
+        assert surface.lam == 1e-2
+
     @pytest.mark.parametrize("example", ["example1", "example2"])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_grid_start_matches_scalar_scan(self, example, seed):

@@ -317,9 +317,15 @@ class TestConfigErrors:
         {"kernel": {"family": "foo"}},
         {"replications": float("inf")},
         {"theta_domain": [float("nan"), 1.0]},
+        {"sigma2": [float("nan")]},
+        {"sigma2": [float("inf")]},
+        {"phi_grid": [0.5, float("nan")]},
+        {"lambda_grid": [float("nan")]},
+        {"optimizer": {"tolerance": float("nan")}},
     ], ids=["theta_domain", "replications", "quadrature_m", "design_n",
             "kernel_string", "kernel_family", "replications_infinity",
-            "theta_domain_nan"])
+            "theta_domain_nan", "sigma2_nan", "sigma2_inf", "phi_grid_nan",
+            "lambda_grid_nan", "tolerance_nan"])
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path / "c.json", **override)
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
