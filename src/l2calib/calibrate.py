@@ -23,54 +23,11 @@ import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from . import rkhs
-from .kernels import KernelSpec
 from .numerics import (BoxDomain, OptimizerConfig, QuadratureRule,
-                       as_points, fd_grad, fd_hess, minimize)
-from .rkhs import GcvLambda, KrrModel, LambdaRule
+                       as_points, fd_grad, fd_hess, minimize, tensor_grid)
+from .rkhs import KernelConfig, KrrModel, fit_response_surface
 
 ETA_BOUNDS = (1e-8, 1e8)  # noise-to-process variance ratio search range
-
-
-@dataclass(frozen=True)
-class FixedPhi:
-    value: float
-
-    def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError("phi must be positive")
-
-
-@dataclass(frozen=True)
-class LooCvPhi:
-    """phi by leave-one-out over ``grid``, lambda per candidate by the
-    ``KernelConfig``'s lambda rule."""
-
-    grid: tuple[float, ...] = rkhs.DEFAULT_PHI_GRID
-
-    def __post_init__(self):
-        grid = tuple(float(g) for g in self.grid)
-        object.__setattr__(self, "grid", grid)
-        if not grid or any(g <= 0 for g in grid):
-            raise ValueError("phi grid must be nonempty and positive")
-
-
-PhiRule = FixedPhi | LooCvPhi
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Kernel family plus the rules that pick its tuning parameters."""
-
-    family: str = "gaussian"
-    nu: float | None = None
-    phi_rule: PhiRule = field(default_factory=LooCvPhi)
-    lambda_rule: LambdaRule = field(default_factory=GcvLambda)
-
-    def __post_init__(self):
-        self.spec(1.0)  # rejects an unknown family or an unsupported nu
-
-    def spec(self, phi: float) -> KernelSpec:
-        return KernelSpec(self.family, phi, self.nu)
 
 
 @dataclass
@@ -159,22 +116,6 @@ def _check_data(points, y) -> tuple[np.ndarray, np.ndarray]:
     return pts, yv
 
 
-def fit_response_surface(points, y, config: KernelConfig) -> tuple[KrrModel, float]:
-    """Resolve (phi, lambda) per the config rules and fit the regressor.
-
-    The model (with its Gram eigenpairs) can be passed as ``surface`` to
-    ``l2_calibrate`` and ``ko_calibrate`` on the same data.
-    """
-    if isinstance(config.phi_rule, FixedPhi):
-        phi = config.phi_rule.value
-    else:
-        phi = rkhs.loo_cv_phi(points, y, config.family, config.phi_rule.grid,
-                              config.lambda_rule, config.nu)
-    model = rkhs.fit_with_rule(points, y, config.spec(phi),
-                               rkhs.KrrConfig(config.lambda_rule))
-    return model, phi
-
-
 def l2_calibrate(points, y, kernel_cfg: KernelConfig, model: ComputerModel,
                  rule: QuadratureRule,
                  opt: OptimizerConfig = OptimizerConfig(),
@@ -187,7 +128,7 @@ def l2_calibrate(points, y, kernel_cfg: KernelConfig, model: ComputerModel,
     ``surface`` replaces the smoothing step.
     """
     pts, yv = _check_data(points, y)
-    zeta_hat = surface or fit_response_surface(pts, yv, kernel_cfg)[0]
+    zeta_hat = surface or fit_response_surface(pts, yv, kernel_cfg)
     zeta_nodes = rkhs.predict(zeta_hat, rule.nodes)
     ys_nodes = lambda th: model(rule.nodes, th)
 
@@ -294,16 +235,13 @@ def ko_calibrate(points, y, model: ComputerModel,
     pts, yv = _check_data(points, y)
     if yv.shape[0] < 3:
         raise ValueError("GP calibration needs at least 3 observations")
-    surface = surface or fit_response_surface(pts, yv, kernel_cfg)[0]
+    box = model.theta_domain
+    # Coarse deterministic pass over theta x log(eta), checked before tuning.
+    theta_grid = tensor_grid(box, max(9, opt.grid_points // 5))
+    surface = surface or fit_response_surface(pts, yv, kernel_cfg)
     if surface.gram_eig is None:
         raise ValueError("surface has no Gram eigenpairs; fit it with fit_response_surface")
     nll = _ProfiledGpLikelihood(pts, yv, model, *surface.gram_eig)
-    box = model.theta_domain
-
-    # Coarse deterministic pass over theta x log(eta).
-    n_theta = max(9, opt.grid_points // 5)
-    axes = [np.linspace(lo, hi, n_theta) for lo, hi in zip(box.lower, box.upper)]
-    theta_grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     log_etas = np.linspace(np.log(ETA_BOUNDS[0]), np.log(ETA_BOUNDS[1]), 17)
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x6B6F]))

@@ -31,10 +31,11 @@ from pathlib import Path
 import numpy as np
 
 from . import calibrate, inference, rkhs, testbed
-from .calibrate import (CalibrationEstimate, ComputerModel, KernelConfig,
-                        LooCvPhi, ko_calibrate, l2_calibrate, ols_calibrate)
-from .numerics import BoxDomain, OptimizerConfig, gauss_legendre, l2_distance_sq
-from .rkhs import GcvLambda
+from .calibrate import (CalibrationEstimate, ComputerModel, ko_calibrate,
+                        l2_calibrate, ols_calibrate)
+from .numerics import (MAX_GRID_POINTS, BoxDomain, OptimizerConfig, gauss_legendre,
+                       l2_distance_sq)
+from .rkhs import GcvLambda, KernelConfig, LooCvPhi
 from .testbed import SyntheticSystem, generate, make_system
 
 METHODS = ("L2", "OLS", "KO")
@@ -89,6 +90,10 @@ class RunConfig:
         for name in ("replications", "design_n", "quadrature_m"):
             if getattr(self, name) < 1:
                 raise CliConfigError(f"{name} must be at least 1")
+        if self.seed < 0:
+            raise CliConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.optimizer.grid_points > MAX_GRID_POINTS:
+            raise CliConfigError(f"optimizer.grid_points must be at most {MAX_GRID_POINTS}")
         for name in ("sigma2", "phi_grid", "lambda_grid"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise CliConfigError(f"{name} must contain only finite numbers")
@@ -98,6 +103,9 @@ class RunConfig:
             raise CliConfigError("sigma2 must be a nonempty list of nonnegative values")
         if self.design not in ("fixed_grid", "uniform_random"):
             raise CliConfigError(f"unknown design {self.design!r}")
+        if self.design == "fixed_grid" and self.design_n != testbed.FIXED_GRID_N:
+            raise CliConfigError(f"the fixed grid has {testbed.FIXED_GRID_N} points, "
+                                 f"design.n is {self.design_n}")
         dom = self.theta_domain
         if len(dom) != 2 or not (np.all(np.isfinite(dom)) and dom[0] < dom[1]):
             raise CliConfigError("theta_domain must be finite [lo, hi] with lo < hi")
@@ -236,7 +244,7 @@ def _run_methods(config: RunConfig, pts: np.ndarray, y: np.ndarray,
     zeta_hat = None
     if {"L2", "KO"} & set(config.methods) or (with_se and "OLS" in config.methods):
         try:
-            zeta_hat, _ = calibrate.fit_response_surface(pts, y, kcfg)
+            zeta_hat = calibrate.fit_response_surface(pts, y, kcfg)
         except NUMERICAL_ERRORS as e:
             _log(log, f"[calibrate] shared surface fit failed: {e}")
     out: dict[str, tuple[CalibrationEstimate | None, float, str | None]] = {}
@@ -423,8 +431,8 @@ def discrepancy_curve(example: str, theta_min: float, theta_max: float,
     """Columns (theta, closed-form value, quadrature value)."""
     if steps < 2:
         raise CliConfigError("need at least 2 steps")
-    if theta_min >= theta_max:
-        raise CliConfigError("need theta_min < theta_max")
+    if not (np.isfinite(theta_min) and np.isfinite(theta_max) and theta_min < theta_max):
+        raise CliConfigError("need finite theta_min < theta_max")
     if example == "example1":
         closed = testbed.discrepancy_example1_closed_form
         ysf = testbed.ys_example1

@@ -22,6 +22,10 @@ Evaluator = Callable[[np.ndarray], np.ndarray]
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
+# Largest tensor grid a scan may build: the default 401 points per axis
+# at q = 2.
+MAX_GRID_POINTS = 401 ** 2
+
 
 def as_points(x, d: int | None = None) -> np.ndarray:
     """Coerce ``x`` to an ``(n, d)`` float array.
@@ -190,6 +194,21 @@ def golden_section(f: Callable[[float], float], lo: float, hi: float,
     return x, f(x), it
 
 
+def tensor_grid(box: BoxDomain, per_axis: int) -> np.ndarray:
+    """Row-major tensor grid over ``box``, ``per_axis`` points per
+    coordinate with endpoints included, shape ``(per_axis**q, q)``.
+
+    Raises ``ValueError`` before building a grid of more than
+    ``MAX_GRID_POINTS`` points.
+    """
+    q, total = box.dim, per_axis ** box.dim
+    if total > MAX_GRID_POINTS:
+        raise ValueError(f"a tensor grid over q={q} parameters with {per_axis} points per "
+                         f"axis has {total} points; the cap is {MAX_GRID_POINTS}")
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(box.lower, box.upper)]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
 def minimize(objective: Callable[[np.ndarray], float], box: BoxDomain,
              config: OptimizerConfig = OptimizerConfig()) -> MinimizeResult:
     """Minimize over a box: global grid scan, then local refinement.
@@ -200,23 +219,18 @@ def minimize(objective: Callable[[np.ndarray], float], box: BoxDomain,
     clamped to the box otherwise.  Deterministic given the config.
     """
     q = box.dim
-    axes = [np.linspace(lo, hi, config.grid_points)
-            for lo, hi in zip(box.lower, box.upper)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    pts = tensor_grid(box, config.grid_points)
     vals = np.array([objective(p) for p in pts], dtype=float)
     finite = np.isfinite(vals)
     if not np.any(finite):
         raise ValueError("objective is non-finite on the whole coarse grid")
     vals = np.where(finite, vals, np.inf)
     best = int(np.argmin(vals))
-    levels = np.unravel_index(best, tuple(len(a) for a in axes))
 
     if q == 1:
-        ax = axes[0]
-        i = levels[0]
-        lo = ax[max(i - 1, 0)]
-        hi = ax[min(i + 1, len(ax) - 1)]
+        ax = pts[:, 0]
+        lo = ax[max(best - 1, 0)]
+        hi = ax[min(best + 1, len(ax) - 1)]
         x, fx, it = golden_section(lambda t: float(objective(np.array([t]))),
                                    lo, hi, config.tolerance, config.max_iterations)
         xs, fs = np.array([x]), fx

@@ -12,11 +12,14 @@ i.i.d. Gaussian noise.
 Every fit runs one symmetric eigendecomposition of the Gram matrix;
 lambda sweeps (GCV) and hat-matrix diagonals (leave-one-out scores) are
 then O(n)-O(n^2) per candidate.
+
+The tuning policy lives here too: ``KernelConfig`` pairs a phi rule with
+a lambda rule, and ``fit_response_surface`` applies both in one pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,32 +63,49 @@ class GcvLambda:
             raise ValueError("GCV grid must be sorted ascending")
 
 
-@dataclass(frozen=True)
-class RateLambda:
-    """lambda = c * n^(-2*mu / (2*mu + d)) for smoothness mu > d/2."""
-
-    mu: float
-    c: float = 1.0
-    d: int = 1
-
-    def __post_init__(self):
-        if self.mu <= self.d / 2:
-            raise ValueError("need mu > d/2")
-        if self.c <= 0:
-            raise ValueError("need c > 0")
-
-
-LambdaRule = FixedLambda | GcvLambda | RateLambda
+LambdaRule = FixedLambda | GcvLambda
 
 
 @dataclass(frozen=True)
-class KrrConfig:
-    lambda_rule: LambdaRule = GcvLambda()
-    jitter: float = DEFAULT_JITTER
+class FixedPhi:
+    value: float
 
     def __post_init__(self):
-        if self.jitter < 0:
-            raise ValueError("jitter must be nonnegative")
+        if self.value <= 0:
+            raise ValueError("phi must be positive")
+
+
+@dataclass(frozen=True)
+class LooCvPhi:
+    """phi by leave-one-out over ``grid``, lambda per candidate by the
+    ``KernelConfig``'s lambda rule."""
+
+    grid: tuple[float, ...] = DEFAULT_PHI_GRID
+
+    def __post_init__(self):
+        grid = tuple(float(g) for g in self.grid)
+        object.__setattr__(self, "grid", grid)
+        if not grid or any(g <= 0 for g in grid):
+            raise ValueError("phi grid must be nonempty and positive")
+
+
+PhiRule = FixedPhi | LooCvPhi
+
+
+@dataclass(frozen=True)
+class KernelConfig:
+    """Kernel family plus the rules that pick its tuning parameters."""
+
+    family: str = "gaussian"
+    nu: float | None = None
+    phi_rule: PhiRule = field(default_factory=LooCvPhi)
+    lambda_rule: LambdaRule = field(default_factory=GcvLambda)
+
+    def __post_init__(self):
+        self.spec(1.0)  # rejects an unknown family or an unsupported nu
+
+    def spec(self, phi: float) -> KernelSpec:
+        return KernelSpec(self.family, phi, self.nu)
 
 
 @dataclass(frozen=True)
@@ -119,6 +139,8 @@ class _EigenPanel:
             raise ValueError("points and responses length mismatch")
         if np.any(~np.isfinite(self.y)):
             raise FitError("responses contain NaN or infinity")
+        if jitter < 0:
+            raise ValueError("jitter must be nonnegative")
         self.spec = spec
         self.n = self.y.shape[0]
         K = kernels.gram(spec, self.points)
@@ -159,18 +181,6 @@ class _EigenPanel:
                         coeffs=self.coeffs(lam), lam=float(lam),
                         fitted=self.fitted(lam), hat_trace=self.hat_trace(lam),
                         gram_eig=(self.w, self.Q))
-
-
-def fit(points, y, kernel: KernelSpec, lam: float,
-        jitter: float = DEFAULT_JITTER) -> KrrModel:
-    """Fit the penalized regressor at a fixed ``lambda > 0``.
-
-    Raises :class:`FitError` when the shifted Gram matrix is numerically
-    singular or the responses contain NaN.
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    return _EigenPanel(points, y, kernel, jitter).model(lam)
 
 
 def predict(model: KrrModel, x) -> np.ndarray:
@@ -229,57 +239,77 @@ def gcv_select(points, y, kernel: KernelSpec, lambda_grid=DEFAULT_LAMBDA_GRID,
 def _resolve_lambda(panel: _EigenPanel, rule: LambdaRule) -> float:
     if isinstance(rule, FixedLambda):
         return rule.value
-    if isinstance(rule, RateLambda):
-        return default_lambda(panel.n, rule.mu, rule.d, rule.c)
     return _gcv_pick(panel, rule.grid)[0]
 
 
-def fit_with_rule(points, y, kernel: KernelSpec,
-                  config: KrrConfig = KrrConfig()) -> KrrModel:
-    """Fit with lambda resolved from the configured rule."""
-    panel = _EigenPanel(points, y, kernel, config.jitter)
-    return panel.model(_resolve_lambda(panel, config.lambda_rule))
+def fit_with_rule(points, y, kernel: KernelSpec, lambda_rule: LambdaRule = GcvLambda(),
+                  jitter: float = DEFAULT_JITTER) -> KrrModel:
+    """Fit at the lambda the rule resolves; ``FixedLambda`` fits at a given one.
 
-
-def loo_scores_phi(points, y, family: str, phi_grid,
-                   lambda_rule: LambdaRule = GcvLambda(),
-                   nu: float | None = None,
-                   jitter: float = DEFAULT_JITTER) -> np.ndarray:
-    """Mean squared leave-one-out residual for each phi candidate.
-
-    The closed form ``e_i / (1 - A_ii)`` avoids refits; a candidate with
-    any ``A_ii >= 1 - 1e-12`` scores +inf rather than raising.
+    Raises :class:`FitError` when the shifted Gram matrix is numerically
+    singular or the responses contain NaN.
     """
-    out = np.empty(len(phi_grid))
-    for k, phi in enumerate(phi_grid):
-        spec = KernelSpec(family, float(phi), nu)
-        panel = _EigenPanel(points, y, spec, jitter)
-        lam = _resolve_lambda(panel, lambda_rule)
+    panel = _EigenPanel(points, y, kernel, jitter)
+    return panel.model(_resolve_lambda(panel, lambda_rule))
+
+
+def _loo_sweep(points, y, config: KernelConfig, grid, jitter: float):
+    """Yield ``(panel, lambda, score)`` per phi in ``grid``, in its order.
+
+    The score is the mean squared leave-one-out residual; the closed form
+    ``e_i / (1 - A_ii)`` avoids refits, and a candidate with any
+    ``A_ii >= 1 - 1e-12`` scores +inf rather than raising.
+    """
+    for phi in grid:
+        panel = _EigenPanel(points, y, config.spec(phi), jitter)
+        lam = _resolve_lambda(panel, config.lambda_rule)
         diag = panel.hat_diag(lam)
         if np.any(diag >= 1.0 - 1e-12):
-            out[k] = np.inf
+            yield panel, lam, np.inf
             continue
         resid = (panel.y - panel.fitted(lam)) / (1.0 - diag)
-        out[k] = float(np.mean(resid * resid))
-    return out
+        yield panel, lam, float(np.mean(resid * resid))
 
 
-def loo_cv_phi(points, y, family: str, phi_grid,
-               lambda_rule: LambdaRule = GcvLambda(),
-               nu: float | None = None,
-               jitter: float = DEFAULT_JITTER) -> float:
-    """Pick phi by leave-one-out cross-validation.
+def loo_scores_phi(points, y, config: KernelConfig,
+                   jitter: float = DEFAULT_JITTER) -> np.ndarray:
+    """Leave-one-out score of each phi in ``config.phi_rule.grid``, in its
+    order, with lambda per candidate by ``config.lambda_rule``."""
+    return np.array([score for _, _, score in
+                     _loo_sweep(points, y, config, config.phi_rule.grid, jitter)])
 
-    Ties break toward the smaller (smoother) phi; the grid order is kept
-    as given, scanned in ascending-phi order.
+
+def loo_cv_phi(points, y, config: KernelConfig,
+               jitter: float = DEFAULT_JITTER) -> KrrModel:
+    """Fit at the phi in ``config.phi_rule.grid`` with the least
+    leave-one-out score, lambda per candidate by ``config.lambda_rule``.
+
+    The grid is scanned in ascending-phi order and the first minimum
+    wins, so ties break toward the smaller (smoother) phi.  The winner's
+    model comes from the eigendecomposition the sweep already made.
     """
-    grid = sorted(float(p) for p in phi_grid)
-    if not grid:
-        raise ValueError("phi grid must be nonempty")
-    scores = loo_scores_phi(points, y, family, grid, lambda_rule, nu, jitter)
-    if not np.any(np.isfinite(scores)):
+    best_score, best = np.inf, None
+    for panel, lam, score in _loo_sweep(points, y, config,
+                                         sorted(config.phi_rule.grid), jitter):
+        if score < best_score:
+            best_score, best = score, (panel, lam)
+    if best is None:
         raise FitError("all leave-one-out scores are non-finite")
-    return grid[int(np.argmin(scores))]
+    panel, lam = best
+    return panel.model(lam)
+
+
+def fit_response_surface(points, y, config: KernelConfig) -> KrrModel:
+    """Resolve (phi, lambda) per the config rules and fit the regressor.
+
+    The model (with its Gram eigenpairs, and its phi as ``kernel.phi``)
+    can be passed as ``surface`` to ``l2_calibrate`` and ``ko_calibrate``
+    on the same data.
+    """
+    if isinstance(config.phi_rule, FixedPhi):
+        return fit_with_rule(points, y, config.spec(config.phi_rule.value),
+                             config.lambda_rule)
+    return loo_cv_phi(points, y, config)
 
 
 def sigma2_hat(points, y, model: KrrModel) -> float:

@@ -128,6 +128,8 @@ class SyntheticSystem:
     def __post_init__(self):
         if self.design not in ("fixed_grid", "uniform_random"):
             raise ValueError(f"unknown design {self.design!r}")
+        if self.design == "fixed_grid" and self.n != FIXED_GRID_N:
+            raise ValueError(f"the fixed grid has {FIXED_GRID_N} points, got n={self.n}")
         if self.noise_sigma2 < 0:
             raise ValueError("noise variance must be nonnegative")
         if self.n < 1:

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from l2calib import kernels, rkhs, testbed
-from l2calib.calibrate import (ETA_BOUNDS, ComputerModel, FixedPhi, KernelConfig,
-                               _ProfiledGpLikelihood, emulator_model,
-                               fit_response_surface, ko_calibrate, l2_calibrate,
+from l2calib.calibrate import (ETA_BOUNDS, ComputerModel, _ProfiledGpLikelihood,
+                               emulator_model, ko_calibrate, l2_calibrate,
                                ols_calibrate)
 from l2calib.numerics import BoxDomain, OptimizerConfig, gauss_legendre, \
     l2_distance_sq, minimize
-from l2calib.rkhs import FixedLambda
+from l2calib.rkhs import (FixedLambda, FixedPhi, KernelConfig, LooCvPhi,
+                          fit_response_surface)
 
 RULE = gauss_legendre(testbed.OMEGA, 256)
 OPT = OptimizerConfig()
@@ -58,8 +58,8 @@ class TestL2:
         system, pts, y = noisy_example2()
         kcfg = KernelConfig()
         est = l2_calibrate(pts, y, kcfg, system.computer_model, RULE, OPT)
-        zeta_hat, phi = fit_response_surface(pts, y, kcfg)
-        assert phi == est.meta["phi"]
+        zeta_hat = fit_response_surface(pts, y, kcfg)
+        assert zeta_hat.kernel.phi == est.meta["phi"]
         recomputed = l2_distance_sq(
             lambda p: rkhs.predict(zeta_hat, p),
             lambda p: system.computer_model(p, est.theta_hat), RULE)
@@ -170,7 +170,7 @@ class TestSharedSurface:
         pts, y = testbed.generate(system, 21, 0)
         model = system.computer_model
         for kcfg in (KernelConfig(), KernelConfig(phi_rule=FixedPhi(0.5))):
-            surface, _ = fit_response_surface(pts, y, kcfg)
+            surface = fit_response_surface(pts, y, kcfg)
             for shared, alone in (
                     (l2_calibrate(pts, y, kcfg, model, RULE, OPT, surface=surface),
                      l2_calibrate(pts, y, kcfg, model, RULE, OPT)),
@@ -188,19 +188,37 @@ class TestSharedSurface:
 
     def test_fit_keeps_gram_eigenpairs(self):
         _, pts, y = noisy_example2(seed=22)
-        surface, phi = fit_response_surface(pts, y, KernelConfig())
+        surface = fit_response_surface(pts, y, KernelConfig())
         w, Q = surface.gram_eig
         K = kernels.gram(surface.kernel, pts) + rkhs.DEFAULT_JITTER * np.eye(len(y))
-        assert surface.kernel.phi == phi
+        assert surface.kernel.phi in rkhs.DEFAULT_PHI_GRID
         assert np.allclose(Q @ np.diag(w) @ Q.T, K, atol=1e-10)
+
+    @pytest.mark.parametrize("example", ["example1", "example2"])
+    @pytest.mark.parametrize("design", [("fixed_grid", 51), ("uniform_random", 101)],
+                             ids=["grid51", "unif101"])
+    def test_loo_winner_is_bit_identical_to_a_fresh_fit(self, example, design):
+        # the LOO sweep returns the winner's model from its own panel; a
+        # second decomposition at the chosen phi gives the same bits
+        system = testbed.make_system(example, 0.1, *design)
+        pts, y = testbed.generate(system, 9, 0)
+        kcfg = KernelConfig()
+        surface = fit_response_surface(pts, y, kcfg)
+        fresh = rkhs.fit_with_rule(pts, y, surface.kernel, kcfg.lambda_rule)
+        assert surface.lam == fresh.lam and surface.hat_trace == fresh.hat_trace
+        for got, want in ((surface.coeffs, fresh.coeffs), (surface.fitted, fresh.fitted),
+                          *zip(surface.gram_eig, fresh.gram_eig)):
+            assert np.array_equal(got, want)
 
     def test_loo_scores_phi_under_the_config_lambda_rule(self):
         _, pts, y = noisy_example2(seed=4)
         grid = sorted(rkhs.DEFAULT_PHI_GRID)
-        surface, phi = fit_response_surface(
+        surface = fit_response_surface(
             pts, y, KernelConfig(lambda_rule=FixedLambda(1e-2)))
-        fixed = rkhs.loo_scores_phi(pts, y, "gaussian", grid, FixedLambda(1e-2))
-        gcv = rkhs.loo_scores_phi(pts, y, "gaussian", grid, rkhs.GcvLambda())
+        fixed = rkhs.loo_scores_phi(
+            pts, y, KernelConfig(phi_rule=LooCvPhi(grid), lambda_rule=FixedLambda(1e-2)))
+        gcv = rkhs.loo_scores_phi(pts, y, KernelConfig(phi_rule=LooCvPhi(grid)))
+        phi = surface.kernel.phi
         assert phi == grid[int(np.argmin(fixed))]
         assert phi != grid[int(np.argmin(gcv))]  # the two rules disagree here
         assert surface.lam == 1e-2
@@ -210,7 +228,7 @@ class TestSharedSurface:
     def test_grid_start_matches_scalar_scan(self, example, seed):
         system = testbed.make_system(example, 0.1)
         pts, y = testbed.generate(system, seed, 0)
-        surface, _ = fit_response_surface(pts, y, KernelConfig())
+        surface = fit_response_surface(pts, y, KernelConfig())
         nll = _ProfiledGpLikelihood(pts, y, system.computer_model, *surface.gram_eig)
         theta_grid = np.linspace(-2.0, 2.0, 80)[:, None]
         log_etas = np.linspace(np.log(ETA_BOUNDS[0]), np.log(ETA_BOUNDS[1]), 17)
@@ -225,7 +243,7 @@ class TestSharedSurface:
 
     def test_likelihood_is_infinite_outside_the_box(self):
         system, pts, y = noisy_example2(seed=23)
-        surface, _ = fit_response_surface(pts, y, KernelConfig())
+        surface = fit_response_surface(pts, y, KernelConfig())
         nll = _ProfiledGpLikelihood(pts, y, system.computer_model, *surface.gram_eig)
         assert np.isfinite(nll(np.array([0.0, 0.0])))
         for params in ([2.5, 0.0], [-2.5, 0.0], [0.0, 30.0], [0.0, -30.0], [np.nan, 0.0]):

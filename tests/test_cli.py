@@ -306,6 +306,15 @@ class TestDiscrepancyCommand:
         assert main(["discrepancy", "--theta-min", "2.0", "--theta-max", "-2.0",
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("bound", [["--theta-min", "nan"], ["--theta-max", "inf"]],
+                             ids=["min-nan", "max-inf"])
+    def test_rejects_non_finite_bound(self, tmp_path, capsys, bound):
+        out = tmp_path / "x.csv"
+        assert main(["discrepancy", *bound, "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == ["error: need finite theta_min < theta_max"]
+        assert not out.exists()
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize("override", [
@@ -322,10 +331,14 @@ class TestConfigErrors:
         {"phi_grid": [0.5, float("nan")]},
         {"lambda_grid": [float("nan")]},
         {"optimizer": {"tolerance": float("nan")}},
+        {"seed": -1},
+        {"design": {"kind": "fixed_grid", "n": 7}},
+        {"optimizer": {"grid_points": 401 ** 2 + 1}},
     ], ids=["theta_domain", "replications", "quadrature_m", "design_n",
             "kernel_string", "kernel_family", "replications_infinity",
             "theta_domain_nan", "sigma2_nan", "sigma2_inf", "phi_grid_nan",
-            "lambda_grid_nan", "tolerance_nan"])
+            "lambda_grid_nan", "tolerance_nan", "seed_negative", "fixed_grid_n",
+            "grid_points_over_cap"])
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path / "c.json", **override)
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
@@ -337,20 +350,22 @@ class TestConfigErrors:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("argv", [
-        ["discrepancy", "--seed", "3"],
-        ["calibrate", "--workers", "2", "--data", "d.csv"],
-        ["calibrate", "--check", "--data", "d.csv"],
-        ["simulate", "--bogus"],
-        ["calibrate"],
+    @pytest.mark.parametrize("argv,prefix", [
+        (["discrepancy", "--seed", "3"], "error: l2calib"),
+        (["calibrate", "--workers", "2", "--data", "d.csv"], "error: l2calib"),
+        (["calibrate", "--check", "--data", "d.csv"], "error: l2calib"),
+        (["simulate", "--bogus"], "error: l2calib"),
+        (["calibrate"], "error: l2calib"),
+        # the override goes through RunConfig's own check
+        (["simulate", "--seed", "-1"], "error: seed must be nonnegative"),
     ], ids=["discrepancy-seed", "calibrate-workers", "calibrate-check", "unknown",
-            "missing-data"])
-    def test_usage_error_is_one(self, capsys, argv):
+            "missing-data", "negative-seed"])
+    def test_usage_error_is_one(self, capsys, argv, prefix):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
         lines = err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: l2calib")
+        assert len(lines) == 1 and lines[0].startswith(prefix)
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from l2calib import rkhs, testbed
-from l2calib.calibrate import ComputerModel, KernelConfig, fit_response_surface
+from l2calib.calibrate import ComputerModel
 from l2calib.inference import (SingularCurvatureError, design_rule,
                                efficiency_gap, estimate_sandwich, expand,
                                l2_cov, ols_cov)
 from l2calib.kernels import KernelSpec
 from l2calib.numerics import BoxDomain, fd_hess, gauss_legendre
-from l2calib.rkhs import sigma2_hat
+from l2calib.rkhs import FixedLambda, KernelConfig, fit_response_surface, sigma2_hat
 
 RULE = gauss_legendre(testbed.OMEGA, 512)
 THETA_STAR = np.array([testbed.THETA_STAR_EXAMPLE2])
@@ -39,7 +39,7 @@ class TestSigma2:
     def test_noiseless_interpolating_fit(self):
         system = testbed.make_system("example2", 0.0)
         pts, y = testbed.generate(system, 0, 0)
-        m = rkhs.fit(pts, y, KernelSpec("gaussian", 1.0), 1e-10)
+        m = rkhs.fit_with_rule(pts, y, KernelSpec("gaussian", 1.0), FixedLambda(1e-10))
         assert sigma2_hat(pts, y, m) <= 1e-8
 
     def test_degenerate_effective_dof_rejected(self):
@@ -55,7 +55,7 @@ class TestSigma2:
         hits = 0
         for r in range(100):
             pts, y = testbed.generate(system, 314, r)
-            zeta_hat, _ = fit_response_surface(pts, y, kcfg)
+            zeta_hat = fit_response_surface(pts, y, kcfg)
             if 0.05 <= sigma2_hat(pts, y, zeta_hat) <= 0.2:
                 hits += 1
         assert hits >= 95
@@ -102,7 +102,7 @@ class TestV:
     def test_matches_fd_hessian_of_objective(self):
         system = testbed.make_system("example2", 0.01)
         pts, y = testbed.generate(system, 21, 0)
-        zeta_hat, _ = fit_response_surface(pts, y, KernelConfig())
+        zeta_hat = fit_response_surface(pts, y, KernelConfig())
         surface = lambda p: rkhs.predict(zeta_hat, p)
         model = system.computer_model
         theta = THETA_STAR
@@ -157,7 +157,7 @@ class TestCovariances:
     def test_sigma2_matrix_dominates_noise_part(self):
         system = testbed.make_system("example2", 0.01)
         pts, y = testbed.generate(system, 33, 0)
-        zeta_hat, _ = fit_response_surface(pts, y, KernelConfig())
+        zeta_hat = fit_response_surface(pts, y, KernelConfig())
         model = system.computer_model
         theta = THETA_STAR
         ex = at_design(model, lambda p: rkhs.predict(zeta_hat, p), theta, pts)
@@ -194,7 +194,7 @@ class TestSandwichAssembly:
     def test_symmetry_and_psd(self):
         system = testbed.make_system("example2", 0.01)
         pts, y = testbed.generate(system, 44, 0)
-        zeta_hat, _ = fit_response_surface(pts, y, KernelConfig())
+        zeta_hat = fit_response_surface(pts, y, KernelConfig())
         sand = estimate_sandwich(pts, y, zeta_hat, system.computer_model,
                                  THETA_STAR)
         for M in (sand.V_hat, sand.W_hat, sand.Sigma2_hat, sand.cov_l2,
@@ -210,7 +210,7 @@ class TestSandwichAssembly:
         # survive this check
         system = testbed.make_system("example2", 0.01)
         pts, y = testbed.generate(system, 55, 0)
-        zeta_hat, _ = fit_response_surface(pts, y, KernelConfig())
+        zeta_hat = fit_response_surface(pts, y, KernelConfig())
         model = system.computer_model
         sand = estimate_sandwich(pts, y, zeta_hat, model, THETA_STAR)
 
@@ -229,7 +229,7 @@ class TestSandwichAssembly:
     def test_matches_rule_formulas_at_unit_design_weights(self, q):
         system = testbed.make_system("example2", 0.01)
         pts, y = testbed.generate(system, 66, 0)
-        zeta_hat, _ = fit_response_surface(pts, y, KernelConfig())
+        zeta_hat = fit_response_surface(pts, y, KernelConfig())
         if q == 1:
             model, theta = system.computer_model, THETA_STAR
         else:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from l2calib import testbed
-from l2calib.calibrate import ComputerModel
-from l2calib.numerics import (BoxDomain, OptimizerConfig, fd_grad, fd_hess,
-                              fd_step, gauss_legendre, golden_section,
-                              l2_distance_sq, minimize)
+from l2calib.calibrate import ComputerModel, ko_calibrate
+from l2calib.numerics import (MAX_GRID_POINTS, BoxDomain, OptimizerConfig, fd_grad,
+                              fd_hess, fd_step, gauss_legendre, golden_section,
+                              l2_distance_sq, minimize, tensor_grid)
 
 UNIT = BoxDomain((0.0,), (1.0,))
 OMEGA = testbed.OMEGA
@@ -142,6 +142,33 @@ class TestMinimize:
     def test_golden_section_bracket(self):
         x, fx, _ = golden_section(lambda t: (t - 0.25) ** 2, 0.0, 1.0, tol=1e-12)
         assert x == pytest.approx(0.25, abs=1e-10)
+
+
+class TestTensorGrid:
+    def test_rows_are_the_row_major_tensor_product(self):
+        box = BoxDomain((0.0, -1.0), (1.0, 1.0))
+        want = [[a, b] for a in np.linspace(0.0, 1.0, 3) for b in np.linspace(-1.0, 1.0, 3)]
+        assert np.array_equal(tensor_grid(box, 3), want)
+
+    def test_default_scan_at_q2_is_admitted(self):
+        box = BoxDomain((-2.0, -2.0), (2.0, 2.0))
+        assert tensor_grid(box, OptimizerConfig().grid_points).shape == (MAX_GRID_POINTS, 2)
+
+    def test_q3_scans_raise_before_any_objective_call(self):
+        box = BoxDomain((-2.0,) * 3, (2.0,) * 3)
+        calls = []
+
+        def objective(t):
+            calls.append(t)
+            return 0.0
+        with pytest.raises(ValueError, match=r"q=3 .* 401 points per axis has 64481201 points"):
+            minimize(objective, box)
+        model = ComputerModel(eval=lambda pts, th: objective(th) + np.zeros(len(pts)),
+                              theta_domain=box)
+        x = np.linspace(0.0, 6.0, 8)[:, None]
+        with pytest.raises(ValueError, match=r"q=3 .* 80 points per axis has 512000 points"):
+            ko_calibrate(x, np.sin(x[:, 0]), model)
+        assert calls == []
 
 
 class TestFiniteDifferences:

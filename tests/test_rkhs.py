@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from l2calib import rkhs, testbed
 from l2calib.kernels import KernelSpec, gram
-from l2calib.rkhs import (FixedLambda, KrrConfig, RateLambda,
-                          default_lambda, fit, fit_with_rule, gcv_select,
-                          interpolate_emulator, loo_cv_phi, loo_scores_phi,
-                          predict, rkhs_norm_sq, sigma2_hat)
+from l2calib.rkhs import (FixedLambda, KernelConfig, LooCvPhi, default_lambda,
+                          fit_with_rule, gcv_select, interpolate_emulator,
+                          loo_cv_phi, loo_scores_phi, predict, rkhs_norm_sq,
+                          sigma2_hat)
 
 GAUSS = KernelSpec("gaussian", 1.0)
 
@@ -23,14 +23,14 @@ def smooth_data(n=15, seed=0, noise=0.0):
 
 class TestFit:
     def test_one_point_ridge(self):
-        m = fit([0.0], [2.0], GAUSS, 1.0, jitter=0.0)
+        m = fit_with_rule([0.0], [2.0], GAUSS, FixedLambda(1.0), jitter=0.0)
         # (1 + 1*1) u = 2
         assert m.coeffs[0] == pytest.approx(1.0, rel=1e-14)
         assert m.fitted[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_interpolation_limit(self):
         x, y = smooth_data(10, seed=3)
-        m = fit(x, y, GAUSS, 1e-12)
+        m = fit_with_rule(x, y, GAUSS, FixedLambda(1e-12))
         assert np.abs(m.fitted - y).max() <= 1e-6
 
     def test_nugget_system_equivalence(self):
@@ -38,7 +38,7 @@ class TestFit:
         # with sigma^2 = n*lam; oracle is a direct dense solve.
         x, y = smooth_data(12, seed=5, noise=0.3)
         lam = 1e-3
-        m = fit(x, y, GAUSS, lam, jitter=0.0)
+        m = fit_with_rule(x, y, GAUSS, FixedLambda(lam), jitter=0.0)
         K = gram(GAUSS, x)
         sigma2 = len(y) * lam
         oracle = np.linalg.solve(K + sigma2 * np.eye(len(y)), y)
@@ -47,45 +47,49 @@ class TestFit:
     def test_coefficients_solve_penalized_system(self):
         x, y = smooth_data(20, seed=7, noise=0.2)
         lam = 1e-4
-        m = fit(x, y, GAUSS, lam)
+        m = fit_with_rule(x, y, GAUSS, FixedLambda(lam))
         K = gram(GAUSS, x)
         resid = (K + len(y) * lam * np.eye(len(y))) @ m.coeffs - y
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(y)
 
     def test_rejects_nan_responses(self):
         with pytest.raises(rkhs.FitError, match="NaN"):
-            fit([0.0, 1.0], [1.0, np.nan], GAUSS, 0.1)
+            fit_with_rule([0.0, 1.0], [1.0, np.nan], GAUSS, FixedLambda(0.1))
 
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
-            fit([0.0], [1.0], GAUSS, 0.0)
+            fit_with_rule([0.0], [1.0], GAUSS, FixedLambda(0.0))
+
+    def test_rejects_negative_jitter(self):
+        with pytest.raises(ValueError, match="jitter"):
+            fit_with_rule([0.0], [1.0], GAUSS, FixedLambda(0.1), jitter=-1e-10)
 
     def test_singular_system_names_eigenvalue(self):
         # duplicated points make K exactly singular; lambda tiny enough
         # that the shift cannot rescue it without jitter
         x = np.array([[0.5], [0.5], [1.0]])
         with pytest.raises(rkhs.FitError, match="eigenvalue"):
-            fit(x, [1.0, 1.0, 2.0], GAUSS, 1e-320, jitter=0.0)
+            fit_with_rule(x, [1.0, 1.0, 2.0], GAUSS, FixedLambda(1e-320), jitter=0.0)
 
 
 class TestPredict:
     def test_reproduces_fitted_at_design(self):
         # agreement is limited only by the stabilizing diagonal jitter
         x, y = smooth_data(12, seed=1, noise=0.1)
-        m = fit(x, y, GAUSS, 1e-3)
+        m = fit_with_rule(x, y, GAUSS, FixedLambda(1e-3))
         assert np.allclose(predict(m, x), m.fitted, rtol=1e-9, atol=1e-9)
-        m0 = fit(x, y, GAUSS, 1e-3, jitter=0.0)
+        m0 = fit_with_rule(x, y, GAUSS, FixedLambda(1e-3), jitter=0.0)
         assert np.allclose(predict(m0, x), m0.fitted, rtol=1e-12, atol=1e-13)
 
     def test_zero_coefficients_predict_zero(self):
         x, _ = smooth_data(8, seed=2)
-        m = fit(x, np.zeros(8), GAUSS, 0.5)
+        m = fit_with_rule(x, np.zeros(8), GAUSS, FixedLambda(0.5))
         assert np.all(m.coeffs == 0.0)
         assert np.all(predict(m, np.linspace(0, 6, 30)) == 0.0)
 
     def test_matches_double_loop_oracle(self):
         x, y = smooth_data(15, seed=4, noise=0.2)
-        m = fit(x, y, GAUSS, 1e-3)
+        m = fit_with_rule(x, y, GAUSS, FixedLambda(1e-3))
         xs = np.linspace(0.2, 6.0, 9)
         got = predict(m, xs)
         want = np.array([
@@ -98,17 +102,18 @@ class TestPredict:
 class TestNorm:
     def test_zero_function(self):
         x, _ = smooth_data(6)
-        m = fit(x, np.zeros(6), GAUSS, 0.1)
+        m = fit_with_rule(x, np.zeros(6), GAUSS, FixedLambda(0.1))
         assert rkhs_norm_sq(m) == 0.0
 
     def test_one_point_norm(self):
-        m = fit([0.0], [2.0], GAUSS, 1.0, jitter=0.0)
+        m = fit_with_rule([0.0], [2.0], GAUSS, FixedLambda(1.0), jitter=0.0)
         assert rkhs_norm_sq(m) == pytest.approx(1.0, rel=1e-14)
 
     def test_monotone_in_lambda(self):
         x, y = smooth_data(20, seed=9, noise=0.3)
         lams = np.logspace(-6, 0, 13)
-        norms = [rkhs_norm_sq(fit(x, y, GAUSS, lam)) for lam in lams]
+        norms = [rkhs_norm_sq(fit_with_rule(x, y, GAUSS, FixedLambda(lam)))
+                 for lam in lams]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
 
@@ -157,39 +162,47 @@ class TestGcv:
             assert eig.max() < 1.0
 
 
+def loo_config(grid, lambda_rule=None):
+    """Gaussian kernel, phi by leave-one-out over ``grid``."""
+    if lambda_rule is None:
+        return KernelConfig(phi_rule=LooCvPhi(grid))
+    return KernelConfig(phi_rule=LooCvPhi(grid), lambda_rule=lambda_rule)
+
+
 class TestLooPhi:
     def test_single_candidate_returned(self):
         x, y = smooth_data(10, seed=17, noise=0.2)
-        assert loo_cv_phi(x, y, "gaussian", [0.7]) == 0.7
+        assert loo_cv_phi(x, y, loo_config([0.7])).kernel.phi == 0.7
 
     def test_closed_form_matches_refit_oracle(self):
         x, y = smooth_data(12, seed=19, noise=0.3)
         n = len(y)
         lam = 1e-3
-        scores = loo_scores_phi(x, y, "gaussian", [1.0], FixedLambda(lam), jitter=0.0)
+        scores = loo_scores_phi(x, y, loo_config([1.0], FixedLambda(lam)), jitter=0.0)
         loo_sq = []
         for i in range(n):
             keep = np.arange(n) != i
-            mi = fit(x[keep], y[keep], GAUSS, lam * n / (n - 1), jitter=0.0)
+            mi = fit_with_rule(x[keep], y[keep], GAUSS, FixedLambda(lam * n / (n - 1)),
+                               jitter=0.0)
             loo_sq.append((y[i] - predict(mi, x[i:i + 1])[0]) ** 2)
         # hold-out fit uses the same nugget n*lam, hence the rescaled penalty
         assert scores[0] == pytest.approx(np.mean(loo_sq), rel=1e-8)
 
     def test_constant_responses_tie_toward_smallest(self):
         x, _ = smooth_data(10, seed=21)
-        phi = loo_cv_phi(x, np.zeros(10), "gaussian", [0.1, 1.0, 10.0])
-        assert phi == 0.1
+        model = loo_cv_phi(x, np.zeros(10), loo_config([0.1, 1.0, 10.0]))
+        assert model.kernel.phi == 0.1
 
     def test_near_unit_leverage_scores_infinite_not_error(self):
         # widely separated points with a vanishing penalty drive every
         # leverage to 1; the candidate is scored out, not raised
         x = np.arange(5.0)[:, None] * 4.0
         y = np.sin(x[:, 0])
-        scores = loo_scores_phi(x, y, "gaussian", [1.0],
-                                FixedLambda(1e-16), jitter=0.0)
+        config = loo_config([1.0], FixedLambda(1e-16))
+        scores = loo_scores_phi(x, y, config, jitter=0.0)
         assert np.isinf(scores[0])
         with pytest.raises(rkhs.FitError, match="non-finite"):
-            loo_cv_phi(x, y, "gaussian", [1.0], FixedLambda(1e-16), jitter=0.0)
+            loo_cv_phi(x, y, config, jitter=0.0)
 
 
 class TestDefaultLambda:
@@ -206,21 +219,21 @@ class TestDefaultLambda:
 
     def test_rate_rule_through_fit(self):
         x, y = smooth_data(16, seed=23, noise=0.1)
-        m = fit_with_rule(x, y, GAUSS, KrrConfig(RateLambda(mu=2.0, c=0.5)))
+        m = fit_with_rule(x, y, GAUSS, FixedLambda(default_lambda(16, mu=2.0, c=0.5)))
         assert m.lam == pytest.approx(0.5 * 16 ** (-0.8))
 
 
 class TestSigma2Hat:
     def test_noiseless_interpolating_fit(self):
         x, y = smooth_data(12, seed=25)
-        m = fit(x, y, GAUSS, 1e-10)
+        m = fit_with_rule(x, y, GAUSS, FixedLambda(1e-10))
         assert sigma2_hat(x, y, m) <= 1e-10
 
     def test_pure_noise_large_lambda_approaches_sample_variance(self):
         rng = np.random.default_rng(27)
         x = np.sort(rng.uniform(0, 2 * np.pi, 60))[:, None]
         y = rng.normal(0, 1.0, 60)
-        m = fit(x, y, GAUSS, 1e6)
+        m = fit_with_rule(x, y, GAUSS, FixedLambda(1e6))
         # A -> 0, so the estimate approaches ||y||^2 / n
         assert sigma2_hat(x, y, m) == pytest.approx(float(y @ y) / 60, rel=1e-3)
 
@@ -268,7 +281,7 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         x = rng.uniform(-3, 3, (n, 1))
         y = np.sin(x[:, 0]) + rng.normal(0, 0.5, n)
-        m = fit(x, y, GAUSS, lam, jitter=0.0)
+        m = fit_with_rule(x, y, GAUSS, FixedLambda(lam), jitter=0.0)
         K = gram(GAUSS, x)
         resid = (K + n * lam * np.eye(n)) @ m.coeffs - y
         assert np.linalg.norm(resid) <= 1e-8 * max(np.linalg.norm(y), 1e-12)
@@ -281,5 +294,5 @@ class TestProperties:
         if np.min(np.diff(x[:, 0])) < 0.1:
             x = np.linspace(0, 6, 8)[:, None]
         y = np.cos(x[:, 0])
-        m = fit(x, y, GAUSS, 1e-12)
+        m = fit_with_rule(x, y, GAUSS, FixedLambda(1e-12))
         assert np.abs(m.fitted - y).max() <= 1e-6

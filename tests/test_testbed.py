@@ -149,3 +149,5 @@ class TestGenerate:
             SyntheticSystem(name="x", true_process=zeta_true,
                             computer_model=testbed.example2_model(),
                             theta_star=0.0, design="latin")
+        with pytest.raises(ValueError, match="51 points, got n=7"):
+            make_system("example2", 0.1, "fixed_grid", 7)
