@@ -36,16 +36,15 @@ class ComputerModel:
 
     ``eval(points, theta)`` maps an ``(n, d)`` array of control points
     and a parameter vector ``theta`` to an ``(n,)`` output array.
-    ``grad`` and ``hess``, when given, must be vectorized the same way
-    (returning ``(n, q)`` and ``(n, q, q)``); otherwise central
-    differences are used.  ``smooth_in_theta`` gates derivative-based
+    ``grad``, when given, must be vectorized the same way (returning
+    ``(n, q)``); otherwise central differences are used, as they always
+    are for the Hessian.  ``smooth_in_theta`` gates derivative-based
     inference.
     """
 
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
     theta_domain: BoxDomain
     grad: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    hess: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     smooth_in_theta: bool = True
     name: str = "computer-model"
 
@@ -73,28 +72,7 @@ class ComputerModel:
     def hess_theta(self, x, theta) -> np.ndarray:
         """Per-point Hessian of the output in theta, shape ``(n, q, q)``."""
         pts = as_points(x)
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self.hess is not None:
-            H = np.asarray(self.hess(pts, th), dtype=float)
-            return H.reshape(pts.shape[0], self.q, self.q)
-        return fd_hess(lambda t: self(pts, t), th)
-
-
-def emulator_model(surrogate: KrrModel, theta_domain: BoxDomain,
-                   smooth_in_theta: bool = True) -> ComputerModel:
-    """Wrap a kernel interpolant over (x, theta) space as a ComputerModel.
-
-    The surrogate's design lives in R^(d+q) with the parameter
-    coordinates last; gradients come from central differences.
-    """
-    q = theta_domain.dim
-
-    def _eval(pts: np.ndarray, th: np.ndarray) -> np.ndarray:
-        joint = np.hstack([pts, np.broadcast_to(th, (pts.shape[0], q))])
-        return rkhs.predict(surrogate, joint)
-
-    return ComputerModel(eval=_eval, theta_domain=theta_domain,
-                         smooth_in_theta=smooth_in_theta, name="emulator")
+        return fd_hess(lambda t: self(pts, t), theta)
 
 
 @dataclass(frozen=True)
@@ -188,9 +166,15 @@ class _ProfiledGpLikelihood:
         r = self.y - self.model(self.pts, theta)
         return (self.Q.T @ r) ** 2
 
+    def _tau2(self, qtr2: np.ndarray, log_eta) -> tuple[np.ndarray, np.ndarray]:
+        """``(tau2, rho + eta)``, summing along the last axis of ``qtr2``, whose
+        leading axes broadcast against those of ``log_eta``."""
+        denom = self.rho + np.exp(log_eta)[..., None]
+        return np.sum(qtr2 / denom, axis=-1) / self.n, denom
+
     def value_from_parts(self, qtr2: np.ndarray, log_eta: float) -> float:
-        denom = self.rho + np.exp(log_eta)
-        tau2 = float(np.sum(qtr2 / denom)) / self.n
+        tau2, denom = self._tau2(qtr2, log_eta)
+        tau2 = float(tau2)
         if not np.isfinite(tau2) or tau2 <= 0.0:
             tau2 = np.finfo(float).tiny
         return 0.5 * self.n * np.log(tau2) + 0.5 * float(np.sum(np.log(denom)))
@@ -201,20 +185,17 @@ class _ProfiledGpLikelihood:
         return self.value_from_parts(self.residual_sq(params[:-1]), params[-1])
 
     def grid_start(self, theta_grid: np.ndarray, log_etas: np.ndarray) -> np.ndarray:
-        """First minimizer over ``theta_grid x log_etas``, scanned row-major.
-
-        tau2 sums run along the last axis, as in ``value_from_parts``."""
+        """First minimizer of ``value_from_parts`` over ``theta_grid x log_etas``,
+        scanned row-major."""
         qtr2 = np.array([self.residual_sq(th) for th in theta_grid])
-        denom = self.rho + np.exp(log_etas)[:, None]
-        tau2 = np.sum(qtr2[:, None, :] / denom, axis=-1) / self.n
+        tau2, denom = self._tau2(qtr2[:, None, :], log_etas)
         tau2 = np.where(np.isfinite(tau2) & (tau2 > 0.0), tau2, np.finfo(float).tiny)
         vals = 0.5 * self.n * np.log(tau2) + 0.5 * np.sum(np.log(denom), axis=-1)
         i, j = np.unravel_index(np.argmin(vals), vals.shape)
         return np.append(theta_grid[i], log_etas[j])
 
     def tau2_sigma2(self, theta: np.ndarray, log_eta: float) -> tuple[float, float]:
-        denom = self.rho + np.exp(log_eta)
-        tau2 = float(np.sum(self.residual_sq(theta) / denom)) / self.n
+        tau2 = float(self._tau2(self.residual_sq(theta), log_eta)[0])
         return tau2, tau2 * np.exp(log_eta)
 
 
@@ -222,15 +203,14 @@ def ko_calibrate(points, y, model: ComputerModel,
                  kernel_cfg: KernelConfig = KernelConfig(),
                  opt: OptimizerConfig = OptimizerConfig(),
                  seed: int = 0,
-                 n_starts: int = 5,
                  surface: KrrModel | None = None) -> CalibrationEstimate:
     """Gaussian-process calibration by profiled maximum likelihood.
 
     The kernel (phi by ``kernel_cfg``'s rule) and the eigenpairs of its
     jittered Gram matrix come from ``fit_response_surface``, or from a
     given ``surface``; then (theta, log eta) are searched jointly: a
-    coarse grid pass, Nelder-Mead from the best cell, and ``n_starts``
-    seeded random restarts to dodge likelihood multimodality.
+    coarse grid pass, Nelder-Mead from the best cell, and five seeded
+    random restarts to dodge likelihood multimodality.
     """
     pts, yv = _check_data(points, y)
     if yv.shape[0] < 3:
@@ -239,14 +219,12 @@ def ko_calibrate(points, y, model: ComputerModel,
     # Coarse deterministic pass over theta x log(eta), checked before tuning.
     theta_grid = tensor_grid(box, max(9, opt.grid_points // 5))
     surface = surface or fit_response_surface(pts, yv, kernel_cfg)
-    if surface.gram_eig is None:
-        raise ValueError("surface has no Gram eigenpairs; fit it with fit_response_surface")
     nll = _ProfiledGpLikelihood(pts, yv, model, *surface.gram_eig)
     log_etas = np.linspace(np.log(ETA_BOUNDS[0]), np.log(ETA_BOUNDS[1]), 17)
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x6B6F]))
     starts = [nll.grid_start(theta_grid, log_etas)]
-    for _ in range(n_starts):
+    for _ in range(5):
         th0 = rng.uniform(box.lower, box.upper)
         le0 = rng.uniform(np.log(1e-6), np.log(1e4))
         starts.append(np.append(th0, le0))

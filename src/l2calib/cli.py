@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -79,15 +80,12 @@ class RunConfig:
     output: str = "report.csv"
 
     def __post_init__(self):
-        if self.example not in ("example1", "example2"):
-            raise CliConfigError(f"unknown example {self.example!r}; custom systems "
-                                 "are driven through the Python API")
         if not self.methods:
             raise CliConfigError("methods must be nonempty")
         for m in self.methods:
             if m not in METHODS:
                 raise CliConfigError(f"unknown method {m!r}; expected subset of {METHODS}")
-        for name in ("replications", "design_n", "quadrature_m"):
+        for name in ("replications", "quadrature_m"):
             if getattr(self, name) < 1:
                 raise CliConfigError(f"{name} must be at least 1")
         if self.seed < 0:
@@ -101,16 +99,12 @@ class RunConfig:
             raise CliConfigError("optimizer.tolerance must be finite")
         if any(s < 0 for s in self.sigma2) or not self.sigma2:
             raise CliConfigError("sigma2 must be a nonempty list of nonnegative values")
-        if self.design not in ("fixed_grid", "uniform_random"):
-            raise CliConfigError(f"unknown design {self.design!r}")
-        if self.design == "fixed_grid" and self.design_n != testbed.FIXED_GRID_N:
-            raise CliConfigError(f"the fixed grid has {testbed.FIXED_GRID_N} points, "
-                                 f"design.n is {self.design_n}")
-        dom = self.theta_domain
-        if len(dom) != 2 or not (np.all(np.isfinite(dom)) and dom[0] < dom[1]):
-            raise CliConfigError("theta_domain must be finite [lo, hi] with lo < hi")
+        if len(self.theta_domain) != 2:
+            raise CliConfigError("theta_domain must be [lo, hi]")
+        # make_system checks the example, the design and the theta box
         try:
             self.kernel_config()
+            self.system(self.sigma2[0])
         except ValueError as e:
             raise CliConfigError(str(e))
 
@@ -119,6 +113,10 @@ class RunConfig:
             family=self.kernel_family, nu=self.kernel_nu,
             phi_rule=LooCvPhi(self.phi_grid), lambda_rule=GcvLambda(self.lambda_grid),
         )
+
+    def system(self, sigma2: float) -> SyntheticSystem:
+        return _cached_system(self.example, sigma2, self.design, self.design_n,
+                              self.theta_domain)
 
 
 def _floats(v) -> tuple[float, ...]:
@@ -272,8 +270,7 @@ def _run_methods(config: RunConfig, pts: np.ndarray, y: np.ndarray,
 def _replicate(args: tuple[RunConfig, float, int]) -> dict[str, tuple[float, float, str | None]]:
     """Replication r: ``method -> (theta, seconds, error)``, theta NaN on failure."""
     config, sigma2, r = args
-    system = _cached_system(config.example, sigma2, config.design,
-                            config.design_n, config.theta_domain)
+    system = config.system(sigma2)
     pts, y = generate(system, config.seed, r)
     ko_seed = (config.seed * 1_000_003 + r) & (2 ** 63 - 1)  # KO restarts per replication
     results = _run_methods(config, pts, y, system.computer_model, ko_seed)
@@ -291,8 +288,7 @@ def simulate(config: RunConfig, workers: int = 1,
     any (method, sigma2) aborts with diagnostics.
     """
     rows: list[MethodSummary] = []
-    theta_star = _cached_system(config.example, config.sigma2[0], config.design,
-                                config.design_n, config.theta_domain).theta_star
+    theta_star = config.system(config.sigma2[0]).theta_star
     R = config.replications
     for s2 in config.sigma2:
         tasks = [(config, s2, r) for r in range(R)]
@@ -406,9 +402,8 @@ def cmd_calibrate(config: RunConfig, data_path: str | Path,
     if pts.shape[1] != 1:
         raise CliConfigError(f"{config.example} expects 1 control variable, "
                              f"data has {pts.shape[1]}")
-    system = _cached_system(config.example, config.sigma2[0], config.design,
-                            config.design_n, config.theta_domain)
-    results = _run_methods(config, pts, y, system.computer_model, config.seed,
+    model = config.system(config.sigma2[0]).computer_model
+    results = _run_methods(config, pts, y, model, config.seed,
                            sandwich=True, log=log)
     lines = ["method,theta_hat,objective,lambda,phi,stderr,status"]
     for meth in config.methods:
@@ -492,6 +487,12 @@ def cmd_simulate(config: RunConfig, out_path: str | Path, workers: int = 1,
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors are config errors (exit 1), not argparse's exit 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses exponents and reads "-1e-3" as an option
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.IGNORECASE)
 
     def error(self, message):
         raise CliConfigError(f"{self.prog}: {message}")

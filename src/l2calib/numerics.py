@@ -67,10 +67,6 @@ class BoxDomain:
     def dim(self) -> int:
         return len(self.lower)
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(np.asarray(self.upper) - np.asarray(self.lower)))
-
     def on_boundary(self, x) -> bool:
         """True when some coordinate of ``x`` is within 1e-12 of a face."""
         x = np.asarray(x, dtype=float)

@@ -1,4 +1,4 @@
-"""Penalized kernel regression, tuning-parameter selection, emulators.
+"""Penalized kernel regression and tuning-parameter selection.
 
 The regressor solves
 
@@ -118,8 +118,7 @@ class KrrModel:
     lam: float
     fitted: np.ndarray      # (n,)
     hat_trace: float
-    # eigenpairs (w, Q) of the jittered Gram matrix; None for interpolants
-    gram_eig: tuple[np.ndarray, np.ndarray] | None = None
+    gram_eig: tuple[np.ndarray, np.ndarray]  # eigenpairs (w, Q) of the jittered Gram matrix
 
     @property
     def n(self) -> int:
@@ -196,17 +195,6 @@ def rkhs_norm_sq(model: KrrModel) -> float:
     return max(val, 0.0)
 
 
-def default_lambda(n: int, mu: float, d: int = 1, c: float = 1.0) -> float:
-    """Rate-optimal penalty ``c * n^(-2*mu / (2*mu + d))``."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if mu <= d / 2:
-        raise ValueError("need mu > d/2")
-    if c <= 0:
-        raise ValueError("need c > 0")
-    return c * float(n) ** (-2.0 * mu / (2.0 * mu + d))
-
-
 def _gcv_pick(panel: _EigenPanel, grid) -> tuple[float, np.ndarray]:
     grid = [float(g) for g in grid]
     if not grid:
@@ -253,30 +241,17 @@ def fit_with_rule(points, y, kernel: KernelSpec, lambda_rule: LambdaRule = GcvLa
     return panel.model(_resolve_lambda(panel, lambda_rule))
 
 
-def _loo_sweep(points, y, config: KernelConfig, grid, jitter: float):
-    """Yield ``(panel, lambda, score)`` per phi in ``grid``, in its order.
+def _loo_score(panel: _EigenPanel, lam: float) -> float:
+    """Mean squared leave-one-out residual at ``lam``.
 
-    The score is the mean squared leave-one-out residual; the closed form
-    ``e_i / (1 - A_ii)`` avoids refits, and a candidate with any
-    ``A_ii >= 1 - 1e-12`` scores +inf rather than raising.
+    The closed form ``e_i / (1 - A_ii)`` avoids refits; a candidate with
+    any ``A_ii >= 1 - 1e-12`` scores +inf rather than raising.
     """
-    for phi in grid:
-        panel = _EigenPanel(points, y, config.spec(phi), jitter)
-        lam = _resolve_lambda(panel, config.lambda_rule)
-        diag = panel.hat_diag(lam)
-        if np.any(diag >= 1.0 - 1e-12):
-            yield panel, lam, np.inf
-            continue
-        resid = (panel.y - panel.fitted(lam)) / (1.0 - diag)
-        yield panel, lam, float(np.mean(resid * resid))
-
-
-def loo_scores_phi(points, y, config: KernelConfig,
-                   jitter: float = DEFAULT_JITTER) -> np.ndarray:
-    """Leave-one-out score of each phi in ``config.phi_rule.grid``, in its
-    order, with lambda per candidate by ``config.lambda_rule``."""
-    return np.array([score for _, _, score in
-                     _loo_sweep(points, y, config, config.phi_rule.grid, jitter)])
+    diag = panel.hat_diag(lam)
+    if np.any(diag >= 1.0 - 1e-12):
+        return np.inf
+    resid = (panel.y - panel.fitted(lam)) / (1.0 - diag)
+    return float(np.mean(resid * resid))
 
 
 def loo_cv_phi(points, y, config: KernelConfig,
@@ -289,8 +264,10 @@ def loo_cv_phi(points, y, config: KernelConfig,
     model comes from the eigendecomposition the sweep already made.
     """
     best_score, best = np.inf, None
-    for panel, lam, score in _loo_sweep(points, y, config,
-                                         sorted(config.phi_rule.grid), jitter):
+    for phi in sorted(config.phi_rule.grid):
+        panel = _EigenPanel(points, y, config.spec(phi), jitter)
+        lam = _resolve_lambda(panel, config.lambda_rule)
+        score = _loo_score(panel, lam)
         if score < best_score:
             best_score, best = score, (panel, lam)
     if best is None:
@@ -321,38 +298,3 @@ def sigma2_hat(points, y, model: KrrModel) -> float:
                        "cannot estimate the noise variance")
     resid = yv - model.fitted
     return float(resid @ resid) / dof
-
-
-def interpolate_emulator(points, values, kernel: KernelSpec) -> KrrModel:
-    """Kernel interpolant through sampled simulator outputs.
-
-    Interpolation regime: no ridge penalty.  The linear solve truncates
-    eigenvalues at the numerical-rank cutoff ``n * eps * max(eig)``,
-    which keeps coefficients bounded on smooth designs whose Gram
-    matrices are singular to working precision.  Reproduction of the
-    sampled outputs is then limited only by the spectral tail of the
-    data, not by an arbitrary ridge.  Duplicate sample locations are
-    rejected up front, naming the offending rows.
-    """
-    pts = as_points(points)
-    vals = np.asarray(values, dtype=float).reshape(-1)
-    if vals.shape[0] != pts.shape[0]:
-        raise ValueError("points and values length mismatch")
-    _, inverse, counts = np.unique(pts.round(decimals=12), axis=0,
-                                   return_inverse=True, return_counts=True)
-    if np.any(counts > 1):
-        dup_rows = np.nonzero(counts[inverse] > 1)[0]
-        raise FitError(f"duplicate sample locations at rows {dup_rows.tolist()}; "
-                       "interpolation needs distinct points")
-    if np.any(~np.isfinite(vals)):
-        raise FitError("sample values contain NaN or infinity")
-    K = kernels.gram(kernel, pts)
-    w, Q = np.linalg.eigh(K)
-    cutoff = pts.shape[0] * np.finfo(float).eps * max(w.max(), 0.0)
-    keep = w > cutoff
-    if not np.any(keep):
-        raise FitError(f"Gram matrix numerically zero: largest eigenvalue {w.max():.3e}")
-    qty = Q.T @ vals
-    coeffs = Q[:, keep] @ (qty[keep] / w[keep])
-    return KrrModel(kernel=kernel, design=pts, coeffs=coeffs, lam=0.0,
-                    fitted=K @ coeffs, hat_trace=float(np.count_nonzero(keep)))

@@ -3,8 +3,7 @@ import pytest
 
 from l2calib import kernels, rkhs, testbed
 from l2calib.calibrate import (ETA_BOUNDS, ComputerModel, _ProfiledGpLikelihood,
-                               emulator_model, ko_calibrate, l2_calibrate,
-                               ols_calibrate)
+                               ko_calibrate, l2_calibrate, ols_calibrate)
 from l2calib.numerics import BoxDomain, OptimizerConfig, gauss_legendre, \
     l2_distance_sq, minimize
 from l2calib.rkhs import (FixedLambda, FixedPhi, KernelConfig, LooCvPhi,
@@ -151,7 +150,7 @@ class TestKo:
         x = np.linspace(0.0, 6.0, 12)[:, None]
         y = 0.5 * np.sin(x[:, 0]) + 0.3
         est = ko_calibrate(x, y, model, KernelConfig(phi_rule=FixedPhi(1.0)),
-                           opt=OptimizerConfig(grid_points=45), n_starts=1)
+                           opt=OptimizerConfig(grid_points=45))
         assert est.theta_hat == pytest.approx([0.5, 0.3], abs=1e-4)
 
     def test_deterministic_given_seed(self):
@@ -179,12 +178,6 @@ class TestSharedSurface:
                 assert np.array_equal(shared.theta_hat, alone.theta_hat)
                 assert shared.objective_value == alone.objective_value
                 assert shared.meta == alone.meta
-
-    def test_interpolant_is_not_a_ko_surface(self):
-        system, pts, y = noisy_example2(seed=24)
-        interpolant = rkhs.interpolate_emulator(pts, y, rkhs.KernelSpec("gaussian", 1.0))
-        with pytest.raises(ValueError, match="no Gram eigenpairs"):
-            ko_calibrate(pts, y, system.computer_model, surface=interpolant)
 
     def test_fit_keeps_gram_eigenpairs(self):
         _, pts, y = noisy_example2(seed=22)
@@ -215,12 +208,12 @@ class TestSharedSurface:
         grid = sorted(rkhs.DEFAULT_PHI_GRID)
         surface = fit_response_surface(
             pts, y, KernelConfig(lambda_rule=FixedLambda(1e-2)))
-        fixed = rkhs.loo_scores_phi(
-            pts, y, KernelConfig(phi_rule=LooCvPhi(grid), lambda_rule=FixedLambda(1e-2)))
-        gcv = rkhs.loo_scores_phi(pts, y, KernelConfig(phi_rule=LooCvPhi(grid)))
+        fixed = [rkhs._loo_score(rkhs._EigenPanel(pts, y, kernels.KernelSpec("gaussian", phi)),
+                                 1e-2) for phi in grid]
+        gcv = fit_response_surface(pts, y, KernelConfig(phi_rule=LooCvPhi(grid)))
         phi = surface.kernel.phi
         assert phi == grid[int(np.argmin(fixed))]
-        assert phi != grid[int(np.argmin(gcv))]  # the two rules disagree here
+        assert phi != gcv.kernel.phi  # the two rules disagree here
         assert surface.lam == 1e-2
 
     @pytest.mark.parametrize("example", ["example1", "example2"])
@@ -250,22 +243,7 @@ class TestSharedSurface:
             assert nll(np.array(params)) == np.inf
 
 
-class TestEmulatorModel:
-    def test_surrogate_calibration_tracks_exact_model(self):
-        gx = np.linspace(1e-3, 2 * np.pi - 1e-3, 40)
-        gt = np.linspace(-2.0, 2.0, 40)
-        GX, GT = np.meshgrid(gx, gt, indexing="ij")
-        samples = np.column_stack([GX.ravel(), GT.ravel()])
-        vals = testbed.ys_example2(samples[:, 0], samples[:, 1])
-        surrogate = rkhs.interpolate_emulator(
-            samples, vals, rkhs.KernelSpec("gaussian", 2.0))
-        em = emulator_model(surrogate, testbed.DEFAULT_THETA_DOMAIN)
-
-        system, pts, y = noiseless("example2")
-        exact = ols_calibrate(pts, y, system.computer_model, OPT)
-        approx = ols_calibrate(pts, y, em, OPT)
-        assert approx.theta_hat[0] == pytest.approx(exact.theta_hat[0], abs=5e-3)
-
+class TestComputerModel:
     def test_gradient_consistency_where_smooth(self):
         system, _, _ = noiseless("example2")
         model = system.computer_model

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from l2calib.calibrate import l2_calibrate
 from l2calib.numerics import gauss_legendre
 from l2calib.cli import (CliConfigError, RunConfig, check_report, cmd_calibrate,
                          load_config, main, read_data_csv, simulate)
+
+
+BUNDLED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 def write_config(path, **overrides):
@@ -85,6 +89,10 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CliConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("path", BUNDLED_CONFIGS, ids=lambda p: p.name)
+    def test_bundled_config_loads(self, path):
+        assert load_config(path).output == f"{path.stem}.csv"
 
 
 class TestDataCsv:
@@ -314,6 +322,16 @@ class TestDiscrepancyCommand:
         lines = capsys.readouterr().err.strip().splitlines()
         assert lines == ["error: need finite theta_min < theta_max"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("bound,row,value", [
+        (["--theta-min", "-1e-3"], 0, -1e-3),
+        (["--theta-min=-1e-3"], 0, -1e-3),
+        (["--theta-max", "1e3"], -1, 1e3),
+    ], ids=["min-spaced", "min-equals", "max-exponent"])
+    def test_accepts_bounds_in_exponent_form(self, tmp_path, bound, row, value):
+        out = tmp_path / "x.csv"
+        assert main(["discrepancy", *bound, "--steps", "3", "--out", str(out)]) == 0
+        assert np.loadtxt(out, delimiter=",", skiprows=1)[row, 0] == value
 
 
 class TestConfigErrors:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,9 +47,10 @@ class TestSigma2:
     def test_degenerate_effective_dof_rejected(self):
         x = np.linspace(0.0, 6.0, 8)[:, None]
         y = np.sin(x[:, 0])
-        em = rkhs.interpolate_emulator(x, y, KernelSpec("gaussian", 1.0))
+        m = rkhs.fit_with_rule(x, y, KernelSpec("gaussian", 1.0), FixedLambda(1e-3))
+        # a smoother that spends every degree of freedom
         with pytest.raises(rkhs.FitError, match="degrees of freedom"):
-            sigma2_hat(x, y, em)
+            sigma2_hat(x, y, replace(m, hat_trace=float(len(y))))
 
     def test_monte_carlo_coverage_of_generating_variance(self):
         system = testbed.make_system("example2", 0.1)

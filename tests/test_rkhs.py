@@ -4,10 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from l2calib import rkhs, testbed
 from l2calib.kernels import KernelSpec, gram
-from l2calib.rkhs import (FixedLambda, KernelConfig, LooCvPhi, default_lambda,
-                          fit_with_rule, gcv_select, interpolate_emulator,
-                          loo_cv_phi, loo_scores_phi, predict, rkhs_norm_sq,
-                          sigma2_hat)
+from l2calib.rkhs import (FixedLambda, KernelConfig, LooCvPhi, fit_with_rule,
+                          gcv_select, loo_cv_phi, predict, rkhs_norm_sq, sigma2_hat)
 
 GAUSS = KernelSpec("gaussian", 1.0)
 
@@ -178,7 +176,7 @@ class TestLooPhi:
         x, y = smooth_data(12, seed=19, noise=0.3)
         n = len(y)
         lam = 1e-3
-        scores = loo_scores_phi(x, y, loo_config([1.0], FixedLambda(lam)), jitter=0.0)
+        score = rkhs._loo_score(rkhs._EigenPanel(x, y, GAUSS, jitter=0.0), lam)
         loo_sq = []
         for i in range(n):
             keep = np.arange(n) != i
@@ -186,7 +184,7 @@ class TestLooPhi:
                                jitter=0.0)
             loo_sq.append((y[i] - predict(mi, x[i:i + 1])[0]) ** 2)
         # hold-out fit uses the same nugget n*lam, hence the rescaled penalty
-        assert scores[0] == pytest.approx(np.mean(loo_sq), rel=1e-8)
+        assert score == pytest.approx(np.mean(loo_sq), rel=1e-8)
 
     def test_constant_responses_tie_toward_smallest(self):
         x, _ = smooth_data(10, seed=21)
@@ -199,28 +197,9 @@ class TestLooPhi:
         x = np.arange(5.0)[:, None] * 4.0
         y = np.sin(x[:, 0])
         config = loo_config([1.0], FixedLambda(1e-16))
-        scores = loo_scores_phi(x, y, config, jitter=0.0)
-        assert np.isinf(scores[0])
+        assert np.isinf(rkhs._loo_score(rkhs._EigenPanel(x, y, GAUSS, jitter=0.0), 1e-16))
         with pytest.raises(rkhs.FitError, match="non-finite"):
             loo_cv_phi(x, y, config, jitter=0.0)
-
-
-class TestDefaultLambda:
-    def test_n_one_returns_c(self):
-        assert default_lambda(1, mu=2.0, d=1, c=0.37) == 0.37
-
-    def test_known_exponent(self):
-        assert default_lambda(32, mu=2.0, d=1, c=1.0) == pytest.approx(32.0 ** (-0.8))
-
-    def test_doubling_scaling(self):
-        mu, d = 2.5, 2
-        r = default_lambda(64, mu, d) / default_lambda(32, mu, d)
-        assert r == pytest.approx(2.0 ** (-2 * mu / (2 * mu + d)), rel=1e-12)
-
-    def test_rate_rule_through_fit(self):
-        x, y = smooth_data(16, seed=23, noise=0.1)
-        m = fit_with_rule(x, y, GAUSS, FixedLambda(default_lambda(16, mu=2.0, c=0.5)))
-        assert m.lam == pytest.approx(0.5 * 16 ** (-0.8))
 
 
 class TestSigma2Hat:
@@ -236,40 +215,6 @@ class TestSigma2Hat:
         m = fit_with_rule(x, y, GAUSS, FixedLambda(1e6))
         # A -> 0, so the estimate approaches ||y||^2 / n
         assert sigma2_hat(x, y, m) == pytest.approx(float(y @ y) / 60, rel=1e-3)
-
-
-class TestEmulator:
-    def test_reproduces_samples(self):
-        rng = np.random.default_rng(29)
-        pts = rng.uniform([0.0, -2.0], [2 * np.pi, 2.0], (200, 2))
-        vals = testbed.ys_example2(pts[:, 0], pts[:, 1])
-        em = interpolate_emulator(pts, vals, KernelSpec("gaussian", 2.0))
-        assert np.abs(predict(em, pts) - vals).max() <= 1e-6
-
-    def test_constant_simulator(self):
-        pts = np.linspace(0.0, 1.0, 20)[:, None]
-        em = interpolate_emulator(pts, np.full(20, 3.5), KernelSpec("gaussian", 0.5))
-        test = np.linspace(0.01, 0.99, 77)[:, None]
-        assert np.abs(predict(em, test) - 3.5).max() <= 1e-6
-
-    def test_example2_surrogate_sup_error(self):
-        gx = np.linspace(1e-3, 2 * np.pi - 1e-3, 40)
-        gt = np.linspace(-2.0, 2.0, 40)
-        GX, GT = np.meshgrid(gx, gt, indexing="ij")
-        pts = np.column_stack([GX.ravel(), GT.ravel()])
-        vals = testbed.ys_example2(pts[:, 0], pts[:, 1])
-        em = interpolate_emulator(pts, vals, KernelSpec("gaussian", 2.0))
-        tx = np.linspace(0.1, 2 * np.pi - 0.1, 15)
-        tt = np.linspace(-1.9, 1.9, 15)
-        TX, TT = np.meshgrid(tx, tt, indexing="ij")
-        tp = np.column_stack([TX.ravel(), TT.ravel()])
-        err = np.abs(predict(em, tp) - testbed.ys_example2(tp[:, 0], tp[:, 1]))
-        assert err.max() < 1e-2
-
-    def test_duplicate_samples_rejected(self):
-        pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(rkhs.FitError, match=r"duplicate.*\[0, 2\]"):
-            interpolate_emulator(pts, [1.0, 2.0, 1.0], KernelSpec("gaussian", 1.0))
 
 
 class TestProperties:
