@@ -11,15 +11,13 @@ from .calibrate import (CalibrationEstimate, ComputerModel, ko_calibrate,
                         l2_calibrate, ols_calibrate)
 from .inference import efficiency_gap, estimate_sandwich
 from .numerics import BoxDomain, OptimizerConfig, gauss_legendre
-from .rkhs import (FixedLambda, FixedPhi, GcvLambda, KernelConfig, LooCvPhi,
-                   fit_response_surface, fit_with_rule)
+from .rkhs import KernelConfig, fit_response_surface, fit_with_rule
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxDomain", "CalibrationEstimate", "ComputerModel", "FixedLambda",
-    "FixedPhi", "GcvLambda", "KernelConfig", "LooCvPhi", "OptimizerConfig",
-    "efficiency_gap", "estimate_sandwich", "fit_response_surface",
-    "fit_with_rule", "gauss_legendre", "ko_calibrate", "l2_calibrate",
-    "ols_calibrate",
+    "BoxDomain", "CalibrationEstimate", "ComputerModel", "KernelConfig",
+    "OptimizerConfig", "efficiency_gap", "estimate_sandwich",
+    "fit_response_surface", "fit_with_rule", "gauss_legendre", "ko_calibrate",
+    "l2_calibrate", "ols_calibrate",
 ]

@@ -206,10 +206,10 @@ def ko_calibrate(points, y, model: ComputerModel,
                  surface: KrrModel | None = None) -> CalibrationEstimate:
     """Gaussian-process calibration by profiled maximum likelihood.
 
-    The kernel (phi by ``kernel_cfg``'s rule) and the eigenpairs of its
-    jittered Gram matrix come from ``fit_response_surface``, or from a
-    given ``surface``; then (theta, log eta) are searched jointly: a
-    coarse grid pass, Nelder-Mead from the best cell, and five seeded
+    The kernel (phi by leave-one-out over ``kernel_cfg.phi_grid``) and the
+    eigenpairs of its jittered Gram matrix come from ``fit_response_surface``,
+    or from a given ``surface``; then (theta, log eta) are searched jointly:
+    a coarse grid pass, Nelder-Mead from the best cell, and five seeded
     random restarts to dodge likelihood multimodality.
     """
     pts, yv = _check_data(points, y)

@@ -36,7 +36,7 @@ from .calibrate import (CalibrationEstimate, ComputerModel, ko_calibrate,
                         l2_calibrate, ols_calibrate)
 from .numerics import (MAX_GRID_POINTS, BoxDomain, OptimizerConfig, gauss_legendre,
                        l2_distance_sq)
-from .rkhs import GcvLambda, KernelConfig, LooCvPhi
+from .rkhs import KernelConfig
 from .testbed import SyntheticSystem, generate, make_system
 
 METHODS = ("L2", "OLS", "KO")
@@ -80,6 +80,8 @@ class RunConfig:
     output: str = "report.csv"
 
     def __post_init__(self):
+        # a tuple, as the system cache key needs
+        object.__setattr__(self, "theta_domain", tuple(float(t) for t in self.theta_domain))
         if not self.methods:
             raise CliConfigError("methods must be nonempty")
         for m in self.methods:
@@ -92,16 +94,14 @@ class RunConfig:
             raise CliConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.optimizer.grid_points > MAX_GRID_POINTS:
             raise CliConfigError(f"optimizer.grid_points must be at most {MAX_GRID_POINTS}")
-        for name in ("sigma2", "phi_grid", "lambda_grid"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise CliConfigError(f"{name} must contain only finite numbers")
         if not np.isfinite(self.optimizer.tolerance):
             raise CliConfigError("optimizer.tolerance must be finite")
-        if any(s < 0 for s in self.sigma2) or not self.sigma2:
-            raise CliConfigError("sigma2 must be a nonempty list of nonnegative values")
+        if not self.sigma2 or not all(np.isfinite(s) and s >= 0 for s in self.sigma2):
+            raise CliConfigError("sigma2 must be a nonempty list of nonnegative finite values")
         if len(self.theta_domain) != 2:
             raise CliConfigError("theta_domain must be [lo, hi]")
-        # make_system checks the example, the design and the theta box
+        # KernelConfig checks the grids; make_system the example, the
+        # design and the theta box
         try:
             self.kernel_config()
             self.system(self.sigma2[0])
@@ -109,10 +109,8 @@ class RunConfig:
             raise CliConfigError(str(e))
 
     def kernel_config(self) -> KernelConfig:
-        return KernelConfig(
-            family=self.kernel_family, nu=self.kernel_nu,
-            phi_rule=LooCvPhi(self.phi_grid), lambda_rule=GcvLambda(self.lambda_grid),
-        )
+        return KernelConfig(self.kernel_family, self.kernel_nu, self.phi_grid,
+                            self.lambda_grid)
 
     def system(self, sigma2: float) -> SyntheticSystem:
         return _cached_system(self.example, sigma2, self.design, self.design_n,
@@ -390,6 +388,17 @@ def read_data_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 # Subcommands
 
 
+def _grid_edges(est: CalibrationEstimate, config: RunConfig) -> list[str]:
+    """Tuning values in ``est.meta`` at an end of a configured grid of two or more."""
+    edges = []
+    for key, grid in (("phi", config.phi_grid), ("lambda", config.lambda_grid)):
+        value = est.meta.get(key)
+        if value is not None and len(grid) > 1 and value in (min(grid), max(grid)):
+            end = "smallest" if value == min(grid) else "largest"
+            edges.append(f"{key}={value:g} ({end} of {key}_grid)")
+    return edges
+
+
 def cmd_calibrate(config: RunConfig, data_path: str | Path,
                   out_path: str | Path, log=sys.stderr) -> int:
     """Run the configured methods on one dataset; one output row each.
@@ -415,6 +424,9 @@ def cmd_calibrate(config: RunConfig, data_path: str | Path,
             cells = ["" if v is None else _fmt(v) for v in (
                 est.theta_hat[0], est.objective_value, est.meta.get("lambda"),
                 est.meta.get("phi"), se)] + ["ok"]
+            edges = _grid_edges(est, config)
+            if edges:
+                _log(log, f"[calibrate] {meth} tuned on a grid edge: {', '.join(edges)}")
         lines.append(",".join([meth] + cells))
     Path(out_path).write_text("\n".join(lines) + "\n")
     _log(log, f"[calibrate] wrote {out_path}")
@@ -428,20 +440,16 @@ def discrepancy_curve(example: str, theta_min: float, theta_max: float,
         raise CliConfigError("need at least 2 steps")
     if not (np.isfinite(theta_min) and np.isfinite(theta_max) and theta_min < theta_max):
         raise CliConfigError("need finite theta_min < theta_max")
-    if example == "example1":
-        closed = testbed.discrepancy_example1_closed_form
-        ysf = testbed.ys_example1
-    elif example == "example2":
-        closed = testbed.discrepancy_closed_form
-        ysf = testbed.ys_example2
-    else:
+    if example not in testbed.EXAMPLES:
         raise CliConfigError(f"unknown example {example!r}")
+    make_model, _, closed = testbed.EXAMPLES[example]
+    model = make_model()
     rule = _cached_rule(quadrature_m)
     thetas = np.linspace(theta_min, theta_max, steps)
     zeta = lambda p: testbed.zeta_true(p[:, 0])
     rows = np.empty((steps, 3))
     for i, t in enumerate(thetas):
-        quad = l2_distance_sq(zeta, lambda p: ysf(p[:, 0], t), rule)
+        quad = l2_distance_sq(zeta, lambda p: model(p, t), rule)
         rows[i] = (t, closed(t), quad)
     return rows
 

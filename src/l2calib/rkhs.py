@@ -13,13 +13,13 @@ Every fit runs one symmetric eigendecomposition of the Gram matrix;
 lambda sweeps (GCV) and hat-matrix diagonals (leave-one-out scores) are
 then O(n)-O(n^2) per candidate.
 
-The tuning policy lives here too: ``KernelConfig`` pairs a phi rule with
-a lambda rule, and ``fit_response_surface`` applies both in one pass.
+The tuning policy lives here too: ``KernelConfig`` holds the phi and
+lambda grids, and ``fit_response_surface`` picks from both in one pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .numerics import as_points
 
 DEFAULT_JITTER = 1e-10
 
-# Log-spaced defaults wide enough that selected values for the bundled
-# synthetic systems land strictly inside.
+# Log-spaced defaults; at seed 0, 5 of the 32 calibrate-unif101 benchmark
+# datasets still select a grid end (phi = 1e-2 or lambda = 1e-8).
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(np.logspace(-8.0, 0.0, 25))
 DEFAULT_PHI_GRID: tuple[float, ...] = tuple(np.logspace(-2.0, 1.5, 15))
 
@@ -39,69 +39,29 @@ class FitError(ValueError):
     """Raised when the penalized linear system cannot be solved reliably."""
 
 
-@dataclass(frozen=True)
-class FixedLambda:
-    value: float
-
-    def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError("lambda must be positive")
-
-
-@dataclass(frozen=True)
-class GcvLambda:
-    grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
-
-    def __post_init__(self):
-        grid = tuple(float(g) for g in self.grid)
-        object.__setattr__(self, "grid", grid)
-        if not grid:
-            raise ValueError("GCV grid must be nonempty")
-        if any(g <= 0 for g in grid):
-            raise ValueError("GCV grid values must be positive")
-        if list(grid) != sorted(grid):
-            raise ValueError("GCV grid must be sorted ascending")
-
-
-LambdaRule = FixedLambda | GcvLambda
-
-
-@dataclass(frozen=True)
-class FixedPhi:
-    value: float
-
-    def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError("phi must be positive")
-
-
-@dataclass(frozen=True)
-class LooCvPhi:
-    """phi by leave-one-out over ``grid``, lambda per candidate by the
-    ``KernelConfig``'s lambda rule."""
-
-    grid: tuple[float, ...] = DEFAULT_PHI_GRID
-
-    def __post_init__(self):
-        grid = tuple(float(g) for g in self.grid)
-        object.__setattr__(self, "grid", grid)
-        if not grid or any(g <= 0 for g in grid):
-            raise ValueError("phi grid must be nonempty and positive")
-
-
-PhiRule = FixedPhi | LooCvPhi
+def _grid(name: str, values, ascending: bool = False) -> tuple[float, ...]:
+    grid = tuple(float(v) for v in values)
+    if not grid or not all(np.isfinite(g) and g > 0 for g in grid):
+        raise ValueError(f"{name} must be a nonempty list of positive finite numbers")
+    if ascending and list(grid) != sorted(grid):
+        raise ValueError(f"{name} must be sorted ascending")
+    return grid
 
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Kernel family plus the rules that pick its tuning parameters."""
+    """Kernel family plus the grids phi (by leave-one-out) and lambda (by GCV,
+    per phi candidate) are picked from; a one-value grid fixes its parameter."""
 
     family: str = "gaussian"
     nu: float | None = None
-    phi_rule: PhiRule = field(default_factory=LooCvPhi)
-    lambda_rule: LambdaRule = field(default_factory=GcvLambda)
+    phi_grid: tuple[float, ...] = DEFAULT_PHI_GRID
+    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
 
     def __post_init__(self):
+        object.__setattr__(self, "phi_grid", _grid("phi_grid", self.phi_grid))
+        object.__setattr__(self, "lambda_grid",
+                           _grid("lambda_grid", self.lambda_grid, ascending=True))
         self.spec(1.0)  # rejects an unknown family or an unsupported nu
 
     def spec(self, phi: float) -> KernelSpec:
@@ -195,10 +155,7 @@ def rkhs_norm_sq(model: KrrModel) -> float:
     return max(val, 0.0)
 
 
-def _gcv_pick(panel: _EigenPanel, grid) -> tuple[float, np.ndarray]:
-    grid = [float(g) for g in grid]
-    if not grid:
-        raise ValueError("lambda grid must be nonempty")
+def _gcv_pick(panel: _EigenPanel, grid: tuple[float, ...]) -> tuple[float, np.ndarray]:
     scores = np.array([panel.gcv(lam) for lam in grid])
     if not np.any(np.isfinite(scores)):
         raise FitError("all GCV scores are non-finite")
@@ -215,30 +172,27 @@ def _gcv_pick(panel: _EigenPanel, grid) -> tuple[float, np.ndarray]:
 
 def gcv_select(points, y, kernel: KernelSpec, lambda_grid=DEFAULT_LAMBDA_GRID,
                jitter: float = DEFAULT_JITTER) -> tuple[float, np.ndarray]:
-    """Pick lambda minimizing the GCV score over a grid.
+    """Pick lambda minimizing the GCV score over an ascending grid.
 
     Score: ``[(1/n)||(I-A)y||^2] / [(1/n) tr(I-A)]^2`` with the smoother
     ``A = K (K + n*lambda*I)^{-1}``.  Ties break toward the larger
     (smoother) lambda.  Returns ``(lambda, scores)``.
     """
-    return _gcv_pick(_EigenPanel(points, y, kernel, jitter), lambda_grid)
+    grid = _grid("lambda_grid", lambda_grid, ascending=True)
+    return _gcv_pick(_EigenPanel(points, y, kernel, jitter), grid)
 
 
-def _resolve_lambda(panel: _EigenPanel, rule: LambdaRule) -> float:
-    if isinstance(rule, FixedLambda):
-        return rule.value
-    return _gcv_pick(panel, rule.grid)[0]
-
-
-def fit_with_rule(points, y, kernel: KernelSpec, lambda_rule: LambdaRule = GcvLambda(),
+def fit_with_rule(points, y, kernel: KernelSpec, lambda_grid=DEFAULT_LAMBDA_GRID,
                   jitter: float = DEFAULT_JITTER) -> KrrModel:
-    """Fit at the lambda the rule resolves; ``FixedLambda`` fits at a given one.
+    """Fit with the given kernel at the lambda GCV picks from ``lambda_grid``;
+    a one-value grid fits at that lambda.
 
     Raises :class:`FitError` when the shifted Gram matrix is numerically
-    singular or the responses contain NaN.
+    singular, every GCV score is non-finite or the responses contain NaN.
     """
+    grid = _grid("lambda_grid", lambda_grid, ascending=True)
     panel = _EigenPanel(points, y, kernel, jitter)
-    return panel.model(_resolve_lambda(panel, lambda_rule))
+    return panel.model(_gcv_pick(panel, grid)[0])
 
 
 def _loo_score(panel: _EigenPanel, lam: float) -> float:
@@ -256,17 +210,17 @@ def _loo_score(panel: _EigenPanel, lam: float) -> float:
 
 def loo_cv_phi(points, y, config: KernelConfig,
                jitter: float = DEFAULT_JITTER) -> KrrModel:
-    """Fit at the phi in ``config.phi_rule.grid`` with the least
-    leave-one-out score, lambda per candidate by ``config.lambda_rule``.
+    """Fit at the phi in ``config.phi_grid`` with the least leave-one-out
+    score, lambda per candidate by GCV over ``config.lambda_grid``.
 
     The grid is scanned in ascending-phi order and the first minimum
     wins, so ties break toward the smaller (smoother) phi.  The winner's
     model comes from the eigendecomposition the sweep already made.
     """
     best_score, best = np.inf, None
-    for phi in sorted(config.phi_rule.grid):
+    for phi in sorted(config.phi_grid):
         panel = _EigenPanel(points, y, config.spec(phi), jitter)
-        lam = _resolve_lambda(panel, config.lambda_rule)
+        lam = _gcv_pick(panel, config.lambda_grid)[0]
         score = _loo_score(panel, lam)
         if score < best_score:
             best_score, best = score, (panel, lam)
@@ -277,15 +231,12 @@ def loo_cv_phi(points, y, config: KernelConfig,
 
 
 def fit_response_surface(points, y, config: KernelConfig) -> KrrModel:
-    """Resolve (phi, lambda) per the config rules and fit the regressor.
+    """Pick (phi, lambda) from the config grids and fit the regressor.
 
     The model (with its Gram eigenpairs, and its phi as ``kernel.phi``)
     can be passed as ``surface`` to ``l2_calibrate`` and ``ko_calibrate``
     on the same data.
     """
-    if isinstance(config.phi_rule, FixedPhi):
-        return fit_with_rule(points, y, config.spec(config.phi_rule.value),
-                             config.lambda_rule)
     return loo_cv_phi(points, y, config)
 
 

@@ -136,20 +136,24 @@ class SyntheticSystem:
             raise ValueError("need at least one design point")
 
 
+# name -> (simulator wrapper, theta*, closed-form squared L2 discrepancy)
+EXAMPLES = {
+    "example1": (example1_model, -1.0, discrepancy_example1_closed_form),
+    "example2": (example2_model, THETA_STAR_EXAMPLE2, discrepancy_closed_form),
+}
+
+
 def make_system(example: str, noise_sigma2: float,
                 design: str = "fixed_grid", n: int = FIXED_GRID_N,
                 theta_domain: BoxDomain = DEFAULT_THETA_DOMAIN) -> SyntheticSystem:
     """Assemble one of the two bundled systems."""
-    if example == "example1":
-        model, theta_star = example1_model(theta_domain), -1.0
-    elif example == "example2":
-        model, theta_star = example2_model(theta_domain), THETA_STAR_EXAMPLE2
-    else:
+    if example not in EXAMPLES:
         raise ValueError(f"unknown example {example!r}")
+    make_model, theta_star, _ = EXAMPLES[example]
     return SyntheticSystem(
         name=example,
         true_process=lambda pts: zeta_true(as_points(pts)[:, 0]),
-        computer_model=model,
+        computer_model=make_model(theta_domain),
         theta_star=theta_star,
         noise_sigma2=noise_sigma2,
         design=design,

@@ -18,7 +18,7 @@ from l2calib import inference, rkhs, testbed
 from l2calib.cli import RunConfig, discrepancy_curve, main, simulate
 from l2calib.kernels import KernelSpec, gram
 from l2calib.numerics import BoxDomain, OptimizerConfig, gauss_legendre, minimize
-from l2calib.rkhs import (FixedLambda, KernelConfig, fit_response_surface, fit_with_rule,
+from l2calib.rkhs import (KernelConfig, fit_response_surface, fit_with_rule,
                           gcv_select, predict, rkhs_norm_sq)
 
 SEED = 2
@@ -160,7 +160,7 @@ def _prop_representer_equivalence():
         x = rng.uniform(0, 6, (n, 1))
         y = np.sin(x[:, 0]) + rng.normal(0, 0.4, n)
         lam = float(rng.uniform(1e-5, 1e-1))
-        m = fit_with_rule(x, y, spec, FixedLambda(lam), jitter=0.0)
+        m = fit_with_rule(x, y, spec, (lam,), jitter=0.0)
         oracle = np.linalg.solve(gram(spec, x) + n * lam * np.eye(n), y)
         assert np.allclose(m.coeffs, oracle, rtol=1e-10, atol=1e-12)
 
@@ -169,7 +169,7 @@ def _prop_norm_monotone():
     x = np.linspace(0.1, 6.1, 25)[:, None]
     y = testbed.zeta_true(x[:, 0]) + np.random.default_rng(2).normal(0, 0.3, 25)
     spec = KernelSpec("gaussian", 1.0)
-    norms = [rkhs_norm_sq(fit_with_rule(x, y, spec, FixedLambda(lam)))
+    norms = [rkhs_norm_sq(fit_with_rule(x, y, spec, (lam,)))
              for lam in np.logspace(-7, 0, 15)]
     assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
@@ -178,7 +178,7 @@ def _prop_interpolation():
     rng = np.random.default_rng(3)
     x = np.sort(rng.uniform(0.05, 6.2, 10))[:, None]
     y = testbed.zeta_true(x[:, 0])
-    m = fit_with_rule(x, y, KernelSpec("gaussian", 1.0), FixedLambda(1e-12))
+    m = fit_with_rule(x, y, KernelSpec("gaussian", 1.0), (1e-12,))
     assert np.abs(m.fitted - y).max() <= 1e-6
 
 

@@ -6,8 +6,7 @@ from l2calib.calibrate import (ETA_BOUNDS, ComputerModel, _ProfiledGpLikelihood,
                                ko_calibrate, l2_calibrate, ols_calibrate)
 from l2calib.numerics import BoxDomain, OptimizerConfig, gauss_legendre, \
     l2_distance_sq, minimize
-from l2calib.rkhs import (FixedLambda, FixedPhi, KernelConfig, LooCvPhi,
-                          fit_response_surface)
+from l2calib.rkhs import KernelConfig, fit_response_surface
 
 RULE = gauss_legendre(testbed.OMEGA, 256)
 OPT = OptimizerConfig()
@@ -80,7 +79,7 @@ class TestL2:
 
     def test_fixed_rules_respected(self):
         system, pts, y = noisy_example2()
-        kcfg = KernelConfig(phi_rule=FixedPhi(0.4), lambda_rule=FixedLambda(1e-3))
+        kcfg = KernelConfig(phi_grid=(0.4,), lambda_grid=(1e-3,))
         est = l2_calibrate(pts, y, kcfg, system.computer_model, RULE, OPT)
         assert est.meta["phi"] == 0.4
         assert est.meta["lambda"] == 1e-3
@@ -141,7 +140,7 @@ class TestKo:
     def test_fixed_phi_respected(self):
         system, pts, y = noisy_example2(seed=13)
         est = ko_calibrate(pts, y, system.computer_model,
-                           KernelConfig(phi_rule=FixedPhi(0.3)), seed=13)
+                           KernelConfig(phi_grid=(0.3,)), seed=13)
         assert est.meta["phi"] == 0.3
 
     def test_two_parameter_box(self):
@@ -149,7 +148,7 @@ class TestKo:
                               theta_domain=BoxDomain((-2.0, -2.0), (2.0, 2.0)))
         x = np.linspace(0.0, 6.0, 12)[:, None]
         y = 0.5 * np.sin(x[:, 0]) + 0.3
-        est = ko_calibrate(x, y, model, KernelConfig(phi_rule=FixedPhi(1.0)),
+        est = ko_calibrate(x, y, model, KernelConfig(phi_grid=(1.0,)),
                            opt=OptimizerConfig(grid_points=45))
         assert est.theta_hat == pytest.approx([0.5, 0.3], abs=1e-4)
 
@@ -168,7 +167,7 @@ class TestSharedSurface:
         system = testbed.make_system(example, 0.1, "uniform_random", 41)
         pts, y = testbed.generate(system, 21, 0)
         model = system.computer_model
-        for kcfg in (KernelConfig(), KernelConfig(phi_rule=FixedPhi(0.5))):
+        for kcfg in (KernelConfig(), KernelConfig(phi_grid=(0.5,))):
             surface = fit_response_surface(pts, y, kcfg)
             for shared, alone in (
                     (l2_calibrate(pts, y, kcfg, model, RULE, OPT, surface=surface),
@@ -197,7 +196,7 @@ class TestSharedSurface:
         pts, y = testbed.generate(system, 9, 0)
         kcfg = KernelConfig()
         surface = fit_response_surface(pts, y, kcfg)
-        fresh = rkhs.fit_with_rule(pts, y, surface.kernel, kcfg.lambda_rule)
+        fresh = rkhs.fit_with_rule(pts, y, surface.kernel, kcfg.lambda_grid)
         assert surface.lam == fresh.lam and surface.hat_trace == fresh.hat_trace
         for got, want in ((surface.coeffs, fresh.coeffs), (surface.fitted, fresh.fitted),
                           *zip(surface.gram_eig, fresh.gram_eig)):
@@ -207,10 +206,10 @@ class TestSharedSurface:
         _, pts, y = noisy_example2(seed=4)
         grid = sorted(rkhs.DEFAULT_PHI_GRID)
         surface = fit_response_surface(
-            pts, y, KernelConfig(lambda_rule=FixedLambda(1e-2)))
+            pts, y, KernelConfig(lambda_grid=(1e-2,)))
         fixed = [rkhs._loo_score(rkhs._EigenPanel(pts, y, kernels.KernelSpec("gaussian", phi)),
                                  1e-2) for phi in grid]
-        gcv = fit_response_surface(pts, y, KernelConfig(phi_rule=LooCvPhi(grid)))
+        gcv = fit_response_surface(pts, y, KernelConfig(phi_grid=grid))
         phi = surface.kernel.phi
         assert phi == grid[int(np.argmin(fixed))]
         assert phi != gcv.kernel.phi  # the two rules disagree here

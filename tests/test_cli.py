@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,31 @@ class TestCalibrateCommand:
         assert float(rows["OLS"][5]) > 0.0
         assert rows["KO"][5] == ""
 
+    def test_grid_edge_selection_is_logged(self, tmp_path, capsys):
+        # three tied points and one more: phi lands on the bottom of its grid
+        data = tmp_path / "d.csv"
+        data.write_text("x1,y\n1,0.5\n1,0.7\n1,0.6\n2,1.9\n")
+        cfg = load_config(write_config(tmp_path / "c.json", methods=["L2", "OLS", "KO"]))
+        out = tmp_path / "o.csv"
+        assert cmd_calibrate(cfg, data, out, log=sys.stderr) == 0
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines[:-1] == [
+            f"[calibrate] {m} tuned on a grid edge: phi=0.01 (smallest of phi_grid)"
+            for m in ("L2", "KO")]
+        rows = out.read_text().strip().splitlines()
+        assert rows[0] == "method,theta_hat,objective,lambda,phi,stderr,status"
+        assert [r.split(",")[-1] for r in rows[1:]] == ["ok"] * 3
+        assert cmd_calibrate(cfg, data, out, log=None) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_interior_selection_logs_nothing(self, tmp_path, capsys):
+        system = testbed.make_system("example2", 0.01)
+        data = write_data_csv(tmp_path / "d.csv", *testbed.generate(system, 3, 0))
+        cfg = load_config(write_config(tmp_path / "c.json", methods=["L2", "OLS", "KO"]))
+        assert cmd_calibrate(cfg, data, tmp_path / "o.csv", log=sys.stderr) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"[calibrate] wrote {tmp_path / 'o.csv'}"]
+
 
 class TestTuneOnce:
     """phi and lambda are tuned once per dataset and shared by every method."""
@@ -277,6 +303,11 @@ class TestSimulateCommand:
                      "--seed", "12"]) == 0
         assert a.read_bytes() != b.read_bytes()
 
+    def test_list_theta_domain(self):
+        cfg = RunConfig(theta_domain=[-2.0, 2.0], replications=1, methods=("OLS",))
+        assert cfg.theta_domain == (-2.0, 2.0)
+        assert [r.reps for r in simulate(cfg, log=None).rows] == [1, 1]
+
     def test_report_layout(self, tmp_path):
         cfg = RunConfig(example="example1", methods=("OLS",), sigma2=(0.01,),
                         replications=2, seed=5, quadrature_m=64)
@@ -309,6 +340,11 @@ class TestDiscrepancyCommand:
         assert at.any()
         assert rows[at, 1][0] == pytest.approx(0.0, abs=1e-12)
         assert rows[at, 2][0] == pytest.approx(0.0, abs=1e-10)
+
+    def test_quadrature_calls_the_testbed_simulator(self, monkeypatch):
+        calls = counting(monkeypatch, testbed, "ys_example2")
+        rows = cli.discrepancy_curve("example2", -1.0, 1.0, 3, quadrature_m=16)
+        assert len(calls) == 3 and rows.shape == (3, 3)
 
     def test_rejects_bad_range(self, tmp_path):
         assert main(["discrepancy", "--theta-min", "2.0", "--theta-max", "-2.0",
@@ -348,6 +384,8 @@ class TestConfigErrors:
         {"sigma2": [float("inf")]},
         {"phi_grid": [0.5, float("nan")]},
         {"lambda_grid": [float("nan")]},
+        {"phi_grid": []},
+        {"lambda_grid": [1e-2, 1e-4]},
         {"optimizer": {"tolerance": float("nan")}},
         {"seed": -1},
         {"design": {"kind": "fixed_grid", "n": 7}},
@@ -355,8 +393,8 @@ class TestConfigErrors:
     ], ids=["theta_domain", "replications", "quadrature_m", "design_n",
             "kernel_string", "kernel_family", "replications_infinity",
             "theta_domain_nan", "sigma2_nan", "sigma2_inf", "phi_grid_nan",
-            "lambda_grid_nan", "tolerance_nan", "seed_negative", "fixed_grid_n",
-            "grid_points_over_cap"])
+            "lambda_grid_nan", "phi_grid_empty", "lambda_grid_unsorted", "tolerance_nan",
+            "seed_negative", "fixed_grid_n", "grid_points_over_cap"])
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path / "c.json", **override)
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])

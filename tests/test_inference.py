@@ -10,7 +10,7 @@ from l2calib.inference import (SingularCurvatureError, design_rule,
                                l2_cov, ols_cov)
 from l2calib.kernels import KernelSpec
 from l2calib.numerics import BoxDomain, fd_hess, gauss_legendre
-from l2calib.rkhs import FixedLambda, KernelConfig, fit_response_surface, sigma2_hat
+from l2calib.rkhs import KernelConfig, fit_response_surface, sigma2_hat
 
 RULE = gauss_legendre(testbed.OMEGA, 512)
 THETA_STAR = np.array([testbed.THETA_STAR_EXAMPLE2])
@@ -41,13 +41,13 @@ class TestSigma2:
     def test_noiseless_interpolating_fit(self):
         system = testbed.make_system("example2", 0.0)
         pts, y = testbed.generate(system, 0, 0)
-        m = rkhs.fit_with_rule(pts, y, KernelSpec("gaussian", 1.0), FixedLambda(1e-10))
+        m = rkhs.fit_with_rule(pts, y, KernelSpec("gaussian", 1.0), (1e-10,))
         assert sigma2_hat(pts, y, m) <= 1e-8
 
     def test_degenerate_effective_dof_rejected(self):
         x = np.linspace(0.0, 6.0, 8)[:, None]
         y = np.sin(x[:, 0])
-        m = rkhs.fit_with_rule(x, y, KernelSpec("gaussian", 1.0), FixedLambda(1e-3))
+        m = rkhs.fit_with_rule(x, y, KernelSpec("gaussian", 1.0), (1e-3,))
         # a smoother that spends every degree of freedom
         with pytest.raises(rkhs.FitError, match="degrees of freedom"):
             sigma2_hat(x, y, replace(m, hat_trace=float(len(y))))

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from l2calib import rkhs, testbed
 from l2calib.kernels import KernelSpec, gram
-from l2calib.rkhs import (FixedLambda, KernelConfig, LooCvPhi, fit_with_rule,
+from l2calib.rkhs import (KernelConfig, fit_with_rule,
                           gcv_select, loo_cv_phi, predict, rkhs_norm_sq, sigma2_hat)
 
 GAUSS = KernelSpec("gaussian", 1.0)
@@ -21,14 +21,14 @@ def smooth_data(n=15, seed=0, noise=0.0):
 
 class TestFit:
     def test_one_point_ridge(self):
-        m = fit_with_rule([0.0], [2.0], GAUSS, FixedLambda(1.0), jitter=0.0)
+        m = fit_with_rule([0.0], [2.0], GAUSS, (1.0,), jitter=0.0)
         # (1 + 1*1) u = 2
         assert m.coeffs[0] == pytest.approx(1.0, rel=1e-14)
         assert m.fitted[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_interpolation_limit(self):
         x, y = smooth_data(10, seed=3)
-        m = fit_with_rule(x, y, GAUSS, FixedLambda(1e-12))
+        m = fit_with_rule(x, y, GAUSS, (1e-12,))
         assert np.abs(m.fitted - y).max() <= 1e-6
 
     def test_nugget_system_equivalence(self):
@@ -36,7 +36,7 @@ class TestFit:
         # with sigma^2 = n*lam; oracle is a direct dense solve.
         x, y = smooth_data(12, seed=5, noise=0.3)
         lam = 1e-3
-        m = fit_with_rule(x, y, GAUSS, FixedLambda(lam), jitter=0.0)
+        m = fit_with_rule(x, y, GAUSS, (lam,), jitter=0.0)
         K = gram(GAUSS, x)
         sigma2 = len(y) * lam
         oracle = np.linalg.solve(K + sigma2 * np.eye(len(y)), y)
@@ -45,49 +45,49 @@ class TestFit:
     def test_coefficients_solve_penalized_system(self):
         x, y = smooth_data(20, seed=7, noise=0.2)
         lam = 1e-4
-        m = fit_with_rule(x, y, GAUSS, FixedLambda(lam))
+        m = fit_with_rule(x, y, GAUSS, (lam,))
         K = gram(GAUSS, x)
         resid = (K + len(y) * lam * np.eye(len(y))) @ m.coeffs - y
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(y)
 
     def test_rejects_nan_responses(self):
         with pytest.raises(rkhs.FitError, match="NaN"):
-            fit_with_rule([0.0, 1.0], [1.0, np.nan], GAUSS, FixedLambda(0.1))
+            fit_with_rule([0.0, 1.0], [1.0, np.nan], GAUSS, (0.1,))
 
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
-            fit_with_rule([0.0], [1.0], GAUSS, FixedLambda(0.0))
+            fit_with_rule([0.0], [1.0], GAUSS, (0.0,))
 
     def test_rejects_negative_jitter(self):
         with pytest.raises(ValueError, match="jitter"):
-            fit_with_rule([0.0], [1.0], GAUSS, FixedLambda(0.1), jitter=-1e-10)
+            fit_with_rule([0.0], [1.0], GAUSS, (0.1,), jitter=-1e-10)
 
     def test_singular_system_names_eigenvalue(self):
         # duplicated points make K exactly singular; lambda tiny enough
         # that the shift cannot rescue it without jitter
         x = np.array([[0.5], [0.5], [1.0]])
         with pytest.raises(rkhs.FitError, match="eigenvalue"):
-            fit_with_rule(x, [1.0, 1.0, 2.0], GAUSS, FixedLambda(1e-320), jitter=0.0)
+            fit_with_rule(x, [1.0, 1.0, 2.0], GAUSS, (1e-320,), jitter=0.0)
 
 
 class TestPredict:
     def test_reproduces_fitted_at_design(self):
         # agreement is limited only by the stabilizing diagonal jitter
         x, y = smooth_data(12, seed=1, noise=0.1)
-        m = fit_with_rule(x, y, GAUSS, FixedLambda(1e-3))
+        m = fit_with_rule(x, y, GAUSS, (1e-3,))
         assert np.allclose(predict(m, x), m.fitted, rtol=1e-9, atol=1e-9)
-        m0 = fit_with_rule(x, y, GAUSS, FixedLambda(1e-3), jitter=0.0)
+        m0 = fit_with_rule(x, y, GAUSS, (1e-3,), jitter=0.0)
         assert np.allclose(predict(m0, x), m0.fitted, rtol=1e-12, atol=1e-13)
 
     def test_zero_coefficients_predict_zero(self):
         x, _ = smooth_data(8, seed=2)
-        m = fit_with_rule(x, np.zeros(8), GAUSS, FixedLambda(0.5))
+        m = fit_with_rule(x, np.zeros(8), GAUSS, (0.5,))
         assert np.all(m.coeffs == 0.0)
         assert np.all(predict(m, np.linspace(0, 6, 30)) == 0.0)
 
     def test_matches_double_loop_oracle(self):
         x, y = smooth_data(15, seed=4, noise=0.2)
-        m = fit_with_rule(x, y, GAUSS, FixedLambda(1e-3))
+        m = fit_with_rule(x, y, GAUSS, (1e-3,))
         xs = np.linspace(0.2, 6.0, 9)
         got = predict(m, xs)
         want = np.array([
@@ -100,17 +100,17 @@ class TestPredict:
 class TestNorm:
     def test_zero_function(self):
         x, _ = smooth_data(6)
-        m = fit_with_rule(x, np.zeros(6), GAUSS, FixedLambda(0.1))
+        m = fit_with_rule(x, np.zeros(6), GAUSS, (0.1,))
         assert rkhs_norm_sq(m) == 0.0
 
     def test_one_point_norm(self):
-        m = fit_with_rule([0.0], [2.0], GAUSS, FixedLambda(1.0), jitter=0.0)
+        m = fit_with_rule([0.0], [2.0], GAUSS, (1.0,), jitter=0.0)
         assert rkhs_norm_sq(m) == pytest.approx(1.0, rel=1e-14)
 
     def test_monotone_in_lambda(self):
         x, y = smooth_data(20, seed=9, noise=0.3)
         lams = np.logspace(-6, 0, 13)
-        norms = [rkhs_norm_sq(fit_with_rule(x, y, GAUSS, FixedLambda(lam)))
+        norms = [rkhs_norm_sq(fit_with_rule(x, y, GAUSS, (lam,)))
                  for lam in lams]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
@@ -160,11 +160,9 @@ class TestGcv:
             assert eig.max() < 1.0
 
 
-def loo_config(grid, lambda_rule=None):
+def loo_config(grid, lambda_grid=rkhs.DEFAULT_LAMBDA_GRID):
     """Gaussian kernel, phi by leave-one-out over ``grid``."""
-    if lambda_rule is None:
-        return KernelConfig(phi_rule=LooCvPhi(grid))
-    return KernelConfig(phi_rule=LooCvPhi(grid), lambda_rule=lambda_rule)
+    return KernelConfig(phi_grid=grid, lambda_grid=lambda_grid)
 
 
 class TestLooPhi:
@@ -180,7 +178,7 @@ class TestLooPhi:
         loo_sq = []
         for i in range(n):
             keep = np.arange(n) != i
-            mi = fit_with_rule(x[keep], y[keep], GAUSS, FixedLambda(lam * n / (n - 1)),
+            mi = fit_with_rule(x[keep], y[keep], GAUSS, (lam * n / (n - 1),),
                                jitter=0.0)
             loo_sq.append((y[i] - predict(mi, x[i:i + 1])[0]) ** 2)
         # hold-out fit uses the same nugget n*lam, hence the rescaled penalty
@@ -196,23 +194,62 @@ class TestLooPhi:
         # leverage to 1; the candidate is scored out, not raised
         x = np.arange(5.0)[:, None] * 4.0
         y = np.sin(x[:, 0])
-        config = loo_config([1.0], FixedLambda(1e-16))
+        config = loo_config([1.0], (1e-16,))
         assert np.isinf(rkhs._loo_score(rkhs._EigenPanel(x, y, GAUSS, jitter=0.0), 1e-16))
         with pytest.raises(rkhs.FitError, match="non-finite"):
             loo_cv_phi(x, y, config, jitter=0.0)
 
 
+class TestKernelConfig:
+    @pytest.mark.parametrize("grids", [
+        {"phi_grid": ()}, {"lambda_grid": []},
+        {"phi_grid": (0.0, 1.0)}, {"lambda_grid": (0.0,)},
+        {"phi_grid": (-0.5,)}, {"lambda_grid": (-1e-3, 1e-2)},
+        {"phi_grid": (1.0, float("nan"))}, {"lambda_grid": (float("nan"),)},
+        {"lambda_grid": (1e-2, 1e-4)},
+    ], ids=["phi_empty", "lambda_empty", "phi_zero", "lambda_zero", "phi_negative",
+            "lambda_negative", "phi_nan", "lambda_nan", "lambda_unsorted"])
+    def test_rejects_bad_grid(self, grids):
+        with pytest.raises(ValueError, match=next(iter(grids))):
+            KernelConfig(**grids)
+
+    def test_grids_become_float_tuples(self):
+        config = KernelConfig(phi_grid=[2, 1], lambda_grid=[1e-3, 1])
+        assert config.phi_grid == (2.0, 1.0) and config.lambda_grid == (1e-3, 1.0)
+        assert all(type(g) is float for g in config.phi_grid + config.lambda_grid)
+
+
+class TestOneValueGridEdges:
+    """A one-value grid is scored like any other grid, so a value whose
+    score is non-finite raises rather than being fitted."""
+
+    def test_phi_with_infinite_loo_score_raises(self):
+        x = np.arange(5.0)[:, None] * 4.0
+        config = loo_config((1.0,), (1e-16,))
+        with pytest.raises(rkhs.FitError, match="all leave-one-out scores are non-finite"):
+            rkhs.fit_response_surface(x, np.sin(x[:, 0]), config)
+
+    @pytest.mark.parametrize("lam", [1e-300, 1e-170])
+    def test_lambda_with_non_finite_gcv_score_raises(self, lam):
+        # the squared mean shrinkage underflows to 0 below about 1e-160
+        x, y = smooth_data(5, seed=29, noise=0.1)
+        with pytest.raises(rkhs.FitError, match="all GCV scores are non-finite"):
+            fit_with_rule(x, y, GAUSS, (lam,))
+        with pytest.raises(rkhs.FitError, match="all GCV scores are non-finite"):
+            rkhs.fit_response_surface(x, y, loo_config((1.0,), (lam,)))
+
+
 class TestSigma2Hat:
     def test_noiseless_interpolating_fit(self):
         x, y = smooth_data(12, seed=25)
-        m = fit_with_rule(x, y, GAUSS, FixedLambda(1e-10))
+        m = fit_with_rule(x, y, GAUSS, (1e-10,))
         assert sigma2_hat(x, y, m) <= 1e-10
 
     def test_pure_noise_large_lambda_approaches_sample_variance(self):
         rng = np.random.default_rng(27)
         x = np.sort(rng.uniform(0, 2 * np.pi, 60))[:, None]
         y = rng.normal(0, 1.0, 60)
-        m = fit_with_rule(x, y, GAUSS, FixedLambda(1e6))
+        m = fit_with_rule(x, y, GAUSS, (1e6,))
         # A -> 0, so the estimate approaches ||y||^2 / n
         assert sigma2_hat(x, y, m) == pytest.approx(float(y @ y) / 60, rel=1e-3)
 
@@ -226,7 +263,7 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         x = rng.uniform(-3, 3, (n, 1))
         y = np.sin(x[:, 0]) + rng.normal(0, 0.5, n)
-        m = fit_with_rule(x, y, GAUSS, FixedLambda(lam), jitter=0.0)
+        m = fit_with_rule(x, y, GAUSS, (lam,), jitter=0.0)
         K = gram(GAUSS, x)
         resid = (K + n * lam * np.eye(n)) @ m.coeffs - y
         assert np.linalg.norm(resid) <= 1e-8 * max(np.linalg.norm(y), 1e-12)
@@ -239,5 +276,5 @@ class TestProperties:
         if np.min(np.diff(x[:, 0])) < 0.1:
             x = np.linspace(0, 6, 8)[:, None]
         y = np.cos(x[:, 0])
-        m = fit_with_rule(x, y, GAUSS, FixedLambda(1e-12))
+        m = fit_with_rule(x, y, GAUSS, (1e-12,))
         assert np.abs(m.fitted - y).max() <= 1e-6
