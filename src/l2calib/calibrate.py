@@ -34,12 +34,13 @@ ETA_BOUNDS = (1e-8, 1e8)  # noise-to-process variance ratio search range
 class ComputerModel:
     """Vectorized simulator wrapper.
 
-    ``eval(points, theta)`` maps an ``(n, d)`` array of control points
-    and a parameter vector ``theta`` to an ``(n,)`` output array.
-    ``grad``, when given, must be vectorized the same way (returning
-    ``(n, q)``); otherwise central differences are used, as they always
-    are for the Hessian.  ``smooth_in_theta`` gates derivative-based
-    inference.
+    ``eval(points, thetas)`` maps an ``(n, d)`` array of control points
+    and a ``(k, q)`` batch of parameter vectors to a ``(k, n)`` output
+    array, one row per parameter vector; calling the model evaluates one
+    parameter vector as a batch of one.  ``grad``, when given, maps the
+    points and one parameter vector ``(q,)`` to the ``(n, q)`` Jacobian;
+    otherwise central differences are used, as they always are for the
+    Hessian.  ``smooth_in_theta`` gates derivative-based inference.
     """
 
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -52,13 +53,21 @@ class ComputerModel:
     def q(self) -> int:
         return self.theta_domain.dim
 
-    def __call__(self, x, theta) -> np.ndarray:
+    def batch(self, x, thetas) -> np.ndarray:
+        """Outputs at ``x`` for each row of the ``(k, q)`` ``thetas``, shape ``(k, n)``."""
         pts = as_points(x)
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        out = np.asarray(self.eval(pts, th), dtype=float).reshape(-1)
-        if out.shape[0] != pts.shape[0]:
-            raise ValueError("model eval returned wrong number of values")
+        ths = np.asarray(thetas, dtype=float)
+        if ths.ndim != 2 or ths.shape[1] != self.q:
+            raise ValueError(f"expected a (k, {self.q}) batch of parameters, "
+                             f"got shape {ths.shape}")
+        out = np.asarray(self.eval(pts, ths), dtype=float)
+        if out.shape != (ths.shape[0], pts.shape[0]):
+            raise ValueError(f"model eval returned shape {out.shape}, "
+                             f"expected {(ths.shape[0], pts.shape[0])}")
         return out
+
+    def __call__(self, x, theta) -> np.ndarray:
+        return self.batch(x, np.atleast_1d(np.asarray(theta, dtype=float))[None])[0]
 
     def grad_theta(self, x, theta) -> np.ndarray:
         """Jacobian of the output in theta, shape ``(n, q)``."""
@@ -108,11 +117,10 @@ def l2_calibrate(points, y, kernel_cfg: KernelConfig, model: ComputerModel,
     pts, yv = _check_data(points, y)
     zeta_hat = surface or fit_response_surface(pts, yv, kernel_cfg)
     zeta_nodes = rkhs.predict(zeta_hat, rule.nodes)
-    ys_nodes = lambda th: model(rule.nodes, th)
 
-    def objective(th: np.ndarray) -> float:
-        diff = zeta_nodes - ys_nodes(th)
-        return float(rule.weights @ (diff * diff))
+    def objective(thetas: np.ndarray) -> np.ndarray:
+        diff = zeta_nodes - model.batch(rule.nodes, thetas)
+        return np.array([rule.weights @ d2 for d2 in diff * diff])
 
     res = minimize(objective, model.theta_domain, opt)
     return CalibrationEstimate(
@@ -128,9 +136,9 @@ def ols_calibrate(points, y, model: ComputerModel,
     """Least-squares calibration; the objective value is the minimized RSS."""
     pts, yv = _check_data(points, y)
 
-    def objective(th: np.ndarray) -> float:
-        resid = yv - model(pts, th)
-        return float(resid @ resid)
+    def objective(thetas: np.ndarray) -> np.ndarray:
+        resid = yv - model.batch(pts, thetas)
+        return np.array([r @ r for r in resid])
 
     res = minimize(objective, model.theta_domain, opt)
     return CalibrationEstimate(
@@ -162,9 +170,10 @@ class _ProfiledGpLikelihood:
         self._lo = np.append(model.theta_domain.lower, np.log(ETA_BOUNDS[0]))
         self._hi = np.append(model.theta_domain.upper, np.log(ETA_BOUNDS[1]))
 
-    def residual_sq(self, theta: np.ndarray) -> np.ndarray:
-        r = self.y - self.model(self.pts, theta)
-        return (self.Q.T @ r) ** 2
+    def residual_sq(self, thetas: np.ndarray) -> np.ndarray:
+        """``(Q^T r)^2`` for the residual ``r`` of each row of ``thetas``, shape ``(k, n)``."""
+        resid = self.y - self.model.batch(self.pts, thetas)
+        return np.array([(self.Q.T @ r) ** 2 for r in resid])
 
     def _tau2(self, qtr2: np.ndarray, log_eta) -> tuple[np.ndarray, np.ndarray]:
         """``(tau2, rho + eta)``, summing along the last axis of ``qtr2``, whose
@@ -182,12 +191,12 @@ class _ProfiledGpLikelihood:
     def __call__(self, params: np.ndarray) -> float:
         if not ((params >= self._lo).all() and (params <= self._hi).all()):
             return np.inf
-        return self.value_from_parts(self.residual_sq(params[:-1]), params[-1])
+        return self.value_from_parts(self.residual_sq(params[None, :-1])[0], params[-1])
 
     def grid_start(self, theta_grid: np.ndarray, log_etas: np.ndarray) -> np.ndarray:
         """First minimizer of ``value_from_parts`` over ``theta_grid x log_etas``,
         scanned row-major."""
-        qtr2 = np.array([self.residual_sq(th) for th in theta_grid])
+        qtr2 = self.residual_sq(theta_grid)
         tau2, denom = self._tau2(qtr2[:, None, :], log_etas)
         tau2 = np.where(np.isfinite(tau2) & (tau2 > 0.0), tau2, np.finfo(float).tiny)
         vals = 0.5 * self.n * np.log(tau2) + 0.5 * np.sum(np.log(denom), axis=-1)
@@ -195,7 +204,7 @@ class _ProfiledGpLikelihood:
         return np.append(theta_grid[i], log_etas[j])
 
     def tau2_sigma2(self, theta: np.ndarray, log_eta: float) -> tuple[float, float]:
-        tau2 = float(self._tau2(self.residual_sq(theta), log_eta)[0])
+        tau2 = float(self._tau2(self.residual_sq(theta[None])[0], log_eta)[0])
         return tau2, tau2 * np.exp(log_eta)
 
 

@@ -51,10 +51,14 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+# Default ``log``: whatever ``sys.stderr`` is when a line is printed.
+STDERR = "stderr"
+
+
 def _log(log, msg: str) -> None:
     """Print one progress line to ``log``; ``log=None`` is silent."""
     if log is not None:
-        print(msg, file=log)
+        print(msg, file=sys.stderr if log == STDERR else log)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +281,7 @@ def _replicate(args: tuple[RunConfig, float, int]) -> dict[str, tuple[float, flo
 
 
 def simulate(config: RunConfig, workers: int = 1,
-             log=sys.stderr) -> SimulationReport:
+             log=STDERR) -> SimulationReport:
     """Monte-Carlo study: R replications per noise level, aggregated.
 
     Replication r uses the data stream derived from (seed, r), so the
@@ -400,7 +404,7 @@ def _grid_edges(est: CalibrationEstimate, config: RunConfig) -> list[str]:
 
 
 def cmd_calibrate(config: RunConfig, data_path: str | Path,
-                  out_path: str | Path, log=sys.stderr) -> int:
+                  out_path: str | Path, log=STDERR) -> int:
     """Run the configured methods on one dataset; one output row each.
 
     Method failures are recorded in their row without aborting the
@@ -456,7 +460,7 @@ def discrepancy_curve(example: str, theta_min: float, theta_max: float,
 
 def cmd_discrepancy(example: str, theta_min: float, theta_max: float,
                     steps: int, out_path: str | Path, quadrature_m: int = 256,
-                    check: bool = False, log=sys.stderr) -> int:
+                    check: bool = False, log=STDERR) -> int:
     rows = discrepancy_curve(example, theta_min, theta_max, steps, quadrature_m)
     lines = ["theta,closed_form,quadrature"]
     for t, cf, qv in rows:
@@ -476,7 +480,7 @@ def cmd_discrepancy(example: str, theta_min: float, theta_max: float,
 
 
 def cmd_simulate(config: RunConfig, out_path: str | Path, workers: int = 1,
-                 check: bool = False, log=sys.stderr) -> int:
+                 check: bool = False, log=STDERR) -> int:
     report = simulate(config, workers=workers, log=log)
     Path(out_path).write_text(report.to_csv())
     _log(log, f"[simulate] wrote {out_path}")

@@ -56,21 +56,34 @@ def _corr_from_sqdist(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:
     return (1.0 + a + a * a / 3.0) * np.exp(-a)
 
 
+def _pairwise_sqdist(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    diff = pa[:, None, :] - pb[None, :, :]
+    return np.sum(diff * diff, axis=2)
+
+
 def cross_gram(spec: KernelSpec, a, b) -> np.ndarray:
     """Correlation matrix between two point sets, shape ``(len(a), len(b))``."""
     pa = as_points(a)
     pb = as_points(b, pa.shape[1])
-    diff = pa[:, None, :] - pb[None, :, :]
-    d2 = np.sum(diff * diff, axis=2)
-    return _corr_from_sqdist(spec, d2)
+    return _corr_from_sqdist(spec, _pairwise_sqdist(pa, pb))
 
 
-def gram(spec: KernelSpec, points) -> np.ndarray:
-    """Symmetric correlation matrix of a point set with exact unit diagonal."""
+def sqdist(points) -> np.ndarray:
+    """Pairwise squared distances of a finite point set, shape ``(n, n)``.
+
+    Every kernel is a function of the squared distance, so one matrix
+    serves the Gram matrices of a whole phi grid.
+    """
     pts = as_points(points)
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    K = cross_gram(spec, pts, pts)
+    return _pairwise_sqdist(pts, pts)
+
+
+def gram(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:
+    """Symmetric correlation matrix with exact unit diagonal, from the
+    squared distances ``sqdist(points)`` of a point set."""
+    K = _corr_from_sqdist(spec, d2)
     K = 0.5 * (K + K.T)
     np.fill_diagonal(K, 1.0)
     return K

@@ -7,6 +7,8 @@ derivatives.
 
 Evaluators passed to the quadrature helpers are vectorized: they take
 an ``(n, d)`` array of points and return an ``(n,)`` array of values.
+Objectives passed to :func:`minimize` are batched the same way: they
+take a ``(k, q)`` array of parameter vectors and return ``(k,)`` values.
 """
 
 from __future__ import annotations
@@ -19,12 +21,15 @@ from numpy.polynomial.legendre import leggauss
 from scipy.optimize import minimize as _scipy_minimize
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
+Objective = Callable[[np.ndarray], np.ndarray]  # (k, q) -> (k,)
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 # Largest tensor grid a scan may build: the default 401 points per axis
 # at q = 2.
 MAX_GRID_POINTS = 401 ** 2
+# Most parameter vectors one objective call receives during a grid scan.
+SCAN_BLOCK_ROWS = 401
 
 
 def as_points(x, d: int | None = None) -> np.ndarray:
@@ -205,18 +210,30 @@ def tensor_grid(box: BoxDomain, per_axis: int) -> np.ndarray:
     return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
-def minimize(objective: Callable[[np.ndarray], float], box: BoxDomain,
-             config: OptimizerConfig = OptimizerConfig()) -> MinimizeResult:
-    """Minimize over a box: global grid scan, then local refinement.
+def _evaluate(objective: Objective, thetas: np.ndarray) -> np.ndarray:
+    vals = np.asarray(objective(thetas), dtype=float)
+    if vals.shape != (thetas.shape[0],):
+        raise ValueError(f"objective returned shape {vals.shape} for "
+                         f"{thetas.shape[0]} parameter vectors")
+    return vals
 
-    The coarse scan evaluates a full tensor grid (``grid_points`` per
-    dimension, endpoints included) and refinement starts from the best
-    grid cell: golden-section for one-dimensional boxes, Nelder-Mead
-    clamped to the box otherwise.  Deterministic given the config.
+
+def minimize(objective: Objective, box: BoxDomain,
+             config: OptimizerConfig = OptimizerConfig()) -> MinimizeResult:
+    """Minimize a batched objective over a box: grid scan, then local refinement.
+
+    ``objective`` maps a ``(k, q)`` array of parameter vectors to ``(k,)``
+    values.  The coarse scan evaluates a full tensor grid (``grid_points``
+    per dimension, endpoints included) in blocks of at most
+    ``SCAN_BLOCK_ROWS`` rows, and refinement starts from the best grid
+    cell: golden-section for one-dimensional boxes, Nelder-Mead clamped
+    to the box otherwise, one ``(1, q)`` batch per evaluation.
+    Deterministic given the config.
     """
     q = box.dim
     pts = tensor_grid(box, config.grid_points)
-    vals = np.array([objective(p) for p in pts], dtype=float)
+    vals = np.concatenate([_evaluate(objective, pts[i:i + SCAN_BLOCK_ROWS])
+                           for i in range(0, len(pts), SCAN_BLOCK_ROWS)])
     finite = np.isfinite(vals)
     if not np.any(finite):
         raise ValueError("objective is non-finite on the whole coarse grid")
@@ -227,7 +244,7 @@ def minimize(objective: Callable[[np.ndarray], float], box: BoxDomain,
         ax = pts[:, 0]
         lo = ax[max(best - 1, 0)]
         hi = ax[min(best + 1, len(ax) - 1)]
-        x, fx, it = golden_section(lambda t: float(objective(np.array([t]))),
+        x, fx, it = golden_section(lambda t: float(_evaluate(objective, np.array([[t]]))[0]),
                                    lo, hi, config.tolerance, config.max_iterations)
         xs, fs = np.array([x]), fx
         if vals[best] < fs:
@@ -236,7 +253,7 @@ def minimize(objective: Callable[[np.ndarray], float], box: BoxDomain,
     else:
         x0 = pts[best]
         def clamped(t):
-            return float(objective(box.clip(t)))
+            return float(_evaluate(objective, box.clip(t)[None])[0])
         res = _scipy_minimize(clamped, x0, method="Nelder-Mead",
                               options={"xatol": config.tolerance,
                                        "fatol": 1e-14,

@@ -10,8 +10,10 @@ linear system, so the fit doubles as the predictive mean of a GP with
 i.i.d. Gaussian noise.
 
 Every fit runs one symmetric eigendecomposition of the Gram matrix;
-lambda sweeps (GCV) and hat-matrix diagonals (leave-one-out scores) are
-then O(n)-O(n^2) per candidate.
+a GCV sweep then scores the whole lambda grid in one (L x n) array pass,
+and a leave-one-out score costs one hat-matrix diagonal.  A phi sweep
+computes the pairwise squared distances once and builds each
+candidate's Gram matrix from them.
 
 The tuning policy lives here too: ``KernelConfig`` holds the phi and
 lambda grids, and ``fit_response_surface`` picks from both in one pass.
@@ -89,9 +91,13 @@ class KrrModel:
 
 
 class _EigenPanel:
-    """Eigendecomposition of a (jittered) Gram matrix, reused across lambdas."""
+    """Eigendecomposition of a (jittered) Gram matrix, reused across lambdas.
 
-    def __init__(self, points, y, spec: KernelSpec, jitter: float = DEFAULT_JITTER):
+    ``d2`` is ``kernels.sqdist(points)`` when the caller already has it.
+    """
+
+    def __init__(self, points, y, spec: KernelSpec, jitter: float = DEFAULT_JITTER,
+                 d2: np.ndarray | None = None):
         self.points = as_points(points)
         self.y = np.asarray(y, dtype=float).reshape(-1)
         if self.y.shape[0] != self.points.shape[0]:
@@ -102,19 +108,24 @@ class _EigenPanel:
             raise ValueError("jitter must be nonnegative")
         self.spec = spec
         self.n = self.y.shape[0]
-        K = kernels.gram(spec, self.points)
+        self.d2 = kernels.sqdist(self.points) if d2 is None else d2
+        K = kernels.gram(spec, self.d2)
         if jitter:
             K = K + jitter * np.eye(self.n)
         self.w, self.Q = np.linalg.eigh(K)
         self.qty = self.Q.T @ self.y
 
-    def _shift(self, lam: float) -> np.ndarray:
+    def _shift(self, lam) -> np.ndarray:
+        """``w + n*lam`` for a scalar or, row by row, an ``(L, 1)`` column of
+        lambdas; raises at the first numerically singular row."""
         shifted = self.w + self.n * lam
-        tol = self.n * np.finfo(float).eps * max(float(shifted.max()), 1.0)
-        if shifted.min() <= tol:
+        tol = self.n * np.finfo(float).eps * np.maximum(shifted.max(axis=-1), 1.0)
+        low = np.atleast_1d(shifted.min(axis=-1))
+        singular = np.flatnonzero(low <= tol)
+        if singular.size:
             raise FitError(
                 "penalized system is numerically singular: smallest shifted "
-                f"eigenvalue {shifted.min():.3e} (Gram eigenvalue {self.w.min():.3e})")
+                f"eigenvalue {low[singular[0]]:.3e} (Gram eigenvalue {self.w.min():.3e})")
         return shifted
 
     def coeffs(self, lam: float) -> np.ndarray:
@@ -129,11 +140,15 @@ class _EigenPanel:
     def hat_diag(self, lam: float) -> np.ndarray:
         return np.einsum("ij,j,ij->i", self.Q, self.w / self._shift(lam), self.Q)
 
-    def gcv(self, lam: float) -> float:
-        shrink = self.n * lam / self._shift(lam)
-        rss_term = float(np.sum((shrink * self.qty) ** 2)) / self.n
-        denom = (float(np.sum(shrink)) / self.n) ** 2
-        return rss_term / denom if denom > 0.0 else np.inf
+    def gcv_scores(self, grid: tuple[float, ...]) -> np.ndarray:
+        """GCV score of every lambda in ``grid``, one row per lambda."""
+        lams = np.asarray(grid)[:, None]
+        shrink = self.n * lams / self._shift(lams)
+        rss_term = np.sum((shrink * self.qty) ** 2, axis=1) / self.n
+        # Python's float ** 2 (libm pow), not x * x, which can differ in the last bit
+        denom = np.array([float(m) ** 2 for m in np.sum(shrink, axis=1) / self.n])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(denom > 0.0, rss_term / denom, np.inf)
 
     def model(self, lam: float) -> KrrModel:
         return KrrModel(kernel=self.spec, design=self.points,
@@ -150,24 +165,20 @@ def predict(model: KrrModel, x) -> np.ndarray:
 
 def rkhs_norm_sq(model: KrrModel) -> float:
     """Squared native-space norm ``u^T K u`` of the fitted function."""
-    K = kernels.gram(model.kernel, model.design)
+    K = kernels.gram(model.kernel, kernels.sqdist(model.design))
     val = float(model.coeffs @ (K @ model.coeffs))
     return max(val, 0.0)
 
 
 def _gcv_pick(panel: _EigenPanel, grid: tuple[float, ...]) -> tuple[float, np.ndarray]:
-    scores = np.array([panel.gcv(lam) for lam in grid])
-    if not np.any(np.isfinite(scores)):
+    """The lambda with the least finite GCV score; among tied scores the
+    largest lambda, and the first of equal lambdas."""
+    scores = panel.gcv_scores(grid)
+    finite = np.isfinite(scores)
+    if not np.any(finite):
         raise FitError("all GCV scores are non-finite")
-    best_i = 0
-    for i in range(1, len(grid)):
-        if not np.isfinite(scores[i]):
-            continue
-        better = scores[i] < scores[best_i]
-        tie_to_smoother = scores[i] == scores[best_i] and grid[i] > grid[best_i]
-        if better or tie_to_smoother or not np.isfinite(scores[best_i]):
-            best_i = i
-    return grid[best_i], scores
+    ties = np.flatnonzero(scores == scores[finite].min())
+    return grid[ties[np.argmax(np.asarray(grid)[ties])]], scores
 
 
 def gcv_select(points, y, kernel: KernelSpec, lambda_grid=DEFAULT_LAMBDA_GRID,
@@ -217,9 +228,10 @@ def loo_cv_phi(points, y, config: KernelConfig,
     wins, so ties break toward the smaller (smoother) phi.  The winner's
     model comes from the eigendecomposition the sweep already made.
     """
-    best_score, best = np.inf, None
+    best_score, best, d2 = np.inf, None, None
     for phi in sorted(config.phi_grid):
-        panel = _EigenPanel(points, y, config.spec(phi), jitter)
+        panel = _EigenPanel(points, y, config.spec(phi), jitter, d2)
+        d2 = panel.d2
         lam = _gcv_pick(panel, config.lambda_grid)[0]
         score = _loo_score(panel, lam)
         if score < best_score:

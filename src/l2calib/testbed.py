@@ -46,14 +46,19 @@ def _sweep(x, theta):
     return np.sin(theta * x) + np.cos(theta * x)
 
 
-def ys_example1(x, theta: float):
-    """Perfect-model simulator: truth minus ``|theta+1|`` times the sweep."""
+def ys_example1(x, theta):
+    """Perfect-model simulator: truth minus ``|theta+1|`` times the sweep.
+
+    ``x`` and ``theta`` broadcast, so a ``(1, n)`` row of points and a
+    ``(k, 1)`` column of parameters give ``(k, n)`` outputs.
+    """
     x = np.asarray(x, dtype=float)
     return zeta_true(x) - np.abs(theta + 1.0) * _sweep(x, theta)
 
 
-def ys_example2(x, theta: float):
-    """Imperfect-model simulator: amplitude ``sqrt(theta^2 - theta + 1)``."""
+def ys_example2(x, theta):
+    """Imperfect-model simulator: amplitude ``sqrt(theta^2 - theta + 1)``;
+    broadcasts like :func:`ys_example1`."""
     x = np.asarray(x, dtype=float)
     return zeta_true(x) - np.sqrt(theta * theta - theta + 1.0) * _sweep(x, theta)
 
@@ -94,7 +99,7 @@ def discrepancy_example1_closed_form(theta: float) -> float:
 def example1_model(theta_domain: BoxDomain = DEFAULT_THETA_DOMAIN) -> ComputerModel:
     """Simulator 1 wrapped for the calibrators; kinked at theta = -1."""
     return ComputerModel(
-        eval=lambda pts, th: ys_example1(pts[:, 0], float(th[0])),
+        eval=lambda pts, ths: ys_example1(pts[:, 0][None, :], ths[:, :1]),
         theta_domain=theta_domain,
         smooth_in_theta=False,
         name="example1",
@@ -104,7 +109,7 @@ def example1_model(theta_domain: BoxDomain = DEFAULT_THETA_DOMAIN) -> ComputerMo
 def example2_model(theta_domain: BoxDomain = DEFAULT_THETA_DOMAIN) -> ComputerModel:
     """Simulator 2 wrapped for the calibrators, with analytic gradient."""
     return ComputerModel(
-        eval=lambda pts, th: ys_example2(pts[:, 0], float(th[0])),
+        eval=lambda pts, ths: ys_example2(pts[:, 0][None, :], ths[:, :1]),
         theta_domain=theta_domain,
         grad=lambda pts, th: ys_example2_grad(pts[:, 0], float(th[0]))[:, None],
         smooth_in_theta=True,

@@ -16,7 +16,7 @@ import pytest
 
 from l2calib import inference, rkhs, testbed
 from l2calib.cli import RunConfig, discrepancy_curve, main, simulate
-from l2calib.kernels import KernelSpec, gram
+from l2calib.kernels import KernelSpec, gram, sqdist
 from l2calib.numerics import BoxDomain, OptimizerConfig, gauss_legendre, minimize
 from l2calib.rkhs import (KernelConfig, fit_response_surface, fit_with_rule,
                           gcv_select, predict, rkhs_norm_sq)
@@ -77,7 +77,7 @@ def test_criterion_1_closed_form_consistency():
 
 def test_criterion_2_theta_star_recovery():
     t0 = time.perf_counter()
-    res = minimize(lambda t: testbed.discrepancy_closed_form(t[0]),
+    res = minimize(lambda t: np.array([testbed.discrepancy_closed_form(v) for v in t[:, 0]]),
                    BoxDomain((-2.0,), (2.0,)), OptimizerConfig())
     elapsed = time.perf_counter() - t0
     print(f"[criterion 2] argmin {res.x[0]:+.6f} (target -0.1789 +- 5e-4), "
@@ -149,7 +149,7 @@ def _prop_gram_psd():
         n = rng.integers(2, 50)
         pts = rng.uniform(-4, 4, (n, rng.integers(1, 3)))
         spec = KernelSpec("gaussian", float(rng.uniform(0.1, 4.0)))
-        assert np.linalg.eigvalsh(gram(spec, pts)).min() >= -1e-8 * n
+        assert np.linalg.eigvalsh(gram(spec, sqdist(pts))).min() >= -1e-8 * n
 
 
 def _prop_representer_equivalence():
@@ -161,7 +161,7 @@ def _prop_representer_equivalence():
         y = np.sin(x[:, 0]) + rng.normal(0, 0.4, n)
         lam = float(rng.uniform(1e-5, 1e-1))
         m = fit_with_rule(x, y, spec, (lam,), jitter=0.0)
-        oracle = np.linalg.solve(gram(spec, x) + n * lam * np.eye(n), y)
+        oracle = np.linalg.solve(gram(spec, sqdist(x)) + n * lam * np.eye(n), y)
         assert np.allclose(m.coeffs, oracle, rtol=1e-10, atol=1e-12)
 
 
@@ -223,7 +223,7 @@ def _prop_gcv_dense_oracle():
     spec = KernelSpec("gaussian", 1.0)
     grid = tuple(np.logspace(-6, 0, 7))
     _, scores = gcv_select(x, y, spec, grid, jitter=0.0)
-    K = gram(spec, x)
+    K = gram(spec, sqdist(x))
     n = 20
     for lam, got in zip(grid, scores):
         A = K @ np.linalg.inv(K + n * lam * np.eye(n))

@@ -47,8 +47,8 @@ class TestL2:
         # must sit at the closed-form minimizer
         system, _, _ = noiseless("example2")
         zeta = lambda p: testbed.zeta_true(p[:, 0])
-        obj = lambda th: l2_distance_sq(
-            zeta, lambda p: system.computer_model(p, th), RULE)
+        obj = lambda ths: np.array([l2_distance_sq(
+            zeta, lambda p: system.computer_model(p, th), RULE) for th in ths])
         res = minimize(obj, system.computer_model.theta_domain, OPT)
         assert res.x[0] == pytest.approx(testbed.THETA_STAR_EXAMPLE2, abs=1e-6)
 
@@ -91,7 +91,7 @@ class TestOls:
         base = ols_calibrate(pts, y, system.computer_model, OPT)
         c = 3.7
         scaled_model = ComputerModel(
-            eval=lambda p, th: c * system.computer_model(p, th),
+            eval=lambda p, ths: c * system.computer_model.batch(p, ths),
             theta_domain=system.computer_model.theta_domain)
         scaled = ols_calibrate(pts, c * y, scaled_model, OPT)
         assert scaled.theta_hat[0] == base.theta_hat[0]
@@ -144,7 +144,7 @@ class TestKo:
         assert est.meta["phi"] == 0.3
 
     def test_two_parameter_box(self):
-        model = ComputerModel(eval=lambda p, th: th[0] * np.sin(p[:, 0]) + th[1],
+        model = ComputerModel(eval=lambda p, ths: ths[:, :1] * np.sin(p[:, 0]) + ths[:, 1:],
                               theta_domain=BoxDomain((-2.0, -2.0), (2.0, 2.0)))
         x = np.linspace(0.0, 6.0, 12)[:, None]
         y = 0.5 * np.sin(x[:, 0]) + 0.3
@@ -182,7 +182,7 @@ class TestSharedSurface:
         _, pts, y = noisy_example2(seed=22)
         surface = fit_response_surface(pts, y, KernelConfig())
         w, Q = surface.gram_eig
-        K = kernels.gram(surface.kernel, pts) + rkhs.DEFAULT_JITTER * np.eye(len(y))
+        K = kernels.gram(surface.kernel, kernels.sqdist(pts)) + rkhs.DEFAULT_JITTER * np.eye(len(y))
         assert surface.kernel.phi in rkhs.DEFAULT_PHI_GRID
         assert np.allclose(Q @ np.diag(w) @ Q.T, K, atol=1e-10)
 
@@ -226,7 +226,7 @@ class TestSharedSurface:
         log_etas = np.linspace(np.log(ETA_BOUNDS[0]), np.log(ETA_BOUNDS[1]), 17)
         best_val, best_start = np.inf, None
         for th in theta_grid:
-            qtr2 = nll.residual_sq(th)
+            qtr2 = nll.residual_sq(th[None])[0]
             for le in log_etas:
                 v = nll.value_from_parts(qtr2, le)
                 if v < best_val:
@@ -252,3 +252,68 @@ class TestComputerModel:
         fd_model = ComputerModel(eval=model.eval, theta_domain=model.theta_domain)
         fd = fd_model.grad_theta(pts, theta)
         assert np.allclose(analytic, fd, rtol=1e-4, atol=1e-6)
+
+    @pytest.mark.parametrize("example", ["example1", "example2"])
+    @pytest.mark.parametrize("k", [1, 401])
+    def test_batch_rows_equal_per_theta_calls(self, example, k):
+        model = testbed.EXAMPLES[example][0]()
+        simulator = getattr(testbed, "ys_" + example)
+        thetas = np.linspace(-2.0, 2.0, k)[:, None] if k > 1 else np.array([[0.3]])
+        _, design, _ = noisy_example2()
+        for pts in (design, RULE.nodes):
+            rows = model.batch(pts, thetas)
+            assert rows.shape == (k, pts.shape[0])
+            for th, row in zip(thetas, rows):
+                assert np.array_equal(row, model(pts, th))
+                assert np.array_equal(row, simulator(pts[:, 0], float(th[0])))
+
+    def test_batch_shapes_are_checked(self):
+        model = testbed.example2_model()
+        pts = np.linspace(0.0, 6.0, 5)[:, None]
+        with pytest.raises(ValueError, match=r"expected a \(k, 1\) batch"):
+            model.batch(pts, np.zeros(3))
+        flat = ComputerModel(eval=lambda p, ths: np.zeros(p.shape[0]),
+                             theta_domain=model.theta_domain)
+        with pytest.raises(ValueError, match=r"returned shape \(5,\), expected \(1, 5\)"):
+            flat(pts, [0.0])
+
+
+class TestBatchedObjectives:
+    """L2 and OLS give what minimizing their per-theta objectives gives."""
+
+    @staticmethod
+    def per_theta(f):
+        return lambda thetas: np.array([f(th) for th in thetas])
+
+    def test_l2_matches_the_per_theta_objective(self):
+        system, pts, y = noisy_example2(seed=31)
+        model = system.computer_model
+        surface = fit_response_surface(pts, y, KernelConfig())
+        est = l2_calibrate(pts, y, KernelConfig(), model, RULE, OPT, surface=surface)
+        zeta_nodes = rkhs.predict(surface, RULE.nodes)
+
+        def objective(th):
+            diff = zeta_nodes - model(RULE.nodes, th)
+            return float(RULE.weights @ (diff * diff))
+        res = minimize(self.per_theta(objective), model.theta_domain, OPT)
+        assert np.array_equal(est.theta_hat, res.x)
+        assert est.objective_value == np.sqrt(res.fun)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_ols_matches_the_per_theta_objective(self, q):
+        system, pts, y = noisy_example2(seed=32)
+        model = system.computer_model
+        opt = OPT
+        if q == 2:
+            model = ComputerModel(
+                eval=lambda p, ths: ths[:, :1] * np.sin(p[:, 0]) + ths[:, 1:],
+                theta_domain=BoxDomain((-2.0, -2.0), (2.0, 2.0)))
+            opt = OptimizerConfig(grid_points=45)
+
+        def objective(th):
+            resid = y - model(pts, th)
+            return float(resid @ resid)
+        res = minimize(self.per_theta(objective), model.theta_domain, opt)
+        est = ols_calibrate(pts, y, model, opt)
+        assert np.array_equal(est.theta_hat, res.x)
+        assert est.objective_value == res.fun

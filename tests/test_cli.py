@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -199,6 +201,19 @@ class TestCalibrateCommand:
         assert rows[0] == "method,theta_hat,objective,lambda,phi,stderr,status"
         assert [r.split(",")[-1] for r in rows[1:]] == ["ok"] * 3
         assert cmd_calibrate(cfg, data, out, log=None) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_default_log_follows_redirected_stderr(self, tmp_path, capsys):
+        data = write_noiseless_example1_csv(tmp_path / "d.csv")
+        cfg = write_config(tmp_path / "c.json", example="example1", methods=["OLS"])
+        out, buf = tmp_path / "o.csv", io.StringIO()
+        with contextlib.redirect_stderr(buf):
+            assert main(["calibrate", "--config", str(cfg), "--data", str(data),
+                         "--out", str(out)]) == 0
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 0
+        lines = buf.getvalue().splitlines()
+        assert lines[0] == f"[calibrate] wrote {out}"
+        assert lines[-1] == f"[simulate] wrote {tmp_path / 'r.csv'}"
         assert capsys.readouterr() == ("", "")
 
     def test_interior_selection_logs_nothing(self, tmp_path, capsys):

@@ -31,7 +31,7 @@ def linear_model(coef_dim=2):
     def h(pts):
         return np.column_stack([np.ones(pts.shape[0]), pts[:, 0]])
     return ComputerModel(
-        eval=lambda pts, th: h(pts) @ th,
+        eval=lambda pts, ths: ths @ h(pts).T,
         grad=lambda pts, th: h(pts),
         theta_domain=BoxDomain((-5.0,) * coef_dim, (5.0,) * coef_dim),
     ), h
@@ -67,7 +67,7 @@ class TestSigma2:
 class TestW:
     def test_constant_model_gives_zero(self):
         model = ComputerModel(
-            eval=lambda pts, th: np.full(pts.shape[0], 2.0),
+            eval=lambda pts, ths: np.full((len(ths), pts.shape[0]), 2.0),
             grad=lambda pts, th: np.zeros((pts.shape[0], 1)),
             theta_domain=BoxDomain((-1.0,), (1.0,)))
         W = at_design(model, no_surface, np.array([0.0]), np.linspace(0, 1, 20)).W()
@@ -218,7 +218,7 @@ class TestSandwichAssembly:
         sand = estimate_sandwich(pts, y, zeta_hat, model, THETA_STAR)
 
         scaled_model = ComputerModel(
-            eval=lambda p, th: model(p / 2.0, th),
+            eval=lambda p, ths: model.batch(p / 2.0, ths),
             theta_domain=model.theta_domain)
         surface = lambda p: rkhs.predict(zeta_hat, p / 2.0)
         ex = at_design(scaled_model, surface, THETA_STAR, 2.0 * pts)
@@ -237,7 +237,8 @@ class TestSandwichAssembly:
             model, theta = system.computer_model, THETA_STAR
         else:
             model = ComputerModel(
-                eval=lambda p, th: th[0] * np.sin(th[1] * p[:, 0]) + th[1] ** 2 * p[:, 0],
+                eval=lambda p, ths: (ths[:, :1] * np.sin(ths[:, 1:] * p[:, 0])
+                                     + ths[:, 1:] ** 2 * p[:, 0]),
                 theta_domain=BoxDomain((-2.0, -2.0), (2.0, 2.0)))
             theta = np.array([0.4, 0.9])
         sand = estimate_sandwich(pts, y, zeta_hat, model, theta)

@@ -3,13 +3,17 @@ import pytest
 
 from l2calib import testbed
 from l2calib.calibrate import ComputerModel, ko_calibrate
-from l2calib.numerics import (MAX_GRID_POINTS, BoxDomain, OptimizerConfig, fd_grad,
-                              fd_hess, fd_step, gauss_legendre, golden_section,
+from l2calib.numerics import (MAX_GRID_POINTS, SCAN_BLOCK_ROWS, BoxDomain, OptimizerConfig,
+                              fd_grad, fd_hess, fd_step, gauss_legendre, golden_section,
                               l2_distance_sq, minimize, tensor_grid)
 
 UNIT = BoxDomain((0.0,), (1.0,))
 OMEGA = testbed.OMEGA
 THETA_BOX = BoxDomain((-2.0,), (2.0,))
+
+
+def closed_form_discrepancy(thetas):
+    return np.array([testbed.discrepancy_closed_form(t) for t in thetas[:, 0]])
 
 
 class TestBoxDomain:
@@ -93,18 +97,18 @@ class TestL2Distance:
 
 class TestMinimize:
     def test_quadratic(self):
-        res = minimize(lambda t: (t[0] - 0.3) ** 2, BoxDomain((-1.0,), (1.0,)))
+        res = minimize(lambda t: (t[:, 0] - 0.3) ** 2, BoxDomain((-1.0,), (1.0,)))
         assert res.x[0] == pytest.approx(0.3, abs=1e-8)
 
     def test_closed_form_discrepancy_minimizer(self):
-        res = minimize(lambda t: testbed.discrepancy_closed_form(t[0]), THETA_BOX)
+        res = minimize(closed_form_discrepancy, THETA_BOX)
         assert res.x[0] == pytest.approx(-0.1789, abs=5e-4)
 
     def test_multimodal_matches_dense_scan(self):
         # cos(5t) on [0, 2] has tied global minima at pi/5 and 3*pi/5;
         # the scan must land on one of them, never on a worse local one.
         box = BoxDomain((0.0,), (2.0,))
-        f = lambda t: np.cos(5.0 * t[0])
+        f = lambda t: np.cos(5.0 * t[:, 0])
         res = minimize(f, box, OptimizerConfig(grid_points=101))
         ts = np.linspace(0.0, 2.0, 100_001)
         brute_val = np.cos(5.0 * ts).min()
@@ -113,7 +117,7 @@ class TestMinimize:
         assert nearest <= 1e-4
 
     def test_idempotent_restart(self):
-        f = lambda t: testbed.discrepancy_closed_form(t[0])
+        f = closed_form_discrepancy
         cfg = OptimizerConfig(tolerance=1e-10)
         res = minimize(f, THETA_BOX, cfg)
         eps = 1e-3
@@ -123,17 +127,54 @@ class TestMinimize:
 
     def test_two_dimensional_nelder_mead(self):
         box = BoxDomain((-2.0, -2.0), (2.0, 2.0))
-        f = lambda t: (t[0] - 0.4) ** 2 + 2.0 * (t[1] + 0.7) ** 2
+        f = lambda t: (t[:, 0] - 0.4) ** 2 + 2.0 * (t[:, 1] + 0.7) ** 2
         res = minimize(f, box, OptimizerConfig(grid_points=21, tolerance=1e-10))
         assert np.allclose(res.x, [0.4, -0.7], atol=1e-6)
 
     def test_all_nonfinite_grid_raises(self):
         with pytest.raises(ValueError, match="non-finite"):
-            minimize(lambda t: np.nan, UNIT, OptimizerConfig(grid_points=5))
+            minimize(lambda t: np.full(len(t), np.nan), UNIT, OptimizerConfig(grid_points=5))
 
     def test_boundary_flag(self):
-        res = minimize(lambda t: t[0], UNIT, OptimizerConfig(grid_points=11))
+        res = minimize(lambda t: t[:, 0], UNIT, OptimizerConfig(grid_points=11))
         assert res.on_boundary
+
+    def test_q1_grid_is_one_objective_call(self):
+        calls = []
+
+        def f(t):
+            calls.append(t.shape)
+            return (t[:, 0] - 0.3) ** 2
+        minimize(f, THETA_BOX)
+        assert calls[0] == (401, 1)
+        assert calls[1:] == [(1, 1)] * (len(calls) - 1)
+        assert len(calls) <= 45
+
+    def test_non_finite_rows_are_skipped(self):
+        # argmin would pick the NaN in the first row if it were not skipped
+        f = lambda t: np.where(t[:, 0] < 0.05, np.nan, (t[:, 0] - 0.7) ** 2)
+        res = minimize(f, UNIT, OptimizerConfig(grid_points=11))
+        assert res.x[0] == pytest.approx(0.7, abs=1e-6)
+
+    def test_all_nan_grid_message(self):
+        with pytest.raises(ValueError, match="objective is non-finite on the whole coarse grid"):
+            minimize(lambda t: np.full(len(t), np.nan), THETA_BOX)
+
+    def test_objective_must_return_one_value_per_row(self):
+        with pytest.raises(ValueError, match=r"objective returned shape \(\) for 401"):
+            minimize(lambda t: 0.0, THETA_BOX)
+
+    def test_q2_scan_is_cut_into_blocks(self):
+        rows = []
+
+        def f(t):
+            rows.append(len(t))
+            return (t[:, 0] - 0.4) ** 2 + 2.0 * (t[:, 1] + 0.7) ** 2
+        box = BoxDomain((-2.0, -2.0), (2.0, 2.0))
+        res = minimize(f, box)
+        assert max(rows) == SCAN_BLOCK_ROWS
+        assert sum(r for r in rows if r > 1) == MAX_GRID_POINTS
+        assert np.allclose(res.x, [0.4, -0.7], atol=1e-6)
 
     def test_golden_section_bracket(self):
         x, fx, _ = golden_section(lambda t: (t - 0.25) ** 2, 0.0, 1.0, tol=1e-12)
@@ -156,10 +197,10 @@ class TestTensorGrid:
 
         def objective(t):
             calls.append(t)
-            return 0.0
+            return np.zeros(len(t))
         with pytest.raises(ValueError, match=r"q=3 .* 401 points per axis has 64481201 points"):
             minimize(objective, box)
-        model = ComputerModel(eval=lambda pts, th: objective(th) + np.zeros(len(pts)),
+        model = ComputerModel(eval=lambda pts, ths: objective(ths)[:, None] + np.zeros(len(pts)),
                               theta_domain=box)
         x = np.linspace(0.0, 6.0, 8)[:, None]
         with pytest.raises(ValueError, match=r"q=3 .* 80 points per axis has 512000 points"):
@@ -218,8 +259,8 @@ class TestVectorFiniteDifferences:
     per-column loop bit for bit."""
 
     MODELS = {
-        1: (lambda p, th: np.exp(th[0] * p[:, 0] / 5.0) * np.sin(p[:, 0]), [0.7]),
-        2: (lambda p, th: th[0] * np.sin(th[1] * p[:, 0]) + th[1] ** 2 * p[:, 0],
+        1: (lambda p, ths: np.exp(ths[:, :1] * p[:, 0] / 5.0) * np.sin(p[:, 0]), [0.7]),
+        2: (lambda p, ths: ths[:, :1] * np.sin(ths[:, 1:] * p[:, 0]) + ths[:, 1:] ** 2 * p[:, 0],
             [0.4, -0.9]),
     }
 
@@ -228,7 +269,7 @@ class TestVectorFiniteDifferences:
         ev, theta = self.MODELS[q]
         pts = np.linspace(0.1, 6.0, 13)[:, None]
         theta = np.array(theta)
-        f = lambda t: ev(pts, t)
+        f = lambda t: ev(pts, t[None])[0]
         G, H = _column_loop_derivatives(f, theta)
         assert fd_grad(f, theta).shape == (13, q)
         assert np.array_equal(fd_grad(f, theta), G)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from l2calib import rkhs, testbed
-from l2calib.kernels import KernelSpec, gram
+from l2calib.kernels import KernelSpec, gram, sqdist
 from l2calib.rkhs import (KernelConfig, fit_with_rule,
                           gcv_select, loo_cv_phi, predict, rkhs_norm_sq, sigma2_hat)
 
@@ -37,7 +37,7 @@ class TestFit:
         x, y = smooth_data(12, seed=5, noise=0.3)
         lam = 1e-3
         m = fit_with_rule(x, y, GAUSS, (lam,), jitter=0.0)
-        K = gram(GAUSS, x)
+        K = gram(GAUSS, sqdist(x))
         sigma2 = len(y) * lam
         oracle = np.linalg.solve(K + sigma2 * np.eye(len(y)), y)
         assert np.allclose(m.coeffs, oracle, rtol=1e-10, atol=1e-13)
@@ -46,7 +46,7 @@ class TestFit:
         x, y = smooth_data(20, seed=7, noise=0.2)
         lam = 1e-4
         m = fit_with_rule(x, y, GAUSS, (lam,))
-        K = gram(GAUSS, x)
+        K = gram(GAUSS, sqdist(x))
         resid = (K + len(y) * lam * np.eye(len(y))) @ m.coeffs - y
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(y)
 
@@ -128,7 +128,7 @@ class TestGcv:
         n = len(y)
         grid = tuple(np.logspace(-6, 0, 7))
         _, scores = gcv_select(x, y, GAUSS, grid, jitter=0.0)
-        K = gram(GAUSS, x)
+        K = gram(GAUSS, sqdist(x))
         for lam, got in zip(grid, scores):
             A = K @ np.linalg.inv(K + n * lam * np.eye(n))
             resid = (np.eye(n) - A) @ y
@@ -152,7 +152,7 @@ class TestGcv:
     def test_smoother_eigenvalues_in_unit_interval(self):
         x, y = smooth_data(16, seed=15, noise=0.1)
         n = len(y)
-        K = gram(GAUSS, x)
+        K = gram(GAUSS, sqdist(x))
         for lam in (1e-6, 1e-3, 1.0):
             A = K @ np.linalg.inv(K + n * lam * np.eye(n))
             eig = np.linalg.eigvalsh(0.5 * (A + A.T))
@@ -264,7 +264,7 @@ class TestProperties:
         x = rng.uniform(-3, 3, (n, 1))
         y = np.sin(x[:, 0]) + rng.normal(0, 0.5, n)
         m = fit_with_rule(x, y, GAUSS, (lam,), jitter=0.0)
-        K = gram(GAUSS, x)
+        K = gram(GAUSS, sqdist(x))
         resid = (K + n * lam * np.eye(n)) @ m.coeffs - y
         assert np.linalg.norm(resid) <= 1e-8 * max(np.linalg.norm(y), 1e-12)
 
@@ -278,3 +278,90 @@ class TestProperties:
         y = np.cos(x[:, 0])
         m = fit_with_rule(x, y, GAUSS, (1e-12,))
         assert np.abs(m.fitted - y).max() <= 1e-6
+
+
+def scalar_gcv(panel, lam):
+    """GCV score of one lambda, as the per-lambda loop computed it."""
+    shrink = panel.n * lam / panel._shift(lam)
+    rss_term = float(np.sum((shrink * panel.qty) ** 2)) / panel.n
+    denom = (float(np.sum(shrink)) / panel.n) ** 2
+    return rss_term / denom if denom > 0.0 else np.inf
+
+
+def scalar_pick(scores, grid):
+    """Least finite score, ties toward the larger lambda, as the loop picked."""
+    best_i = 0
+    for i in range(1, len(grid)):
+        if not np.isfinite(scores[i]):
+            continue
+        better = scores[i] < scores[best_i]
+        tie_to_smoother = scores[i] == scores[best_i] and grid[i] > grid[best_i]
+        if better or tie_to_smoother or not np.isfinite(scores[best_i]):
+            best_i = i
+    return grid[best_i]
+
+
+class _FixedScores:
+    def __init__(self, scores):
+        self.scores = np.asarray(scores, dtype=float)
+
+    def gcv_scores(self, grid):
+        return self.scores
+
+
+class TestVectorizedGcv:
+    """The one-pass GCV sweep reproduces the per-lambda loop bit for bit."""
+
+    @pytest.mark.parametrize("example", ["example1", "example2"])
+    @pytest.mark.parametrize("design,n", [("fixed_grid", 51), ("uniform_random", 101),
+                                          ("uniform_random", 201)])
+    def test_matches_scalar_loop_on_every_phi(self, example, design, n):
+        grid = rkhs.DEFAULT_LAMBDA_GRID
+        for sigma2 in (0.01, 0.1, 1.0):
+            pts, y = testbed.generate(testbed.make_system(example, sigma2, design, n), 0, 0)
+            d2 = sqdist(pts)
+            for phi in rkhs.DEFAULT_PHI_GRID:
+                panel = rkhs._EigenPanel(pts, y, KernelSpec("gaussian", phi), d2=d2)
+                want = np.array([scalar_gcv(panel, lam) for lam in grid])
+                lam, scores = rkhs._gcv_pick(panel, grid)
+                assert np.array_equal(scores, want)
+                assert lam == scalar_pick(want, grid)
+
+    def test_singular_lambda_raises_at_the_first_in_grid_order(self):
+        # three tied points make the unjittered Gram matrix singular
+        x, y = [1.0, 1.0, 1.0, 2.0], [0.5, 0.7, 0.6, 1.9]
+        panel = rkhs._EigenPanel(x, y, GAUSS, jitter=0.0)
+        grid = (1e-17, 1e-16, 1e-3)
+        with pytest.raises(rkhs.FitError) as want:
+            [scalar_gcv(panel, lam) for lam in grid]
+        with pytest.raises(rkhs.FitError, match="numerically singular") as got:
+            rkhs._gcv_pick(panel, grid)
+        assert str(got.value) == str(want.value)
+
+    def test_all_non_finite_scores_raise(self):
+        x, _ = smooth_data(8)
+        panel = rkhs._EigenPanel(x, np.full(8, 1e200), GAUSS)
+        grid = rkhs.DEFAULT_LAMBDA_GRID
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.any(np.isfinite([scalar_gcv(panel, lam) for lam in grid]))
+            with pytest.raises(rkhs.FitError, match="all GCV scores are non-finite"):
+                rkhs._gcv_pick(panel, grid)
+
+    def test_tie_goes_to_the_larger_lambda(self):
+        # zero responses score 0 at every lambda
+        x, _ = smooth_data(8)
+        panel = rkhs._EigenPanel(x, np.zeros(8), GAUSS)
+        lam, scores = rkhs._gcv_pick(panel, rkhs.DEFAULT_LAMBDA_GRID)
+        assert np.all(scores == 0.0)
+        assert lam == rkhs.DEFAULT_LAMBDA_GRID[-1]
+
+    def test_pick_rule_matches_the_loop(self):
+        # small integer scores force ties; inf and nan are skipped
+        rng = np.random.default_rng(5)
+        grid = (1e-3, 1e-2, 1e-2, 1e-1, 1.0, 2.0)
+        for _ in range(300):
+            scores = rng.integers(0, 3, len(grid)).astype(float)
+            scores[rng.random(len(grid)) < 0.3] = rng.choice([np.inf, np.nan])
+            if not np.any(np.isfinite(scores)):
+                continue
+            assert rkhs._gcv_pick(_FixedScores(scores), grid)[0] == scalar_pick(scores, grid)
