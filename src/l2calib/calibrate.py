@@ -1,14 +1,15 @@
 """The three calibration estimators.
 
-* ``l2_calibrate`` smooths the physical data into a nonparametric
-  response-surface estimate, then moves the simulator parameter to
+* ``l2_calibrate`` takes the response surface fitted to the physical
+  data (``fit_response_surface``) and moves the simulator parameter to
   minimize the squared L2 distance between surface and simulator.
 * ``ols_calibrate`` minimizes the residual sum of squares of the
   simulator against the raw observations.
 * ``ko_calibrate`` is the frequentist Gaussian-process variant: the
   observations are modeled as the simulator mean plus a stationary GP
   discrepancy plus white noise, and the parameter maximizes the profiled
-  marginal likelihood.
+  marginal likelihood.  It reads the data, the kernel and the Gram
+  eigenpairs from the same fitted surface.
 
 All three search the parameter box with the same deterministic
 grid-plus-refinement minimizer.
@@ -25,7 +26,8 @@ from scipy.optimize import minimize as _scipy_minimize
 from . import rkhs
 from .numerics import (BoxDomain, OptimizerConfig, QuadratureRule,
                        as_points, fd_grad, fd_hess, minimize, tensor_grid)
-from .rkhs import KernelConfig, KrrModel, fit_response_surface
+# cli fits every surface through calibrate.fit_response_surface
+from .rkhs import KrrModel, fit_response_surface
 
 ETA_BOUNDS = (1e-8, 1e8)  # noise-to-process variance ratio search range
 
@@ -93,40 +95,32 @@ class CalibrationEstimate:
     meta: dict = field(default_factory=dict)
 
 
-def _check_data(points, y) -> tuple[np.ndarray, np.ndarray]:
-    pts = as_points(points)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    if pts.shape[0] == 0:
-        raise ValueError("data must be nonempty")
-    if yv.shape[0] != pts.shape[0]:
-        raise ValueError("points and responses length mismatch")
-    return pts, yv
-
-
-def l2_calibrate(points, y, kernel_cfg: KernelConfig, model: ComputerModel,
-                 rule: QuadratureRule,
-                 opt: OptimizerConfig = OptimizerConfig(),
-                 surface: KrrModel | None = None) -> CalibrationEstimate:
-    """L2 calibration: smooth, then project onto the simulator sweep.
-
-    The reported objective value is the achieved L2 distance (square
-    root of the minimized squared distance).  ``meta`` records the
-    selected tuning parameters and flags boundary solutions.  A given
-    ``surface`` replaces the smoothing step.
-    """
-    pts, yv = _check_data(points, y)
-    zeta_hat = surface or fit_response_surface(pts, yv, kernel_cfg)
-    zeta_nodes = rkhs.predict(zeta_hat, rule.nodes)
-
+def l2_objective(zeta_nodes: np.ndarray, model: ComputerModel,
+                 rule: QuadratureRule) -> Callable[[np.ndarray], np.ndarray]:
+    """Batched squared L2 distance ``integral (zeta - y^s(., theta))^2 dz``
+    over the rule's box (raw ``dz`` measure, no volume normalization), for
+    ``zeta`` given by its values at ``rule.nodes``: maps a ``(k, q)`` batch
+    of parameters to ``(k,)`` distances."""
     def objective(thetas: np.ndarray) -> np.ndarray:
         diff = zeta_nodes - model.batch(rule.nodes, thetas)
         return np.array([rule.weights @ d2 for d2 in diff * diff])
+    return objective
 
+
+def l2_calibrate(surface: KrrModel, model: ComputerModel, rule: QuadratureRule,
+                 opt: OptimizerConfig = OptimizerConfig()) -> CalibrationEstimate:
+    """L2 calibration: project the fitted surface onto the simulator sweep.
+
+    The reported objective value is the achieved L2 distance (square
+    root of the minimized squared distance).  ``meta`` records the
+    surface's tuning parameters and flags boundary solutions.
+    """
+    objective = l2_objective(rkhs.predict(surface, rule.nodes), model, rule)
     res = minimize(objective, model.theta_domain, opt)
     return CalibrationEstimate(
         theta_hat=res.x, method="L2",
         objective_value=float(np.sqrt(max(res.fun, 0.0))),
-        meta={"phi": zeta_hat.kernel.phi, "lambda": zeta_hat.lam,
+        meta={"phi": surface.kernel.phi, "lambda": surface.lam,
               "iterations": res.iterations, "boundary": res.on_boundary},
     )
 
@@ -134,7 +128,12 @@ def l2_calibrate(points, y, kernel_cfg: KernelConfig, model: ComputerModel,
 def ols_calibrate(points, y, model: ComputerModel,
                   opt: OptimizerConfig = OptimizerConfig()) -> CalibrationEstimate:
     """Least-squares calibration; the objective value is the minimized RSS."""
-    pts, yv = _check_data(points, y)
+    pts = as_points(points)
+    yv = np.asarray(y, dtype=float).reshape(-1)
+    if pts.shape[0] == 0:
+        raise ValueError("data must be nonempty")
+    if yv.shape[0] != pts.shape[0]:
+        raise ValueError("points and responses length mismatch")
 
     def objective(thetas: np.ndarray) -> np.ndarray:
         resid = yv - model.batch(pts, thetas)
@@ -154,16 +153,13 @@ class _ProfiledGpLikelihood:
     ``eta`` and residual ``r(theta)``, the process variance profiles to
     ``tau2 = r^T (R + eta I)^{-1} r / n`` and the objective becomes
     ``(n/2) log tau2 + (1/2) log det(R + eta I)``; ``(rho, Q)`` are the
-    eigenpairs of ``R``.
+    eigenpairs of ``R``, the surface's jittered Gram matrix.
     """
 
-    def __init__(self, points: np.ndarray, y: np.ndarray, model: ComputerModel,
-                 rho: np.ndarray, Q: np.ndarray):
-        self.pts = points
-        self.y = y
+    def __init__(self, surface: KrrModel, model: ComputerModel):
+        self.pts, self.y, self.n = surface.design, surface.y, surface.n
         self.model = model
-        self.n = y.shape[0]
-        self.rho, self.Q = rho, Q
+        self.rho, self.Q = surface.gram_eig
         if self.rho.min() <= 0:
             raise rkhs.FitError("GP correlation matrix is not positive definite "
                                 f"after jitter (smallest eigenvalue {self.rho.min():.3e})")
@@ -208,27 +204,22 @@ class _ProfiledGpLikelihood:
         return tau2, tau2 * np.exp(log_eta)
 
 
-def ko_calibrate(points, y, model: ComputerModel,
-                 kernel_cfg: KernelConfig = KernelConfig(),
+def ko_calibrate(surface: KrrModel, model: ComputerModel,
                  opt: OptimizerConfig = OptimizerConfig(),
-                 seed: int = 0,
-                 surface: KrrModel | None = None) -> CalibrationEstimate:
+                 seed: int = 0) -> CalibrationEstimate:
     """Gaussian-process calibration by profiled maximum likelihood.
 
-    The kernel (phi by leave-one-out over ``kernel_cfg.phi_grid``) and the
-    eigenpairs of its jittered Gram matrix come from ``fit_response_surface``,
-    or from a given ``surface``; then (theta, log eta) are searched jointly:
-    a coarse grid pass, Nelder-Mead from the best cell, and five seeded
-    random restarts to dodge likelihood multimodality.
+    The data, the kernel (its phi picked by leave-one-out) and the
+    eigenpairs of its jittered Gram matrix come from the fitted
+    ``surface``; then (theta, log eta) are searched jointly: a coarse
+    grid pass, Nelder-Mead from the best cell, and five seeded random
+    restarts to dodge likelihood multimodality.
     """
-    pts, yv = _check_data(points, y)
-    if yv.shape[0] < 3:
+    if surface.n < 3:
         raise ValueError("GP calibration needs at least 3 observations")
     box = model.theta_domain
-    # Coarse deterministic pass over theta x log(eta), checked before tuning.
     theta_grid = tensor_grid(box, max(9, opt.grid_points // 5))
-    surface = surface or fit_response_surface(pts, yv, kernel_cfg)
-    nll = _ProfiledGpLikelihood(pts, yv, model, *surface.gram_eig)
+    nll = _ProfiledGpLikelihood(surface, model)
     log_etas = np.linspace(np.log(ETA_BOUNDS[0]), np.log(ETA_BOUNDS[1]), 17)
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x6B6F]))

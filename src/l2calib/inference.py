@@ -17,7 +17,9 @@ population oracle.  The asymptotic covariances are then
     Sigma2   = 4 sigma^2 W + 4 E[delta^2 g g^T]
 
 so the least-squares spread exceeds the L2 spread exactly when the
-model discrepancy is nonzero where the sweep moves.
+model discrepancy is nonzero where the sweep moves.  The plug-in
+estimate reads the design, the responses and sigma^2 from the fitted
+surface alone.
 """
 
 from __future__ import annotations
@@ -170,14 +172,14 @@ def efficiency_gap(Sigma1_hat, Sigma2_hat, tol: float = 1e-8) -> EfficiencyGap:
     return EfficiencyGap(gap=gap, min_eigenvalue=min_eig, psd=min_eig >= -tol)
 
 
-def estimate_sandwich(points, y, zeta_hat: KrrModel, model: ComputerModel,
+def estimate_sandwich(zeta_hat: KrrModel, model: ComputerModel,
                       theta_hat) -> SandwichEstimate:
-    """Assemble every sandwich quantity from one dataset and fit."""
-    pts, yv = as_points(points), np.asarray(y, dtype=float).reshape(-1)
-    s2 = rkhs.sigma2_hat(pts, yv, zeta_hat)
-    ex = expand(model, lambda p: rkhs.predict(zeta_hat, p), theta_hat, design_rule(pts))
+    """Assemble every sandwich quantity from the fitted surface at ``theta_hat``."""
+    s2 = rkhs.sigma2_hat(zeta_hat)
+    ex = expand(model, lambda p: rkhs.predict(zeta_hat, p), theta_hat,
+                design_rule(zeta_hat.design))
     W, V, S2m = ex.W(), ex.V(), ex.Sigma2(s2)
-    n = pts.shape[0]
+    n = zeta_hat.n
     return SandwichEstimate(V_hat=V, W_hat=W, sigma2_hat=s2, Sigma2_hat=S2m,
                             cov_l2=l2_cov(V, W, s2, n),
                             cov_ols=ols_cov(V, S2m, n), n=n)

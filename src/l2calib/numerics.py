@@ -5,10 +5,9 @@ Gauss-Legendre rules over rectangular domains, a deterministic
 grid-scan-plus-refinement minimizer, and central-difference
 derivatives.
 
-Evaluators passed to the quadrature helpers are vectorized: they take
-an ``(n, d)`` array of points and return an ``(n,)`` array of values.
-Objectives passed to :func:`minimize` are batched the same way: they
+Objectives passed to :func:`scan` and :func:`minimize` are batched: they
 take a ``(k, q)`` array of parameter vectors and return ``(k,)`` values.
+A non-finite value counts as ``+inf``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import minimize as _scipy_minimize
 
-Evaluator = Callable[[np.ndarray], np.ndarray]
 Objective = Callable[[np.ndarray], np.ndarray]  # (k, q) -> (k,)
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -146,29 +144,6 @@ def gauss_legendre(domain: BoxDomain, m: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=np.asarray(weights).ravel())
 
 
-def l2_distance_sq(f: Evaluator, g: Evaluator, rule: QuadratureRule) -> float:
-    """Squared L2 distance ``integral (f - g)^2 dz`` over the rule's box.
-
-    Uses the raw ``dz`` measure; no volume normalization.
-    """
-    fv = _eval_on_nodes(f, rule, "f")
-    gv = _eval_on_nodes(g, rule, "g")
-    diff = fv - gv
-    return float(rule.weights @ (diff * diff))
-
-
-def _eval_on_nodes(f: Evaluator, rule: QuadratureRule, name: str) -> np.ndarray:
-    vals = np.asarray(f(rule.nodes), dtype=float).reshape(-1)
-    if vals.shape[0] != rule.nodes.shape[0]:
-        raise ValueError(f"evaluator {name} returned {vals.shape[0]} values for "
-                         f"{rule.nodes.shape[0]} nodes")
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(f"evaluator {name} is non-finite at node {rule.nodes[i]}")
-    return vals
-
-
 def golden_section(f: Callable[[float], float], lo: float, hi: float,
                    tol: float = 1e-9, max_iterations: int = 200) -> tuple[float, float, int]:
     """Golden-section search for a minimum of ``f`` on ``[lo, hi]``.
@@ -211,11 +186,19 @@ def tensor_grid(box: BoxDomain, per_axis: int) -> np.ndarray:
 
 
 def _evaluate(objective: Objective, thetas: np.ndarray) -> np.ndarray:
+    """Objective values at the rows of ``thetas``, non-finite ones as ``+inf``."""
     vals = np.asarray(objective(thetas), dtype=float)
     if vals.shape != (thetas.shape[0],):
         raise ValueError(f"objective returned shape {vals.shape} for "
                          f"{thetas.shape[0]} parameter vectors")
-    return vals
+    return np.where(np.isfinite(vals), vals, np.inf)
+
+
+def scan(objective: Objective, thetas: np.ndarray) -> np.ndarray:
+    """Values of ``objective`` at each row of the ``(k, q)`` ``thetas``,
+    evaluated in blocks of at most ``SCAN_BLOCK_ROWS`` rows."""
+    return np.concatenate([_evaluate(objective, thetas[i:i + SCAN_BLOCK_ROWS])
+                           for i in range(0, len(thetas), SCAN_BLOCK_ROWS)])
 
 
 def minimize(objective: Objective, box: BoxDomain,
@@ -223,21 +206,17 @@ def minimize(objective: Objective, box: BoxDomain,
     """Minimize a batched objective over a box: grid scan, then local refinement.
 
     ``objective`` maps a ``(k, q)`` array of parameter vectors to ``(k,)``
-    values.  The coarse scan evaluates a full tensor grid (``grid_points``
-    per dimension, endpoints included) in blocks of at most
-    ``SCAN_BLOCK_ROWS`` rows, and refinement starts from the best grid
-    cell: golden-section for one-dimensional boxes, Nelder-Mead clamped
-    to the box otherwise, one ``(1, q)`` batch per evaluation.
-    Deterministic given the config.
+    values.  The coarse :func:`scan` evaluates a full tensor grid
+    (``grid_points`` per dimension, endpoints included), and refinement
+    starts from the best grid cell: golden-section for one-dimensional
+    boxes, Nelder-Mead clamped to the box otherwise, one ``(1, q)`` batch
+    per evaluation.  Deterministic given the config.
     """
     q = box.dim
     pts = tensor_grid(box, config.grid_points)
-    vals = np.concatenate([_evaluate(objective, pts[i:i + SCAN_BLOCK_ROWS])
-                           for i in range(0, len(pts), SCAN_BLOCK_ROWS)])
-    finite = np.isfinite(vals)
-    if not np.any(finite):
+    vals = scan(objective, pts)
+    if not np.any(np.isfinite(vals)):
         raise ValueError("objective is non-finite on the whole coarse grid")
-    vals = np.where(finite, vals, np.inf)
     best = int(np.argmin(vals))
 
     if q == 1:

@@ -17,6 +17,8 @@ candidate's Gram matrix from them.
 
 The tuning policy lives here too: ``KernelConfig`` holds the phi and
 lambda grids, and ``fit_response_surface`` picks from both in one pass.
+The fitted ``KrrModel`` keeps its design, responses and Gram eigenpairs,
+so the calibrators and the sandwich read a dataset only through it.
 """
 
 from __future__ import annotations
@@ -72,10 +74,11 @@ class KernelConfig:
 
 @dataclass(frozen=True)
 class KrrModel:
-    """Fitted penalized regressor (immutable)."""
+    """Fitted penalized regressor (immutable) with the data it was fitted to."""
 
     kernel: KernelSpec
     design: np.ndarray      # (n, d)
+    y: np.ndarray           # (n,) responses
     coeffs: np.ndarray      # (n,)
     lam: float
     fitted: np.ndarray      # (n,)
@@ -151,7 +154,7 @@ class _EigenPanel:
             return np.where(denom > 0.0, rss_term / denom, np.inf)
 
     def model(self, lam: float) -> KrrModel:
-        return KrrModel(kernel=self.spec, design=self.points,
+        return KrrModel(kernel=self.spec, design=self.points, y=self.y,
                         coeffs=self.coeffs(lam), lam=float(lam),
                         fitted=self.fitted(lam), hat_trace=self.hat_trace(lam),
                         gram_eig=(self.w, self.Q))
@@ -245,19 +248,18 @@ def loo_cv_phi(points, y, config: KernelConfig,
 def fit_response_surface(points, y, config: KernelConfig) -> KrrModel:
     """Pick (phi, lambda) from the config grids and fit the regressor.
 
-    The model (with its Gram eigenpairs, and its phi as ``kernel.phi``)
-    can be passed as ``surface`` to ``l2_calibrate`` and ``ko_calibrate``
-    on the same data.
+    The model (with its data, its Gram eigenpairs, and its phi as
+    ``kernel.phi``) is the surface ``l2_calibrate``, ``ko_calibrate`` and
+    ``inference.estimate_sandwich`` take.
     """
     return loo_cv_phi(points, y, config)
 
 
-def sigma2_hat(points, y, model: KrrModel) -> float:
-    """Noise-variance estimate ``||(I-A)y||^2 / (n - tr A)``."""
-    yv = np.asarray(y, dtype=float).reshape(-1)
+def sigma2_hat(model: KrrModel) -> float:
+    """Noise-variance estimate ``||(I-A)y||^2 / (n - tr A)`` on the fitted data."""
     dof = model.n - model.hat_trace
     if dof <= 0:
         raise FitError(f"effective degrees of freedom {dof:.3e} <= 0; "
                        "cannot estimate the noise variance")
-    resid = yv - model.fitted
+    resid = model.y - model.fitted
     return float(resid @ resid) / dof

@@ -189,7 +189,7 @@ def _prop_sigma2_matrix_psd():
     theta = np.array([THETA_STAR])
     ex = inference.expand(system.computer_model, lambda p: predict(zeta_hat, p),
                           theta, inference.design_rule(pts))
-    s2 = rkhs.sigma2_hat(pts, y, zeta_hat)
+    s2 = rkhs.sigma2_hat(zeta_hat)
     W, S2 = ex.W(), ex.Sigma2(s2)
     assert np.linalg.eigvalsh(S2 - 4.0 * s2 * W).min() >= -1e-8
 

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from l2calib import kernels, rkhs, testbed
+from l2calib import cli, kernels, rkhs, testbed
 from l2calib.calibrate import (ETA_BOUNDS, ComputerModel, _ProfiledGpLikelihood,
-                               ko_calibrate, l2_calibrate, ols_calibrate)
-from l2calib.numerics import BoxDomain, OptimizerConfig, gauss_legendre, \
-    l2_distance_sq, minimize
+                               ko_calibrate, l2_calibrate, l2_objective, ols_calibrate)
+from l2calib.numerics import BoxDomain, OptimizerConfig, gauss_legendre, minimize
 from l2calib.rkhs import KernelConfig, fit_response_surface
 
 RULE = gauss_legendre(testbed.OMEGA, 256)
@@ -27,17 +26,18 @@ def noisy_example2(seed=4, sigma2=0.01):
 class TestPerfectModelAgreement:
     def test_all_three_methods_recover_theta_star(self):
         system, pts, y = noiseless("example1")
-        kcfg = KernelConfig()
-        l2 = l2_calibrate(pts, y, kcfg, system.computer_model, RULE, OPT)
+        surface = fit_response_surface(pts, y, KernelConfig())
+        l2 = l2_calibrate(surface, system.computer_model, RULE, OPT)
         ols = ols_calibrate(pts, y, system.computer_model, OPT)
-        ko = ko_calibrate(pts, y, system.computer_model, seed=0)
+        ko = ko_calibrate(surface, system.computer_model, seed=0)
         assert l2.theta_hat[0] == pytest.approx(-1.0, abs=1e-4)
         assert ols.theta_hat[0] == pytest.approx(-1.0, abs=1e-4)
         assert ko.theta_hat[0] == pytest.approx(-1.0, abs=1e-4)
 
     def test_ko_profiled_variance_vanishes_without_noise(self):
         system, pts, y = noiseless("example1")
-        ko = ko_calibrate(pts, y, system.computer_model, seed=1)
+        ko = ko_calibrate(fit_response_surface(pts, y, KernelConfig()),
+                          system.computer_model, seed=1)
         assert ko.meta["tau2"] <= 1e-10
 
 
@@ -46,26 +46,23 @@ class TestL2:
         # with the exact truth in place of the smoother, the estimate
         # must sit at the closed-form minimizer
         system, _, _ = noiseless("example2")
-        zeta = lambda p: testbed.zeta_true(p[:, 0])
-        obj = lambda ths: np.array([l2_distance_sq(
-            zeta, lambda p: system.computer_model(p, th), RULE) for th in ths])
+        obj = l2_objective(testbed.zeta_true(RULE.nodes[:, 0]), system.computer_model, RULE)
         res = minimize(obj, system.computer_model.theta_domain, OPT)
         assert res.x[0] == pytest.approx(testbed.THETA_STAR_EXAMPLE2, abs=1e-6)
 
     def test_objective_value_consistency(self):
         system, pts, y = noisy_example2()
-        kcfg = KernelConfig()
-        est = l2_calibrate(pts, y, kcfg, system.computer_model, RULE, OPT)
-        zeta_hat = fit_response_surface(pts, y, kcfg)
+        zeta_hat = fit_response_surface(pts, y, KernelConfig())
+        est = l2_calibrate(zeta_hat, system.computer_model, RULE, OPT)
         assert zeta_hat.kernel.phi == est.meta["phi"]
-        recomputed = l2_distance_sq(
-            lambda p: rkhs.predict(zeta_hat, p),
-            lambda p: system.computer_model(p, est.theta_hat), RULE)
+        recomputed = l2_objective(rkhs.predict(zeta_hat, RULE.nodes),
+                                  system.computer_model, RULE)(est.theta_hat[None])[0]
         assert est.objective_value ** 2 == pytest.approx(recomputed, rel=1e-10)
 
     def test_meta_records_selected_tuning(self):
         system, pts, y = noisy_example2()
-        est = l2_calibrate(pts, y, KernelConfig(), system.computer_model, RULE, OPT)
+        est = l2_calibrate(fit_response_surface(pts, y, KernelConfig()),
+                           system.computer_model, RULE, OPT)
         assert est.meta["phi"] > 0
         assert est.meta["lambda"] > 0
         assert est.method == "L2"
@@ -73,14 +70,14 @@ class TestL2:
     def test_boundary_solution_flagged(self):
         system, pts, y = noiseless("example2")
         narrow = testbed.example2_model(BoxDomain((1.0,), (2.0,)))
-        est = l2_calibrate(pts, y, KernelConfig(), narrow, RULE, OPT)
+        est = l2_calibrate(fit_response_surface(pts, y, KernelConfig()), narrow, RULE, OPT)
         assert est.meta["boundary"]
         assert est.theta_hat[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_fixed_rules_respected(self):
         system, pts, y = noisy_example2()
         kcfg = KernelConfig(phi_grid=(0.4,), lambda_grid=(1e-3,))
-        est = l2_calibrate(pts, y, kcfg, system.computer_model, RULE, OPT)
+        est = l2_calibrate(fit_response_surface(pts, y, kcfg), system.computer_model, RULE, OPT)
         assert est.meta["phi"] == 0.4
         assert est.meta["lambda"] == 1e-3
 
@@ -114,33 +111,37 @@ class TestPermutationInvariance:
         system, pts, y = noisy_example2(seed=10)
         perm = np.random.default_rng(0).permutation(len(y))
         kcfg = KernelConfig()
-        a_l2 = l2_calibrate(pts, y, kcfg, system.computer_model, RULE, OPT)
-        b_l2 = l2_calibrate(pts[perm], y[perm], kcfg, system.computer_model, RULE, OPT)
+        a_surface = fit_response_surface(pts, y, kcfg)
+        b_surface = fit_response_surface(pts[perm], y[perm], kcfg)
+        a_l2 = l2_calibrate(a_surface, system.computer_model, RULE, OPT)
+        b_l2 = l2_calibrate(b_surface, system.computer_model, RULE, OPT)
         assert a_l2.theta_hat[0] == pytest.approx(b_l2.theta_hat[0], abs=1e-6)
         a_ols = ols_calibrate(pts, y, system.computer_model, OPT)
         b_ols = ols_calibrate(pts[perm], y[perm], system.computer_model, OPT)
         assert a_ols.theta_hat[0] == pytest.approx(b_ols.theta_hat[0], abs=1e-8)
-        a_ko = ko_calibrate(pts, y, system.computer_model, seed=3)
-        b_ko = ko_calibrate(pts[perm], y[perm], system.computer_model, seed=3)
+        a_ko = ko_calibrate(a_surface, system.computer_model, seed=3)
+        b_ko = ko_calibrate(b_surface, system.computer_model, seed=3)
         assert a_ko.theta_hat[0] == pytest.approx(b_ko.theta_hat[0], abs=1e-5)
 
 
 class TestKo:
     def test_recovers_noise_variance(self):
         system, pts, y = noisy_example2(seed=12, sigma2=0.04)
-        est = ko_calibrate(pts, y, system.computer_model, seed=12)
+        est = ko_calibrate(fit_response_surface(pts, y, KernelConfig()),
+                           system.computer_model, seed=12)
         assert est.meta["sigma2"] == pytest.approx(0.04, rel=0.6)
 
     def test_requires_minimum_sample(self):
         system = testbed.make_system("example2", 0.1)
         with pytest.raises(ValueError, match="at least 3"):
-            ko_calibrate(np.array([[0.1], [0.2]]), np.array([1.0, 2.0]),
+            ko_calibrate(fit_response_surface(np.array([[0.1], [0.2]]), np.array([1.0, 2.0]),
+                                              KernelConfig()),
                          system.computer_model)
 
     def test_fixed_phi_respected(self):
         system, pts, y = noisy_example2(seed=13)
-        est = ko_calibrate(pts, y, system.computer_model,
-                           KernelConfig(phi_grid=(0.3,)), seed=13)
+        est = ko_calibrate(fit_response_surface(pts, y, KernelConfig(phi_grid=(0.3,))),
+                           system.computer_model, seed=13)
         assert est.meta["phi"] == 0.3
 
     def test_two_parameter_box(self):
@@ -148,14 +149,15 @@ class TestKo:
                               theta_domain=BoxDomain((-2.0, -2.0), (2.0, 2.0)))
         x = np.linspace(0.0, 6.0, 12)[:, None]
         y = 0.5 * np.sin(x[:, 0]) + 0.3
-        est = ko_calibrate(x, y, model, KernelConfig(phi_grid=(1.0,)),
+        est = ko_calibrate(fit_response_surface(x, y, KernelConfig(phi_grid=(1.0,))), model,
                            opt=OptimizerConfig(grid_points=45))
         assert est.theta_hat == pytest.approx([0.5, 0.3], abs=1e-4)
 
     def test_deterministic_given_seed(self):
         system, pts, y = noisy_example2(seed=14)
-        a = ko_calibrate(pts, y, system.computer_model, seed=5)
-        b = ko_calibrate(pts, y, system.computer_model, seed=5)
+        surface = fit_response_surface(pts, y, KernelConfig())
+        a = ko_calibrate(surface, system.computer_model, seed=5)
+        b = ko_calibrate(surface, system.computer_model, seed=5)
         assert a.theta_hat[0] == b.theta_hat[0]
 
 
@@ -163,20 +165,24 @@ class TestSharedSurface:
     """One tuned surface handed to several calibrators changes no estimate."""
 
     @pytest.mark.parametrize("example", ["example1", "example2"])
-    def test_shared_surface_estimates_match_self_tuned(self, example):
+    def test_run_methods_matches_direct_calls_on_one_surface(self, example):
         system = testbed.make_system(example, 0.1, "uniform_random", 41)
         pts, y = testbed.generate(system, 21, 0)
         model = system.computer_model
-        for kcfg in (KernelConfig(), KernelConfig(phi_grid=(0.5,))):
-            surface = fit_response_surface(pts, y, kcfg)
-            for shared, alone in (
-                    (l2_calibrate(pts, y, kcfg, model, RULE, OPT, surface=surface),
-                     l2_calibrate(pts, y, kcfg, model, RULE, OPT)),
-                    (ko_calibrate(pts, y, model, kcfg, seed=2, surface=surface),
-                     ko_calibrate(pts, y, model, kcfg, seed=2))):
-                assert np.array_equal(shared.theta_hat, alone.theta_hat)
-                assert shared.objective_value == alone.objective_value
-                assert shared.meta == alone.meta
+        for phi_grid in (rkhs.DEFAULT_PHI_GRID, (0.5,)):
+            config = cli.RunConfig(example=example, sigma2=(0.1,), design="uniform_random",
+                                   design_n=41, phi_grid=phi_grid)
+            ran = cli._run_methods(config, pts, y, model, ko_seed=2, sandwich=True)
+            surface = fit_response_surface(pts, y, config.kernel_config())
+            for meth, direct in (
+                    ("L2", l2_calibrate(surface, model, RULE, OPT)),
+                    ("OLS", ols_calibrate(pts, y, model, OPT)),
+                    ("KO", ko_calibrate(surface, model, OPT, seed=2))):
+                est, _, err = ran[meth]
+                assert err is None
+                assert np.array_equal(est.theta_hat, direct.theta_hat)
+                assert est.objective_value == direct.objective_value
+                assert est.meta == direct.meta
 
     def test_fit_keeps_gram_eigenpairs(self):
         _, pts, y = noisy_example2(seed=22)
@@ -221,7 +227,7 @@ class TestSharedSurface:
         system = testbed.make_system(example, 0.1)
         pts, y = testbed.generate(system, seed, 0)
         surface = fit_response_surface(pts, y, KernelConfig())
-        nll = _ProfiledGpLikelihood(pts, y, system.computer_model, *surface.gram_eig)
+        nll = _ProfiledGpLikelihood(surface, system.computer_model)
         theta_grid = np.linspace(-2.0, 2.0, 80)[:, None]
         log_etas = np.linspace(np.log(ETA_BOUNDS[0]), np.log(ETA_BOUNDS[1]), 17)
         best_val, best_start = np.inf, None
@@ -236,7 +242,7 @@ class TestSharedSurface:
     def test_likelihood_is_infinite_outside_the_box(self):
         system, pts, y = noisy_example2(seed=23)
         surface = fit_response_surface(pts, y, KernelConfig())
-        nll = _ProfiledGpLikelihood(pts, y, system.computer_model, *surface.gram_eig)
+        nll = _ProfiledGpLikelihood(surface, system.computer_model)
         assert np.isfinite(nll(np.array([0.0, 0.0])))
         for params in ([2.5, 0.0], [-2.5, 0.0], [0.0, 30.0], [0.0, -30.0], [np.nan, 0.0]):
             assert nll(np.array(params)) == np.inf
@@ -289,7 +295,7 @@ class TestBatchedObjectives:
         system, pts, y = noisy_example2(seed=31)
         model = system.computer_model
         surface = fit_response_surface(pts, y, KernelConfig())
-        est = l2_calibrate(pts, y, KernelConfig(), model, RULE, OPT, surface=surface)
+        est = l2_calibrate(surface, model, RULE, OPT)
         zeta_nodes = rkhs.predict(surface, RULE.nodes)
 
         def objective(th):

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from l2calib import cli, rkhs, testbed
-from l2calib.calibrate import l2_calibrate
-from l2calib.numerics import gauss_legendre
+from l2calib.calibrate import fit_response_surface
 from l2calib.cli import (CliConfigError, RunConfig, check_report, cmd_calibrate,
                          load_config, main, read_data_csv, simulate)
 
@@ -250,7 +249,7 @@ class TestTuneOnce:
 
     def test_tuning_failure_fails_each_method_that_needs_it(self, tmp_path):
         # a vanishing penalty makes every GCV score 0/0: tuning fails, and
-        # the L2 and KO rows carry the error each raises on its own
+        # the L2 and KO rows carry the error the one surface fit raises
         system = testbed.make_system("example2", 0.01)
         pts, y = testbed.generate(system, 5, 0)
         data = write_data_csv(tmp_path / "d.csv", pts, y)
@@ -263,10 +262,23 @@ class TestTuneOnce:
         assert rows["OLS"].endswith(",ok")
         kcfg = load_config(cfg).kernel_config()
         with pytest.raises(rkhs.FitError) as alone:
-            l2_calibrate(pts, y, kcfg, system.computer_model,
-                         gauss_legendre(testbed.OMEGA, 128))
+            fit_response_surface(pts, y, kcfg)
         for meth in ("L2", "KO"):
             assert rows[meth].endswith(f"error: FitError: {alone.value}")
+
+    def test_failed_tuning_runs_the_sweep_once(self, tmp_path, monkeypatch):
+        system = testbed.make_system("example2", 0.01)
+        data = write_data_csv(tmp_path / "d.csv", *testbed.generate(system, 5, 0))
+        cfg = write_config(tmp_path / "c.json", methods=["L2", "OLS", "KO"],
+                           lambda_grid=[1e-300])
+        loo = counting(monkeypatch, rkhs, "loo_cv_phi")
+        assert main(["calibrate", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "o.csv")]) == 0
+        assert len(loo) == 1
+        rows = {r.split(",")[0]: r for r in
+                (tmp_path / "o.csv").read_text().strip().splitlines()[1:]}
+        for meth in ("L2", "KO"):
+            assert rows[meth].endswith("error: FitError: all GCV scores are non-finite")
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -359,7 +371,17 @@ class TestDiscrepancyCommand:
     def test_quadrature_calls_the_testbed_simulator(self, monkeypatch):
         calls = counting(monkeypatch, testbed, "ys_example2")
         rows = cli.discrepancy_curve("example2", -1.0, 1.0, 3, quadrature_m=16)
-        assert len(calls) == 3 and rows.shape == (3, 3)
+        # the three thetas go to the simulator as one block
+        assert len(calls) == 1 and calls[0][1].ravel().tolist() == [-1.0, 0.0, 1.0]
+        assert rows.shape == (3, 3)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_check_fails_where_the_distance_overflows(self, tmp_path):
+        # at |theta| = 1e300 both columns are inf, so their agreement is NaN
+        out = tmp_path / "big.csv"
+        assert main(["discrepancy", "--theta-min", "-1e300", "--theta-max", "1e300",
+                     "--steps", "3", "--out", str(out), "--check"]) == 3
+        assert out.read_text().splitlines()[1] == "-1.0000000000000001e+300,inf,inf"
 
     def test_rejects_bad_range(self, tmp_path):
         assert main(["discrepancy", "--theta-min", "2.0", "--theta-max", "-2.0",

@@ -42,7 +42,7 @@ class TestSigma2:
         system = testbed.make_system("example2", 0.0)
         pts, y = testbed.generate(system, 0, 0)
         m = rkhs.fit_with_rule(pts, y, KernelSpec("gaussian", 1.0), (1e-10,))
-        assert sigma2_hat(pts, y, m) <= 1e-8
+        assert sigma2_hat(m) <= 1e-8
 
     def test_degenerate_effective_dof_rejected(self):
         x = np.linspace(0.0, 6.0, 8)[:, None]
@@ -50,7 +50,7 @@ class TestSigma2:
         m = rkhs.fit_with_rule(x, y, KernelSpec("gaussian", 1.0), (1e-3,))
         # a smoother that spends every degree of freedom
         with pytest.raises(rkhs.FitError, match="degrees of freedom"):
-            sigma2_hat(x, y, replace(m, hat_trace=float(len(y))))
+            sigma2_hat(replace(m, hat_trace=float(len(y))))
 
     def test_monte_carlo_coverage_of_generating_variance(self):
         system = testbed.make_system("example2", 0.1)
@@ -59,7 +59,7 @@ class TestSigma2:
         for r in range(100):
             pts, y = testbed.generate(system, 314, r)
             zeta_hat = fit_response_surface(pts, y, kcfg)
-            if 0.05 <= sigma2_hat(pts, y, zeta_hat) <= 0.2:
+            if 0.05 <= sigma2_hat(zeta_hat) <= 0.2:
                 hits += 1
         assert hits >= 95
 
@@ -164,7 +164,7 @@ class TestCovariances:
         model = system.computer_model
         theta = THETA_STAR
         ex = at_design(model, lambda p: rkhs.predict(zeta_hat, p), theta, pts)
-        s2 = sigma2_hat(pts, y, zeta_hat)
+        s2 = sigma2_hat(zeta_hat)
         W, S2 = ex.W(), ex.Sigma2(s2)
         assert np.linalg.eigvalsh(S2 - 4.0 * s2 * W).min() >= -1e-8
 
@@ -198,8 +198,7 @@ class TestSandwichAssembly:
         system = testbed.make_system("example2", 0.01)
         pts, y = testbed.generate(system, 44, 0)
         zeta_hat = fit_response_surface(pts, y, KernelConfig())
-        sand = estimate_sandwich(pts, y, zeta_hat, system.computer_model,
-                                 THETA_STAR)
+        sand = estimate_sandwich(zeta_hat, system.computer_model, THETA_STAR)
         for M in (sand.V_hat, sand.W_hat, sand.Sigma2_hat, sand.cov_l2,
                   sand.cov_ols):
             assert np.allclose(M, M.T, atol=1e-12)
@@ -215,14 +214,14 @@ class TestSandwichAssembly:
         pts, y = testbed.generate(system, 55, 0)
         zeta_hat = fit_response_surface(pts, y, KernelConfig())
         model = system.computer_model
-        sand = estimate_sandwich(pts, y, zeta_hat, model, THETA_STAR)
+        sand = estimate_sandwich(zeta_hat, model, THETA_STAR)
 
         scaled_model = ComputerModel(
             eval=lambda p, ths: model.batch(p / 2.0, ths),
             theta_domain=model.theta_domain)
         surface = lambda p: rkhs.predict(zeta_hat, p / 2.0)
         ex = at_design(scaled_model, surface, THETA_STAR, 2.0 * pts)
-        s2 = sigma2_hat(pts, y, zeta_hat)
+        s2 = sigma2_hat(zeta_hat)
         W2, V2, S22 = ex.W(), ex.V(), ex.Sigma2(s2)
         assert W2[0, 0] == pytest.approx(sand.W_hat[0, 0], rel=1e-4)
         assert V2[0, 0] == pytest.approx(sand.V_hat[0, 0], rel=1e-4)
@@ -241,9 +240,9 @@ class TestSandwichAssembly:
                                      + ths[:, 1:] ** 2 * p[:, 0]),
                 theta_domain=BoxDomain((-2.0, -2.0), (2.0, 2.0)))
             theta = np.array([0.4, 0.9])
-        sand = estimate_sandwich(pts, y, zeta_hat, model, theta)
+        sand = estimate_sandwich(zeta_hat, model, theta)
         ex = at_design(model, lambda p: rkhs.predict(zeta_hat, p), theta, pts)
-        s2 = sigma2_hat(pts, y, zeta_hat)
+        s2 = sigma2_hat(zeta_hat)
         assert sand.sigma2_hat == s2
         assert np.array_equal(sand.W_hat, ex.W())
         assert np.array_equal(sand.V_hat, ex.V())

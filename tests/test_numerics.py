@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from l2calib import testbed
-from l2calib.calibrate import ComputerModel, ko_calibrate
+from l2calib.calibrate import ComputerModel, ko_calibrate, l2_objective
 from l2calib.numerics import (MAX_GRID_POINTS, SCAN_BLOCK_ROWS, BoxDomain, OptimizerConfig,
                               fd_grad, fd_hess, fd_step, gauss_legendre, golden_section,
-                              l2_distance_sq, minimize, tensor_grid)
+                              minimize, tensor_grid)
+from l2calib.rkhs import KernelConfig, fit_response_surface
 
 UNIT = BoxDomain((0.0,), (1.0,))
 OMEGA = testbed.OMEGA
@@ -61,6 +62,13 @@ class TestGaussLegendre:
         assert abs(a - b) <= 1e-10 * abs(b)
 
 
+def l2_distance_sq(f, g, rule):
+    """``calibrate.l2_objective`` between ``f`` and a simulator that is ``g``
+    for every parameter, at one parameter vector."""
+    model = ComputerModel(eval=lambda p, ths: np.tile(g(p), (len(ths), 1)), theta_domain=UNIT)
+    return l2_objective(f(rule.nodes), model, rule)(np.zeros((1, 1)))[0]
+
+
 class TestL2Distance:
     def test_identical_functions(self):
         rule = gauss_legendre(OMEGA, 32)
@@ -69,17 +77,16 @@ class TestL2Distance:
 
     def test_example2_at_theta_one_is_two_pi(self):
         rule = gauss_legendre(OMEGA, 256)
-        zeta = lambda p: testbed.zeta_true(p[:, 0])
-        ys = lambda p: testbed.ys_example2(p[:, 0], 1.0)
-        assert l2_distance_sq(zeta, ys, rule) == pytest.approx(2 * np.pi, rel=1e-12)
+        distance = l2_objective(testbed.zeta_true(rule.nodes[:, 0]), testbed.example2_model(), rule)
+        assert distance(np.array([[1.0]]))[0] == pytest.approx(2 * np.pi, rel=1e-12)
 
     def test_matches_closed_form_over_theta_grid(self):
         rule = gauss_legendre(OMEGA, 256)
-        zeta = lambda p: testbed.zeta_true(p[:, 0])
-        for t in np.linspace(-2.0, 2.0, 41):
+        distance = l2_objective(testbed.zeta_true(rule.nodes[:, 0]), testbed.example2_model(), rule)
+        thetas = np.linspace(-2.0, 2.0, 41)
+        for t, got in zip(thetas, distance(thetas[:, None])):
             if abs(t) < 1e-3:
                 continue
-            got = l2_distance_sq(zeta, lambda p: testbed.ys_example2(p[:, 0], t), rule)
             assert got == pytest.approx(testbed.discrepancy_closed_form(t), rel=1e-9)
 
     def test_symmetry(self):
@@ -87,12 +94,6 @@ class TestL2Distance:
         f = lambda p: np.sin(p[:, 0])
         g = lambda p: np.cos(p[:, 0])
         assert l2_distance_sq(f, g, rule) == l2_distance_sq(g, f, rule)
-
-    def test_nonfinite_evaluation_names_node(self):
-        rule = gauss_legendre(UNIT, 4)
-        bad = lambda p: np.where(p[:, 0] > 0.5, np.nan, 1.0)
-        with pytest.raises(ValueError, match="non-finite at node"):
-            l2_distance_sq(bad, lambda p: np.zeros(p.shape[0]), rule)
 
 
 class TestMinimize:
@@ -156,6 +157,13 @@ class TestMinimize:
         res = minimize(f, UNIT, OptimizerConfig(grid_points=11))
         assert res.x[0] == pytest.approx(0.7, abs=1e-6)
 
+    def test_nan_probes_do_not_win_the_refinement(self):
+        # golden-section probes past 0.35 see NaN; ranked as +inf, they lose
+        res = minimize(lambda t: np.where(t[:, 0] > 0.35, np.nan, (t[:, 0] - 0.4) ** 2),
+                       BoxDomain((0.0,), (1.0,)), OptimizerConfig(grid_points=11))
+        assert res.x[0] == pytest.approx(0.35, abs=1e-6)
+        assert res.fun == pytest.approx(0.0025, rel=1e-4)
+
     def test_all_nan_grid_message(self):
         with pytest.raises(ValueError, match="objective is non-finite on the whole coarse grid"):
             minimize(lambda t: np.full(len(t), np.nan), THETA_BOX)
@@ -204,7 +212,7 @@ class TestTensorGrid:
                               theta_domain=box)
         x = np.linspace(0.0, 6.0, 8)[:, None]
         with pytest.raises(ValueError, match=r"q=3 .* 80 points per axis has 512000 points"):
-            ko_calibrate(x, np.sin(x[:, 0]), model)
+            ko_calibrate(fit_response_surface(x, np.sin(x[:, 0]), KernelConfig()), model)
         assert calls == []
 
 

@@ -243,7 +243,7 @@ class TestSigma2Hat:
     def test_noiseless_interpolating_fit(self):
         x, y = smooth_data(12, seed=25)
         m = fit_with_rule(x, y, GAUSS, (1e-10,))
-        assert sigma2_hat(x, y, m) <= 1e-10
+        assert sigma2_hat(m) <= 1e-10
 
     def test_pure_noise_large_lambda_approaches_sample_variance(self):
         rng = np.random.default_rng(27)
@@ -251,7 +251,7 @@ class TestSigma2Hat:
         y = rng.normal(0, 1.0, 60)
         m = fit_with_rule(x, y, GAUSS, (1e6,))
         # A -> 0, so the estimate approaches ||y||^2 / n
-        assert sigma2_hat(x, y, m) == pytest.approx(float(y @ y) / 60, rel=1e-3)
+        assert sigma2_hat(m) == pytest.approx(float(y @ y) / 60, rel=1e-3)
 
 
 class TestProperties:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from l2calib import testbed
-from l2calib.numerics import gauss_legendre, l2_distance_sq
+from l2calib import cli, testbed
+from l2calib.calibrate import l2_objective
+from l2calib.numerics import gauss_legendre
 from l2calib.testbed import (SyntheticSystem, discrepancy_closed_form,
                              discrepancy_example1_closed_form, generate,
                              make_system, replication_rng, ys_example1,
@@ -33,9 +34,9 @@ class TestSimulators:
 
     def test_example1_discrepancy_closed_form_vs_quadrature(self):
         rule = gauss_legendre(testbed.OMEGA, 256)
-        zeta = lambda p: zeta_true(p[:, 0])
-        for t in (-1.7, -0.5, 0.3, 1.9):
-            got = l2_distance_sq(zeta, lambda p: ys_example1(p[:, 0], t), rule)
+        distance = l2_objective(zeta_true(rule.nodes[:, 0]), testbed.example1_model(), rule)
+        thetas = np.array([-1.7, -0.5, 0.3, 1.9])
+        for t, got in zip(thetas, distance(thetas[:, None])):
             assert got == pytest.approx(discrepancy_example1_closed_form(t), rel=1e-9)
 
     def test_example2_at_theta_one(self):
@@ -77,10 +78,7 @@ class TestClosedFormDiscrepancy:
         assert testbed.THETA_STAR_EXAMPLE2 == pytest.approx(-0.1789, abs=5e-4)
 
     def test_quadrature_agreement_over_range(self):
-        rule = gauss_legendre(testbed.OMEGA, 256)
-        zeta = lambda p: zeta_true(p[:, 0])
-        for t in np.linspace(-2, 2, 101):
-            got = l2_distance_sq(zeta, lambda p: ys_example2(p[:, 0], t), rule)
+        for t, _, got in cli.discrepancy_curve("example2", -2.0, 2.0, 101):
             want = discrepancy_closed_form(t)
             tol = 1e-6 if abs(t) < 1e-3 else 1e-9
             assert got == pytest.approx(want, rel=tol)
