@@ -7,12 +7,13 @@
   simulator against the raw observations.
 * ``ko_calibrate`` is the frequentist Gaussian-process variant: the
   observations are modeled as the simulator mean plus a stationary GP
-  discrepancy plus white noise, and the parameter maximizes the profiled
-  marginal likelihood.  It reads the data, the kernel and the Gram
-  eigenpairs from the same fitted surface.
+  discrepancy plus white noise, and the parameter maximizes the
+  marginal likelihood with the noise ratio and the process variance
+  profiled out.  It reads the data, the kernel and the Gram eigenpairs
+  from the same fitted surface.
 
-All three search the parameter box with the same deterministic
-grid-plus-refinement minimizer.
+All three are objectives of the parameter alone, searched over its box
+by the same deterministic grid-plus-refinement minimizer.
 """
 
 from __future__ import annotations
@@ -21,15 +22,18 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+# perfbench's tracer patches calibrate._scipy_minimize; no estimator calls it
 from scipy.optimize import minimize as _scipy_minimize
 
 from . import rkhs
 from .numerics import (BoxDomain, OptimizerConfig, QuadratureRule,
-                       as_points, fd_grad, fd_hess, minimize, tensor_grid)
+                       as_points, fd_grad, fd_hess, minimize)
 # cli fits every surface through calibrate.fit_response_surface
 from .rkhs import KrrModel, fit_response_surface
 
 ETA_BOUNDS = (1e-8, 1e8)  # noise-to-process variance ratio search range
+ETA_GRID_POINTS = 65      # log-eta grid that starts KO's profiling of eta
+ETA_NEWTON_STEPS = 6      # Newton steps in log eta from the best grid value
 
 
 @dataclass
@@ -147,13 +151,15 @@ def ols_calibrate(points, y, model: ComputerModel,
 
 
 class _ProfiledGpLikelihood:
-    """Concentrated negative log marginal likelihood for the GP calibrator.
+    """Concentrated negative log marginal likelihood of the GP calibrator,
+    a batched function of theta alone.
 
-    With correlation matrix ``R`` (fixed phi), noise-to-process ratio
-    ``eta`` and residual ``r(theta)``, the process variance profiles to
-    ``tau2 = r^T (R + eta I)^{-1} r / n`` and the objective becomes
-    ``(n/2) log tau2 + (1/2) log det(R + eta I)``; ``(rho, Q)`` are the
-    eigenpairs of ``R``, the surface's jittered Gram matrix.
+    With ``(rho, Q)`` the eigenpairs of the surface's jittered Gram matrix,
+    ``s = Q^T r(theta)`` for the residual ``r``, ``u = log eta`` (the
+    noise-to-process ratio) and ``d = rho + e^u``, the process variance
+    profiles to ``tau2 = a / n`` with ``a = sum s^2 / d``, and the objective
+    is ``f(u) = (n/2) log tau2 + (1/2) sum log d``.  ``u`` is profiled out per
+    theta by Newton steps from the best of a grid over ``ETA_BOUNDS``.
     """
 
     def __init__(self, surface: KrrModel, model: ComputerModel):
@@ -163,86 +169,79 @@ class _ProfiledGpLikelihood:
         if self.rho.min() <= 0:
             raise rkhs.FitError("GP correlation matrix is not positive definite "
                                 f"after jitter (smallest eigenvalue {self.rho.min():.3e})")
-        self._lo = np.append(model.theta_domain.lower, np.log(ETA_BOUNDS[0]))
-        self._hi = np.append(model.theta_domain.upper, np.log(ETA_BOUNDS[1]))
+        self.u_bounds = np.log(ETA_BOUNDS)
+        self.u_grid = np.linspace(*self.u_bounds, ETA_GRID_POINTS)
+        d_grid = self.rho + np.exp(self.u_grid)[:, None]
+        self.inv_d_grid, self.logdet_grid = 1.0 / d_grid, np.log(d_grid).sum(axis=1)
 
     def residual_sq(self, thetas: np.ndarray) -> np.ndarray:
-        """``(Q^T r)^2`` for the residual ``r`` of each row of ``thetas``, shape ``(k, n)``."""
-        resid = self.y - self.model.batch(self.pts, thetas)
-        return np.array([(self.Q.T @ r) ** 2 for r in resid])
+        """``s^2`` for each row of ``thetas``, shape ``(k, n)``."""
+        return ((self.y - self.model.batch(self.pts, thetas)) @ self.Q) ** 2
 
-    def _tau2(self, qtr2: np.ndarray, log_eta) -> tuple[np.ndarray, np.ndarray]:
-        """``(tau2, rho + eta)``, summing along the last axis of ``qtr2``, whose
-        leading axes broadcast against those of ``log_eta``."""
-        denom = self.rho + np.exp(log_eta)[..., None]
-        return np.sum(qtr2 / denom, axis=-1) / self.n, denom
+    def _f(self, a: np.ndarray, logdet: np.ndarray):
+        """``(f, tau2)``; ``tau2`` is floored at the smallest normal float where
+        ``a`` is 0 or not finite."""
+        tau2 = np.where(np.isfinite(a) & (a > 0.0), a / self.n, np.finfo(float).tiny)
+        return 0.5 * self.n * np.log(tau2) + 0.5 * logdet, tau2
 
-    def value_from_parts(self, qtr2: np.ndarray, log_eta: float) -> float:
-        tau2, denom = self._tau2(qtr2, log_eta)
-        tau2 = float(tau2)
-        if not np.isfinite(tau2) or tau2 <= 0.0:
-            tau2 = np.finfo(float).tiny
-        return 0.5 * self.n * np.log(tau2) + 0.5 * float(np.sum(np.log(denom)))
+    def _newton_parts(self, s2: np.ndarray, u: np.ndarray):
+        """``(f, f', f'', tau2)`` at ``u``, derivatives in ``u``, one row of
+        ``s2`` per entry of ``u``."""
+        eta = np.exp(u)
+        d = self.rho + eta[:, None]
+        inv = 1.0 / d
+        w1 = s2 * inv
+        w2 = w1 * inv
+        f, tau2 = self._f(w1.sum(axis=1), np.log(d).sum(axis=1))
+        a = self.n * tau2  # a floored tau2 comes from s = 0, where m2 = m3 = 0
+        m2, m3 = w2.sum(axis=1) / a, (w2 * inv).sum(axis=1) / a
+        f1 = eta * (0.5 * inv.sum(axis=1) - 0.5 * self.n * m2)
+        f2 = f1 + eta ** 2 * (0.5 * self.n * (2.0 * m3 - m2 ** 2)
+                              - 0.5 * (inv * inv).sum(axis=1))
+        return f, f1, f2, tau2
 
-    def __call__(self, params: np.ndarray) -> float:
-        if not ((params >= self._lo).all() and (params <= self._hi).all()):
-            return np.inf
-        return self.value_from_parts(self.residual_sq(params[None, :-1])[0], params[-1])
-
-    def grid_start(self, theta_grid: np.ndarray, log_etas: np.ndarray) -> np.ndarray:
-        """First minimizer of ``value_from_parts`` over ``theta_grid x log_etas``,
-        scanned row-major."""
-        qtr2 = self.residual_sq(theta_grid)
-        tau2, denom = self._tau2(qtr2[:, None, :], log_etas)
-        tau2 = np.where(np.isfinite(tau2) & (tau2 > 0.0), tau2, np.finfo(float).tiny)
-        vals = 0.5 * self.n * np.log(tau2) + 0.5 * np.sum(np.log(denom), axis=-1)
-        i, j = np.unravel_index(np.argmin(vals), vals.shape)
-        return np.append(theta_grid[i], log_etas[j])
-
-    def tau2_sigma2(self, theta: np.ndarray, log_eta: float) -> tuple[float, float]:
-        tau2 = float(self._tau2(self.residual_sq(theta[None])[0], log_eta)[0])
-        return tau2, tau2 * np.exp(log_eta)
+    def profile(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(f, u, tau2)`` at the profiled ``u`` of each row of the ``(k, q)``
+        ``thetas``.  Newton steps are clipped to +-1 and to the bounds and kept
+        only where they lower ``f``; where ``f'' <= 0`` the step is 1 downhill.
+        The loop ends early once a step moves no row, since from the same
+        ``u`` every later step would be the same."""
+        s2 = self.residual_sq(thetas)
+        grid_f = self._f(s2 @ self.inv_d_grid.T, self.logdet_grid)[0]
+        u = self.u_grid[np.argmin(grid_f, axis=1)]
+        parts = self._newton_parts(s2, u)
+        for _ in range(ETA_NEWTON_STEPS):
+            f, f1, f2, _ = parts
+            step = np.divide(-f1, f2, out=-np.sign(f1), where=f2 > 0.0)
+            u_new = np.clip(u + np.clip(step, -1.0, 1.0), *self.u_bounds)
+            new = self._newton_parts(s2, u_new)
+            lower = new[0] < f
+            if not lower.any():
+                break
+            u = np.where(lower, u_new, u)
+            parts = tuple(np.where(lower, n, o) for n, o in zip(new, parts))
+        return parts[0], u, parts[3]
 
 
 def ko_calibrate(surface: KrrModel, model: ComputerModel,
-                 opt: OptimizerConfig = OptimizerConfig(),
-                 seed: int = 0) -> CalibrationEstimate:
+                 opt: OptimizerConfig = OptimizerConfig()) -> CalibrationEstimate:
     """Gaussian-process calibration by profiled maximum likelihood.
 
     The data, the kernel (its phi picked by leave-one-out) and the
     eigenpairs of its jittered Gram matrix come from the fitted
-    ``surface``; then (theta, log eta) are searched jointly: a coarse
-    grid pass, Nelder-Mead from the best cell, and five seeded random
-    restarts to dodge likelihood multimodality.
+    ``surface``.  The noise-to-process ratio eta and the process variance
+    are profiled out at each theta, and the profiled likelihood is
+    minimized over the box by :func:`minimize`, as L2 and OLS are.  The
+    objective value is the concentrated negative log likelihood at theta.
     """
     if surface.n < 3:
         raise ValueError("GP calibration needs at least 3 observations")
-    box = model.theta_domain
-    theta_grid = tensor_grid(box, max(9, opt.grid_points // 5))
     nll = _ProfiledGpLikelihood(surface, model)
-    log_etas = np.linspace(np.log(ETA_BOUNDS[0]), np.log(ETA_BOUNDS[1]), 17)
-
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x6B6F]))
-    starts = [nll.grid_start(theta_grid, log_etas)]
-    for _ in range(5):
-        th0 = rng.uniform(box.lower, box.upper)
-        le0 = rng.uniform(np.log(1e-6), np.log(1e4))
-        starts.append(np.append(th0, le0))
-
-    best = None
-    for s0 in starts:
-        res = _scipy_minimize(nll, s0, method="Nelder-Mead",
-                              options={"xatol": opt.tolerance, "fatol": 1e-12,
-                                       "maxiter": 400 * (box.dim + 1)})
-        if best is None or res.fun < best.fun:
-            best = res
-    theta_hat = box.clip(best.x[:-1])
-    log_eta = float(np.clip(best.x[-1], np.log(ETA_BOUNDS[0]), np.log(ETA_BOUNDS[1])))
-    tau2, sigma2 = nll.tau2_sigma2(theta_hat, log_eta)
+    res = minimize(lambda thetas: nll.profile(thetas)[0], model.theta_domain, opt)
+    _, u, tau2 = nll.profile(res.x[None])
+    eta, tau2 = float(np.exp(u[0])), float(tau2[0])
     return CalibrationEstimate(
-        theta_hat=np.asarray(theta_hat, dtype=float), method="KO",
-        objective_value=float(best.fun),
-        meta={"phi": surface.kernel.phi, "eta": float(np.exp(log_eta)), "tau2": tau2,
-              "sigma2": sigma2, "boundary": box.on_boundary(theta_hat),
-              "iterations": int(best.nit)},
+        theta_hat=res.x, method="KO", objective_value=res.fun,
+        meta={"phi": surface.kernel.phi, "eta": eta, "tau2": tau2, "sigma2": tau2 * eta,
+              "boundary": res.on_boundary, "iterations": res.iterations},
     )

@@ -228,7 +228,7 @@ NUMERICAL_ERRORS = (ValueError, np.linalg.LinAlgError, FloatingPointError)
 
 
 def _run_methods(config: RunConfig, pts: np.ndarray, y: np.ndarray,
-                 model: ComputerModel, ko_seed: int, sandwich: bool = False,
+                 model: ComputerModel, sandwich: bool = False,
                  log=None) -> dict[str, tuple[CalibrationEstimate | None, float, str | None]]:
     """Tune phi and lambda once, then run every configured method.
 
@@ -236,7 +236,7 @@ def _run_methods(config: RunConfig, pts: np.ndarray, y: np.ndarray,
     failure.  The one fitted surface goes to L2, KO and, with ``sandwich``,
     the L2/OLS standard errors, so a method's seconds exclude the tuning.
     If that tuning fails, L2 and KO report its error and OLS runs without
-    standard errors.
+    standard errors.  No method draws random numbers.
     """
     rule = _cached_rule(config.quadrature_m)
     with_se = sandwich and model.smooth_in_theta
@@ -260,7 +260,7 @@ def _run_methods(config: RunConfig, pts: np.ndarray, y: np.ndarray,
             elif meth == "OLS":
                 est = ols_calibrate(pts, y, model, config.optimizer)
             else:
-                est = ko_calibrate(zeta_hat, model, config.optimizer, seed=ko_seed)
+                est = ko_calibrate(zeta_hat, model, config.optimizer)
             if with_se and meth != "KO" and zeta_hat is not None:
                 sand = inference.estimate_sandwich(zeta_hat, model, est.theta_hat)
                 est = replace(est, covariance=sand.cov_l2 if meth == "L2" else sand.cov_ols)
@@ -275,8 +275,7 @@ def _replicate(args: tuple[RunConfig, float, int]) -> dict[str, tuple[float, flo
     config, sigma2, r = args
     system = config.system(sigma2)
     pts, y = generate(system, config.seed, r)
-    ko_seed = (config.seed * 1_000_003 + r) & (2 ** 63 - 1)  # KO restarts per replication
-    results = _run_methods(config, pts, y, system.computer_model, ko_seed)
+    results = _run_methods(config, pts, y, system.computer_model)
     return {meth: (float("nan") if est is None else float(est.theta_hat[0]), secs, err)
             for meth, (est, secs, err) in results.items()}
 
@@ -419,8 +418,7 @@ def cmd_calibrate(config: RunConfig, data_path: str | Path,
         raise CliConfigError(f"{config.example} expects 1 control variable, "
                              f"data has {pts.shape[1]}")
     model = config.system(config.sigma2[0]).computer_model
-    results = _run_methods(config, pts, y, model, config.seed,
-                           sandwich=True, log=log)
+    results = _run_methods(config, pts, y, model, sandwich=True, log=log)
     lines = ["method,theta_hat,objective,lambda,phi,stderr,status"]
     for meth in config.methods:
         est, _, err = results[meth]
@@ -454,8 +452,9 @@ def discrepancy_curve(example: str, theta_min: float, theta_max: float,
     objective = calibrate.l2_objective(testbed.zeta_true(rule.nodes[:, 0]),
                                        make_model(), rule)
     thetas = np.linspace(theta_min, theta_max, steps)
-    return np.column_stack([thetas, [closed(t) for t in thetas],
-                            scan(objective, thetas[:, None])])
+    with np.errstate(over="ignore"):  # past |theta| ~ 1e154 the distances are inf
+        return np.column_stack([thetas, [closed(t) for t in thetas],
+                                scan(objective, thetas[:, None])])
 
 
 def cmd_discrepancy(example: str, theta_min: float, theta_max: float,
@@ -521,8 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for sp in (sc, ss, sd):
         sp.add_argument("--config", help="JSON run configuration")
         sp.add_argument("--out", help="output CSV path (overrides config)")
-    for sp in (sc, ss):
-        sp.add_argument("--seed", type=int, help="RNG seed (overrides config)")
+    ss.add_argument("--seed", type=int, help="RNG seed (overrides config)")
     for sp in (ss, sd):
         sp.add_argument("--check", action="store_true",
                         help="verify built-in thresholds; exit 3 on violation")
@@ -548,14 +546,14 @@ def main(argv=None) -> int:
             return cmd_discrepancy(args.example, args.theta_min, args.theta_max,
                                    args.steps, out, m, check=args.check)
         config = load_config(args.config) if args.config else RunConfig()
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
         if args.out:
             config = replace(config, output=args.out)
-        if args.command == "simulate":
-            return cmd_simulate(config, config.output, workers=args.workers,
-                                check=args.check)
-        return cmd_calibrate(config, args.data, config.output)
+        if args.command == "calibrate":
+            return cmd_calibrate(config, args.data, config.output)
+        if args.seed is not None:
+            config = replace(config, seed=args.seed)
+        return cmd_simulate(config, config.output, workers=args.workers,
+                            check=args.check)
     except CliConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -375,13 +376,21 @@ class TestDiscrepancyCommand:
         assert len(calls) == 1 and calls[0][1].ravel().tolist() == [-1.0, 0.0, 1.0]
         assert rows.shape == (3, 3)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_check_fails_where_the_distance_overflows(self, tmp_path):
         # at |theta| = 1e300 both columns are inf, so their agreement is NaN
         out = tmp_path / "big.csv"
         assert main(["discrepancy", "--theta-min", "-1e300", "--theta-max", "1e300",
                      "--steps", "3", "--out", str(out), "--check"]) == 3
         assert out.read_text().splitlines()[1] == "-1.0000000000000001e+300,inf,inf"
+
+    def test_overflowing_range_prints_no_warning(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["discrepancy", "--theta-min", "-1e300", "--theta-max", "1e300",
+                         "--steps", "3", "--out", str(tmp_path / "big.csv"),
+                         "--check"]) == 3
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "RuntimeWarning" not in capsys.readouterr().err
 
     def test_rejects_bad_range(self, tmp_path):
         assert main(["discrepancy", "--theta-min", "2.0", "--theta-max", "-2.0",
@@ -445,14 +454,15 @@ class TestConfigErrors:
 class TestExitCodes:
     @pytest.mark.parametrize("argv,prefix", [
         (["discrepancy", "--seed", "3"], "error: l2calib"),
+        (["calibrate", "--seed", "3", "--data", "d.csv"], "error: l2calib"),
         (["calibrate", "--workers", "2", "--data", "d.csv"], "error: l2calib"),
         (["calibrate", "--check", "--data", "d.csv"], "error: l2calib"),
         (["simulate", "--bogus"], "error: l2calib"),
         (["calibrate"], "error: l2calib"),
         # the override goes through RunConfig's own check
         (["simulate", "--seed", "-1"], "error: seed must be nonnegative"),
-    ], ids=["discrepancy-seed", "calibrate-workers", "calibrate-check", "unknown",
-            "missing-data", "negative-seed"])
+    ], ids=["discrepancy-seed", "calibrate-seed", "calibrate-workers", "calibrate-check",
+            "unknown", "missing-data", "negative-seed"])
     def test_usage_error_is_one(self, capsys, argv, prefix):
         assert main(argv) == 1
         err = capsys.readouterr().err

@@ -211,7 +211,7 @@ class TestTensorGrid:
         model = ComputerModel(eval=lambda pts, ths: objective(ths)[:, None] + np.zeros(len(pts)),
                               theta_domain=box)
         x = np.linspace(0.0, 6.0, 8)[:, None]
-        with pytest.raises(ValueError, match=r"q=3 .* 80 points per axis has 512000 points"):
+        with pytest.raises(ValueError, match=r"q=3 .* 401 points per axis has 64481201 points"):
             ko_calibrate(fit_response_surface(x, np.sin(x[:, 0]), KernelConfig()), model)
         assert calls == []
 
