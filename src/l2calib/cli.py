@@ -87,6 +87,8 @@ class RunConfig:
         object.__setattr__(self, "theta_domain", tuple(float(t) for t in self.theta_domain))
         if not self.methods:
             raise CliConfigError("methods must be nonempty")
+        if len(set(self.methods)) != len(self.methods):
+            raise CliConfigError("methods must not repeat")
         for m in self.methods:
             if m not in METHODS:
                 raise CliConfigError(f"unknown method {m!r}; expected subset of {METHODS}")

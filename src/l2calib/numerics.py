@@ -3,7 +3,9 @@
 Shared numerical machinery for the calibrators: tensor-product
 Gauss-Legendre rules over rectangular domains, a deterministic
 grid-scan-plus-refinement minimizer, and central-difference
-derivatives.
+derivatives.  One-parameter refinement zooms in on the best grid cell
+by batched rounds through :func:`scan`, so an objective sees a few
+large batches rather than many single rows.
 
 Objectives passed to :func:`scan` and :func:`minimize` are batched: they
 take a ``(k, q)`` array of parameter vectors and return ``(k,)`` values.
@@ -21,13 +23,14 @@ from scipy.optimize import minimize as _scipy_minimize
 
 Objective = Callable[[np.ndarray], np.ndarray]  # (k, q) -> (k,)
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
 # Largest tensor grid a scan may build: the default 401 points per axis
 # at q = 2.
 MAX_GRID_POINTS = 401 ** 2
 # Most parameter vectors one objective call receives during a grid scan.
 SCAN_BLOCK_ROWS = 401
+# Interior points of the bracket one one-parameter zoom round scans.  Odd,
+# so the middle point is the previous best; the bracket shrinks 8x a round.
+REFINE_POINTS = 15
 
 
 def as_points(x, d: int | None = None) -> np.ndarray:
@@ -144,32 +147,6 @@ def gauss_legendre(domain: BoxDomain, m: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=np.asarray(weights).ravel())
 
 
-def golden_section(f: Callable[[float], float], lo: float, hi: float,
-                   tol: float = 1e-9, max_iterations: int = 200) -> tuple[float, float, int]:
-    """Golden-section search for a minimum of ``f`` on ``[lo, hi]``.
-
-    Returns ``(x, f(x), iterations)``; assumes a single minimum in the
-    bracket but degrades gracefully (stays inside the bracket) otherwise.
-    """
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    it = 0
-    while (b - a) > tol and it < max_iterations:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        it += 1
-    x = 0.5 * (a + b)
-    return x, f(x), it
-
-
 def tensor_grid(box: BoxDomain, per_axis: int) -> np.ndarray:
     """Row-major tensor grid over ``box``, ``per_axis`` points per
     coordinate with endpoints included, shape ``(per_axis**q, q)``.
@@ -208,9 +185,19 @@ def minimize(objective: Objective, box: BoxDomain,
     ``objective`` maps a ``(k, q)`` array of parameter vectors to ``(k,)``
     values.  The coarse :func:`scan` evaluates a full tensor grid
     (``grid_points`` per dimension, endpoints included), and refinement
-    starts from the best grid cell: golden-section for one-dimensional
-    boxes, Nelder-Mead clamped to the box otherwise, one ``(1, q)`` batch
-    per evaluation.  Deterministic given the config.
+    starts from the best grid point.
+
+    * One parameter: zoom rounds on a bracket that starts as the best grid
+      point's two neighbours.  Each round scans ``REFINE_POINTS`` equally
+      spaced interior points of the bracket as one batch and narrows it
+      to the best point's two neighbours, until the bracket is at most
+      ``tolerance`` wide or after ``max_iterations`` rounds.  The result
+      is the best point of the last round (or the grid best, if no round
+      beat it), and ``iterations`` counts rounds.
+    * Two or more: Nelder-Mead clamped to the box, one ``(1, q)`` batch
+      per evaluation, at most ``10 q max_iterations`` iterations.
+
+    Deterministic given the config.
     """
     q = box.dim
     pts = tensor_grid(box, config.grid_points)
@@ -221,14 +208,14 @@ def minimize(objective: Objective, box: BoxDomain,
 
     if q == 1:
         ax = pts[:, 0]
-        lo = ax[max(best - 1, 0)]
-        hi = ax[min(best + 1, len(ax) - 1)]
-        x, fx, it = golden_section(lambda t: float(_evaluate(objective, np.array([[t]]))[0]),
-                                   lo, hi, config.tolerance, config.max_iterations)
-        xs, fs = np.array([x]), fx
-        if vals[best] < fs:
-            xs, fs = pts[best], float(vals[best])
-            it = 0
+        lo, hi = ax[max(best - 1, 0)], ax[min(best + 1, len(ax) - 1)]
+        xs, fs, it = None, np.inf, 0
+        while hi - lo > config.tolerance and it < config.max_iterations:
+            ts = np.linspace(lo, hi, REFINE_POINTS + 2)
+            rvals = scan(objective, ts[1:-1, None])
+            i = int(np.argmin(rvals)) + 1
+            lo, hi, it = ts[i - 1], ts[i + 1], it + 1
+            xs, fs = ts[i:i + 1], float(rvals[i - 1])
     else:
         x0 = pts[best]
         def clamped(t):
@@ -238,8 +225,8 @@ def minimize(objective: Objective, box: BoxDomain,
                                        "fatol": 1e-14,
                                        "maxiter": config.max_iterations * q * 10})
         xs, fs, it = box.clip(res.x), float(res.fun), int(res.nit)
-        if vals[best] < fs:
-            xs, fs, it = pts[best], float(vals[best]), 0
+    if vals[best] < fs:
+        xs, fs, it = pts[best], float(vals[best]), 0
 
     return MinimizeResult(x=np.asarray(xs, dtype=float), fun=float(fs),
                           iterations=it, on_boundary=box.on_boundary(xs))

@@ -83,15 +83,27 @@ class TestL2:
 
 
 class TestOls:
-    def test_scale_equivariance(self):
-        system, pts, y = noisy_example2(seed=8)
+    @staticmethod
+    def _scaled_fit(seed, c):
+        system, pts, y = noisy_example2(seed=seed)
         base = ols_calibrate(pts, y, system.computer_model, OPT)
-        c = 3.7
         scaled_model = ComputerModel(
             eval=lambda p, ths: c * system.computer_model.batch(p, ths),
             theta_domain=system.computer_model.theta_domain)
-        scaled = ols_calibrate(pts, c * y, scaled_model, OPT)
+        return base, ols_calibrate(pts, c * y, scaled_model, OPT)
+
+    def test_scale_equivariance_is_exact_for_a_power_of_two(self):
+        # scaling by 4 multiplies every RSS by exactly 16, so every
+        # comparison the minimizer makes comes out the same
+        base, scaled = self._scaled_fit(8, 4.0)
         assert scaled.theta_hat[0] == base.theta_hat[0]
+
+    def test_scale_equivariance(self):
+        # other scales round differently, so the estimates agree to the
+        # minimizer's tolerance, not bit for bit
+        for seed in range(8, 20):
+            base, scaled = self._scaled_fit(seed, 3.7)
+            assert abs(scaled.theta_hat[0] - base.theta_hat[0]) <= 1e-8, seed
 
     def test_objective_is_rss(self):
         system, pts, y = noisy_example2(seed=9)

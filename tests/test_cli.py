@@ -436,11 +436,13 @@ class TestConfigErrors:
         {"seed": -1},
         {"design": {"kind": "fixed_grid", "n": 7}},
         {"optimizer": {"grid_points": 401 ** 2 + 1}},
+        {"methods": ["L2", "L2"]},
     ], ids=["theta_domain", "replications", "quadrature_m", "design_n",
             "kernel_string", "kernel_family", "replications_infinity",
             "theta_domain_nan", "sigma2_nan", "sigma2_inf", "phi_grid_nan",
             "lambda_grid_nan", "phi_grid_empty", "lambda_grid_unsorted", "tolerance_nan",
-            "seed_negative", "fixed_grid_n", "grid_points_over_cap"])
+            "seed_negative", "fixed_grid_n", "grid_points_over_cap",
+            "methods_repeated"])
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path / "c.json", **override)
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])

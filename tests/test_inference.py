@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from l2calib import rkhs, testbed
+from l2calib import cli, rkhs, testbed
 from l2calib.calibrate import ComputerModel
 from l2calib.inference import (SingularCurvatureError, design_rule,
                                efficiency_gap, estimate_sandwich, expand,
@@ -247,3 +247,24 @@ class TestSandwichAssembly:
         assert np.array_equal(sand.W_hat, ex.W())
         assert np.array_equal(sand.V_hat, ex.V())
         assert np.array_equal(sand.Sigma2_hat, ex.Sigma2(s2))
+
+
+class TestPluginStandardErrors:
+    def test_uniform_design_se_matches_the_spread(self):
+        # the stderr column is the random-design asymptotic SE; on a
+        # uniform design its mean square tracks the variance of theta-hat
+        # across replications (100 replications: var is itself +-14%)
+        config = cli.RunConfig(methods=("L2", "OLS"), sigma2=(0.1,), design="uniform_random",
+                               design_n=101, seed=0)
+        system = config.system(0.1)
+        theta, se2 = {"L2": [], "OLS": []}, {"L2": [], "OLS": []}
+        for r in range(100):
+            pts, y = testbed.generate(system, config.seed, r)
+            runs = cli._run_methods(config, pts, y, system.computer_model, sandwich=True)
+            for method, (est, _, err) in runs.items():
+                assert err is None
+                theta[method].append(est.theta_hat[0])
+                se2[method].append(est.covariance[0, 0])
+        for method in theta:
+            ratio = np.mean(se2[method]) / np.var(theta[method], ddof=1)
+            assert 1.0 / 1.5 <= ratio <= 1.5, (method, ratio)

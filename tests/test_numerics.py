@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from l2calib import testbed
-from l2calib.calibrate import ComputerModel, ko_calibrate, l2_objective
-from l2calib.numerics import (MAX_GRID_POINTS, SCAN_BLOCK_ROWS, BoxDomain, OptimizerConfig,
-                              fd_grad, fd_hess, fd_step, gauss_legendre, golden_section,
-                              minimize, tensor_grid)
+from l2calib import rkhs, testbed
+from l2calib.calibrate import ComputerModel, _ProfiledGpLikelihood, ko_calibrate, l2_objective
+from l2calib.numerics import (MAX_GRID_POINTS, REFINE_POINTS, SCAN_BLOCK_ROWS, BoxDomain,
+                              OptimizerConfig, fd_grad, fd_hess, fd_step, gauss_legendre,
+                              minimize, scan, tensor_grid)
 from l2calib.rkhs import KernelConfig, fit_response_surface
 
 UNIT = BoxDomain((0.0,), (1.0,))
@@ -15,6 +16,60 @@ THETA_BOX = BoxDomain((-2.0,), (2.0,))
 
 def closed_form_discrepancy(thetas):
     return np.array([testbed.discrepancy_closed_form(t) for t in thetas[:, 0]])
+
+
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section(f, lo, hi, tol=1e-9, max_iterations=200):
+    """Golden-section search for a minimum of the scalar ``f`` on
+    ``[lo, hi]``: ``(x, f(x), iterations)``."""
+    a, b = float(lo), float(hi)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    it = 0
+    while (b - a) > tol and it < max_iterations:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+        it += 1
+    x = 0.5 * (a + b)
+    return x, f(x), it
+
+
+def golden_minimize(objective, box, config=OptimizerConfig()):
+    """The oracle for one-parameter ``minimize``: the same grid scan, then
+    golden-section on the best grid point's two neighbours, one row per
+    call.  Returns ``(x, f(x))``."""
+    ax = tensor_grid(box, config.grid_points)[:, 0]
+    vals = scan(objective, ax[:, None])
+    best = int(np.argmin(vals))
+    x, fx, _ = golden_section(lambda t: float(scan(objective, np.array([[t]]))[0]),
+                              ax[max(best - 1, 0)], ax[min(best + 1, len(ax) - 1)],
+                              config.tolerance, config.max_iterations)
+    return (ax[best], float(vals[best])) if vals[best] < fx else (x, fx)
+
+
+def estimator_objectives(example, seed):
+    """The L2, OLS and KO objectives of one noisy testbed dataset."""
+    system = testbed.make_system(example, 0.1, "uniform_random", 101)
+    pts, y = testbed.generate(system, seed, 0)
+    model = system.computer_model
+    surface = fit_response_surface(pts, y, KernelConfig())
+    rule = gauss_legendre(OMEGA, 256)
+    nll = _ProfiledGpLikelihood(surface, model)
+    return {"L2": l2_objective(rkhs.predict(surface, rule.nodes), model, rule),
+            "OLS": lambda t: ((y - model.batch(pts, t)) ** 2).sum(axis=1),
+            "KO": lambda t: nll.profile(t)[0]}
+
+
+DATASETS = [("example2", 0), ("example2", 1), ("example2", 2), ("example1", 3)]
 
 
 class TestBoxDomain:
@@ -146,10 +201,11 @@ class TestMinimize:
         def f(t):
             calls.append(t.shape)
             return (t[:, 0] - 0.3) ** 2
-        minimize(f, THETA_BOX)
+        res = minimize(f, THETA_BOX)
         assert calls[0] == (401, 1)
-        assert calls[1:] == [(1, 1)] * (len(calls) - 1)
-        assert len(calls) <= 45
+        assert calls[1:] == [(REFINE_POINTS, 1)] * (len(calls) - 1)
+        assert len(calls) <= 10
+        assert res.iterations == len(calls) - 1
 
     def test_non_finite_rows_are_skipped(self):
         # argmin would pick the NaN in the first row if it were not skipped
@@ -158,7 +214,7 @@ class TestMinimize:
         assert res.x[0] == pytest.approx(0.7, abs=1e-6)
 
     def test_nan_probes_do_not_win_the_refinement(self):
-        # golden-section probes past 0.35 see NaN; ranked as +inf, they lose
+        # zoom points past 0.35 see NaN; ranked as +inf, they lose
         res = minimize(lambda t: np.where(t[:, 0] > 0.35, np.nan, (t[:, 0] - 0.4) ** 2),
                        BoxDomain((0.0,), (1.0,)), OptimizerConfig(grid_points=11))
         assert res.x[0] == pytest.approx(0.35, abs=1e-6)
@@ -184,9 +240,52 @@ class TestMinimize:
         assert sum(r for r in rows if r > 1) == MAX_GRID_POINTS
         assert np.allclose(res.x, [0.4, -0.7], atol=1e-6)
 
-    def test_golden_section_bracket(self):
-        x, fx, _ = golden_section(lambda t: (t - 0.25) ** 2, 0.0, 1.0, tol=1e-12)
-        assert x == pytest.approx(0.25, abs=1e-10)
+    def test_closed_form_minimizer_to_high_accuracy(self):
+        res = minimize(closed_form_discrepancy, THETA_BOX)
+        assert abs(res.x[0] - testbed.THETA_STAR_EXAMPLE2) <= 2e-9
+
+    def test_no_round_when_the_grid_bracket_is_within_tolerance(self):
+        f = lambda t: (t[:, 0] - 0.3) ** 2
+        res = minimize(f, THETA_BOX, OptimizerConfig(tolerance=1.0))
+        grid = tensor_grid(THETA_BOX, OptimizerConfig().grid_points)
+        best = int(np.argmin(f(grid)))
+        assert res.iterations == 0
+        assert res.x[0] == grid[best, 0] and res.fun == f(grid)[best]
+
+
+def _assert_zoom_matches_golden(objective, box, config=OptimizerConfig()):
+    res = minimize(objective, box, config)
+    x, fx = golden_minimize(objective, box, config)
+    assert res.fun <= fx + 1e-12 * max(1.0, abs(fx))
+    assert abs(res.x[0] - x) <= 1e-7
+
+
+class TestZoomMatchesGoldenSection:
+    """One-parameter zoom rounds against golden-section from the same grid
+    bracket: never a higher value beyond rounding, the same minimizer."""
+
+    @pytest.mark.parametrize("objective,box", [
+        (closed_form_discrepancy, THETA_BOX),
+        (lambda t: (t[:, 0] - 0.3) ** 2, THETA_BOX),
+        (lambda t: np.cos(5.0 * t[:, 0]), BoxDomain((0.0,), (2.0,))),
+    ], ids=["closed_form", "quadratic", "cos5t"])
+    def test_closed_forms(self, objective, box):
+        _assert_zoom_matches_golden(objective, box)
+
+    @pytest.mark.parametrize("example,seed", DATASETS)
+    @pytest.mark.parametrize("method", ["L2", "OLS", "KO"])
+    def test_estimator_objectives(self, method, example, seed):
+        objective = estimator_objectives(example, seed)[method]
+        _assert_zoom_matches_golden(objective, testbed.DEFAULT_THETA_DOMAIN)
+
+    @settings(max_examples=40, deadline=None)
+    @given(center=st.floats(-1.9, 1.9), curvature=st.floats(0.1, 10.0),
+           amplitude=st.floats(0.0, 2.0), frequency=st.floats(0.5, 20.0))
+    def test_never_above_the_grid_minimum(self, center, curvature, amplitude, frequency):
+        def f(t):
+            return curvature * (t[:, 0] - center) ** 2 + amplitude * np.cos(frequency * t[:, 0])
+        res = minimize(f, THETA_BOX)
+        assert res.fun <= f(tensor_grid(THETA_BOX, OptimizerConfig().grid_points)).min()
 
 
 class TestTensorGrid:
