@@ -292,6 +292,8 @@ def simulate(config: RunConfig, workers: int = 1,
     aggregation.  More than 1% failures for any (method, sigma2) aborts
     with diagnostics.
     """
+    if workers < 1:
+        raise CliConfigError(f"workers must be at least 1, got {workers}")
     rows: list[MethodSummary] = []
     theta_star = config.system(config.sigma2[0]).theta_star
     R = config.replications

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from l2calib import cli, rkhs, testbed
+from l2calib import cli, kernels, rkhs, testbed
 from l2calib.calibrate import fit_response_surface
 from l2calib.cli import (CliConfigError, RunConfig, check_report, cmd_calibrate,
                          load_config, main, read_data_csv, simulate)
@@ -241,6 +241,17 @@ class TestTuneOnce:
         rows = (tmp_path / "o.csv").read_text().strip().splitlines()[1:]
         assert all(r.endswith(",ok") for r in rows)
 
+    def test_uniform201_sweep_decomposes_few_gram_matrices(self, monkeypatch):
+        # the low-rank sweep leaves eigh to the capped candidates and the
+        # winner; a silent fall back to one eigh per candidate reads 15
+        system = testbed.make_system("example2", 0.1, "uniform_random", 201)
+        pts, y = testbed.generate(system, 0, 0)
+        grams = counting(monkeypatch, kernels, "gram")
+        eigh = counting(monkeypatch, np.linalg, "eigh")
+        fit_response_surface(pts, y, rkhs.KernelConfig())
+        assert len(grams) == len(rkhs.DEFAULT_PHI_GRID)
+        assert 1 <= len(eigh) <= 5
+
     def test_replication_tunes_once_for_l2_and_ko(self, monkeypatch):
         loo = counting(monkeypatch, rkhs, "loo_cv_phi")
         cfg = RunConfig(example="example2", methods=("L2", "KO"), sigma2=(0.01,),
@@ -321,6 +332,13 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(out2),
                      "--workers", "2", "--check"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_below_one_is_rejected(self, workers):
+        cfg = RunConfig(example="example2", methods=("OLS",), sigma2=(0.01,),
+                        replications=2, seed=1, quadrature_m=64)
+        with pytest.raises(CliConfigError, match="workers must be at least 1"):
+            simulate(cfg, workers=workers, log=None)
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", methods=["OLS"], replications=2)
@@ -463,8 +481,10 @@ class TestExitCodes:
         (["calibrate"], "error: l2calib"),
         # the override goes through RunConfig's own check
         (["simulate", "--seed", "-1"], "error: seed must be nonnegative"),
+        (["simulate", "--workers", "0"], "error: workers must be at least 1"),
+        (["simulate", "--workers", "-2"], "error: workers must be at least 1"),
     ], ids=["discrepancy-seed", "calibrate-seed", "calibrate-workers", "calibrate-check",
-            "unknown", "missing-data", "negative-seed"])
+            "unknown", "missing-data", "negative-seed", "zero-workers", "negative-workers"])
     def test_usage_error_is_one(self, capsys, argv, prefix):
         assert main(argv) == 1
         err = capsys.readouterr().err

@@ -321,7 +321,8 @@ class TestVectorizedGcv:
             pts, y = testbed.generate(testbed.make_system(example, sigma2, design, n), 0, 0)
             d2 = sqdist(pts)
             for phi in rkhs.DEFAULT_PHI_GRID:
-                panel = rkhs._EigenPanel(pts, y, KernelSpec("gaussian", phi), d2=d2)
+                spec = KernelSpec("gaussian", phi)
+                panel = rkhs._EigenPanel(pts, y, spec, gram=gram(spec, d2))
                 want = np.array([scalar_gcv(panel, lam) for lam in grid])
                 lam, scores = rkhs._gcv_pick(panel, grid)
                 assert np.array_equal(scores, want)
@@ -365,3 +366,97 @@ class TestVectorizedGcv:
             if not np.any(np.isfinite(scores)):
                 continue
             assert rkhs._gcv_pick(_FixedScores(scores), grid)[0] == scalar_pick(scores, grid)
+
+
+def full_eigh_sweep(points, y, config, jitter=rkhs.DEFAULT_JITTER):
+    """The phi sweep with a full eigendecomposition per candidate: every
+    candidate gets an ``_EigenPanel`` and the winner's model comes from it."""
+    best_score, best = np.inf, None
+    for phi in sorted(config.phi_grid):
+        panel = rkhs._EigenPanel(points, y, config.spec(phi), jitter)
+        lam = rkhs._gcv_pick(panel, config.lambda_grid)[0]
+        score = rkhs._loo_score(panel, lam)
+        if score < best_score:
+            best_score, best = score, (panel, lam)
+    panel, lam = best
+    return panel.model(lam)
+
+
+def assert_same_model(got, want):
+    assert got.kernel == want.kernel
+    assert got.lam == want.lam and got.hat_trace == want.hat_trace
+    for a, b in ((got.coeffs, want.coeffs), (got.fitted, want.fitted),
+                 *zip(got.gram_eig, want.gram_eig)):
+        assert np.array_equal(a, b)
+
+
+class TestLowRankSweep:
+    """The sweep scores candidates from pivoted Cholesky factors, yet
+    returns the model of the full-eigh sweep bit for bit."""
+
+    @pytest.mark.parametrize("example", ["example1", "example2"])
+    @pytest.mark.parametrize("design,n", [("fixed_grid", 51), ("uniform_random", 101),
+                                          ("uniform_random", 201)])
+    def test_matches_the_full_eigh_oracle(self, example, design, n):
+        config = KernelConfig()
+        for sigma2 in (0.01, 0.1, 1.0):
+            system = testbed.make_system(example, sigma2, design, n)
+            for seed in (0, 1):
+                pts, y = testbed.generate(system, seed, 0)
+                assert_same_model(rkhs.fit_response_surface(pts, y, config),
+                                  full_eigh_sweep(pts, y, config))
+
+    @pytest.mark.parametrize("config", [
+        KernelConfig(family="matern", nu=1.5), KernelConfig(family="matern", nu=2.5),
+        KernelConfig(phi_grid=(1.0,)), KernelConfig(phi_grid=(31.6,))],
+        ids=["matern15", "matern25", "one-phi-low-rank", "one-phi-full-rank"])
+    @pytest.mark.parametrize("n", [101, 201])
+    def test_matches_the_oracle_for_other_kernels_and_grids(self, config, n):
+        pts, y = testbed.generate(
+            testbed.make_system("example2", 0.1, "uniform_random", n), 0, 0)
+        assert_same_model(rkhs.fit_response_surface(pts, y, config),
+                          full_eigh_sweep(pts, y, config))
+
+
+    @pytest.mark.parametrize("phi", rkhs.DEFAULT_PHI_GRID[:8])
+    def test_low_rank_scores_match_the_full_panel(self, phi):
+        pts, y = testbed.generate(
+            testbed.make_system("example2", 0.1, "uniform_random", 201), 0, 0)
+        K = gram(KernelSpec("gaussian", phi), sqdist(pts))
+        low = rkhs._LowRankPanel(rkhs._pivoted_cholesky(K, rkhs.PIVOT_TOL, 201), y,
+                                 rkhs.DEFAULT_JITTER)
+        full = rkhs._EigenPanel(pts, y, KernelSpec("gaussian", phi), gram=K)
+        grid = rkhs.DEFAULT_LAMBDA_GRID
+        assert np.allclose(low.gcv_scores(grid), full.gcv_scores(grid), rtol=1e-6)
+        lam = rkhs._gcv_pick(full, grid)[0]
+        assert rkhs._loo_score(low, lam) == pytest.approx(rkhs._loo_score(full, lam), rel=1e-6)
+
+    def test_exceptional_low_rank_scores_defer_to_the_full_panel(self):
+        # every GCV score is 0/0 at lambda = 1e-300; the full panel raises
+        pts, y = testbed.generate(
+            testbed.make_system("example2", 0.1, "uniform_random", 101), 0, 0)
+        config = KernelConfig(lambda_grid=(1e-300,))
+        with pytest.raises(rkhs.FitError, match="all GCV scores are non-finite"):
+            rkhs.fit_response_surface(pts, y, config)
+
+
+class TestPivotedCholesky:
+    @pytest.mark.parametrize("phi", rkhs.DEFAULT_PHI_GRID)
+    @pytest.mark.parametrize("family,nu", [("gaussian", None), ("matern", 2.5)])
+    def test_stops_at_the_tolerance_or_signals_the_cap(self, phi, family, nu):
+        pts, _ = testbed.generate(
+            testbed.make_system("example2", 0.1, "uniform_random", 201), 0, 0)
+        K = gram(KernelSpec(family, phi, nu), sqdist(pts))
+        n, tol = len(K), rkhs.PIVOT_TOL
+        C = rkhs._pivoted_cholesky(K, tol, n)
+        rank = C.shape[0]
+        # the diagonal is tracked by updates; recomputing it rounds anew
+        assert np.max(np.diag(K) - np.sum(C * C, axis=0)) <= tol + rank * np.finfo(float).eps
+        assert np.linalg.norm(K - C.T @ C, 2) <= n * tol
+        assert rkhs._pivoted_cholesky(K, tol, rank - 1) is None
+        cap = n // rkhs.RANK_CAP_DIVISOR
+        capped = rkhs._pivoted_cholesky(K, tol, cap)
+        if rank > cap:
+            assert capped is None
+        else:
+            assert np.array_equal(capped, C)
