@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-# perfbench's tracer patches calibrate._scipy_minimize; no estimator calls it
-from scipy.optimize import minimize as _scipy_minimize
 
 from . import rkhs
-from .numerics import (BoxDomain, OptimizerConfig, QuadratureRule,
+# perfbench's tracer patches calibrate._scipy_minimize, which no estimator
+# calls; it imports scipy only when called
+from .numerics import (BoxDomain, OptimizerConfig, QuadratureRule, _scipy_minimize,
                        as_points, fd_grad, fd_hess, minimize)
 # cli fits every surface through calibrate.fit_response_surface
 from .rkhs import KrrModel, fit_response_surface

@@ -21,10 +21,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -289,16 +289,21 @@ def simulate(config: RunConfig, workers: int = 1,
     Replication r uses the data stream derived from (seed, r), so the
     report is independent of the worker count.  Every (sigma2, r) task
     goes to one worker pool; results are gathered in task order before
-    aggregation.  More than 1% failures for any (method, sigma2) aborts
-    with diagnostics.
+    aggregation.  The first ``log`` line gives the worker count and the
+    BLAS thread variables of the environment.  More than 1% failures for
+    any (method, sigma2) aborts with diagnostics.
     """
     if workers < 1:
         raise CliConfigError(f"workers must be at least 1, got {workers}")
+    blas = " ".join(f"{v}={os.environ.get(v, 'unset')}"
+                    for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    _log(log, f"[simulate] workers={workers} {blas}")
     rows: list[MethodSummary] = []
     theta_star = config.system(config.sigma2[0]).theta_star
     R = config.replications
     tasks = [(config, s2, r) for s2 in config.sigma2 for r in range(R)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             every = list(pool.map(_replicate, tasks,
                                   chunksize=max(1, len(tasks) // (8 * workers))))

@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import minimize as _scipy_minimize
 
 Objective = Callable[[np.ndarray], np.ndarray]  # (k, q) -> (k,)
 
@@ -31,6 +30,13 @@ SCAN_BLOCK_ROWS = 401
 # Interior points of the bracket one one-parameter zoom round scans.  Odd,
 # so the middle point is the previous best; the bracket shrinks 8x a round.
 REFINE_POINTS = 15
+
+
+def _scipy_minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first call: only q >= 2 needs
+    it, and importing it takes longer than a one-parameter calibration."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 def as_points(x, d: int | None = None) -> np.ndarray:

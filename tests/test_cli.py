@@ -203,7 +203,9 @@ class TestCalibrateCommand:
         assert cmd_calibrate(cfg, data, out, log=None) == 0
         assert capsys.readouterr() == ("", "")
 
-    def test_default_log_follows_redirected_stderr(self, tmp_path, capsys):
+    def test_default_log_follows_redirected_stderr(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         data = write_noiseless_example1_csv(tmp_path / "d.csv")
         cfg = write_config(tmp_path / "c.json", example="example1", methods=["OLS"])
         out, buf = tmp_path / "o.csv", io.StringIO()
@@ -213,6 +215,8 @@ class TestCalibrateCommand:
             assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 0
         lines = buf.getvalue().splitlines()
         assert lines[0] == f"[calibrate] wrote {out}"
+        assert lines[1] == "[simulate] workers=1 OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset"
+        assert lines[2].startswith("[simulate] OLS ")
         assert lines[-1] == f"[simulate] wrote {tmp_path / 'r.csv'}"
         assert capsys.readouterr() == ("", "")
 
@@ -323,7 +327,7 @@ class TestSimulateCommand:
         assert row.mse == pytest.approx((row.mean - row.theta_star) ** 2, rel=1e-12)
         assert not check_report(report)
 
-    def test_worker_count_does_not_change_report(self, tmp_path):
+    def test_worker_count_does_not_change_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", replications=4,
                            methods=["L2", "OLS"])
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
@@ -332,6 +336,9 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(out2),
                      "--workers", "2", "--check"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+        headers = [line.split()[1] for line in capsys.readouterr().err.splitlines()
+                   if "_NUM_THREADS=" in line]
+        assert headers == ["workers=1", "workers=2"]
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_worker_count_below_one_is_rejected(self, workers):
