@@ -6,8 +6,12 @@ Subcommands
 ``simulate``     replicate data generation + estimation, report summaries
 ``discrepancy``  emit the closed-form and quadrature discrepancy curves
 
-Configuration is a single JSON document whose keys are exactly the
-``RunConfig`` field names (snake_case); unknown keys are rejected so
+Configuration is a single JSON object.  Its keys are ``example``,
+``methods``, ``sigma2``, ``replications``, ``seed``, ``phi_grid``,
+``lambda_grid``, ``quadrature_m``, ``theta_domain``, ``output`` and three
+nested objects: ``design`` (``kind``, ``n``), ``kernel`` (``family``,
+``nu``) and ``optimizer`` (``grid_points``, ``tolerance``,
+``max_iterations``).  Unknown keys and ill-typed values are rejected so
 typos fail fast.  Data files are headed CSV with columns ``x1..xd``
 then ``y``.  Reports carry 17 significant digits so byte-identical
 output is a meaningful determinism check.
@@ -122,23 +126,42 @@ class RunConfig:
                               self.theta_domain)
 
 
+def _int(v) -> int:
+    """A JSON integer, or an integral number such as ``1e3``."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not float(v).is_integer():
+        raise TypeError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def _str(v) -> str:
+    if not isinstance(v, str):
+        raise TypeError(f"expected a string, got {v!r}")
+    return v
+
+
+def _float(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
+
+
 def _floats(v) -> tuple[float, ...]:
-    return tuple(float(x) for x in (v if isinstance(v, list) else [v]))
+    return tuple(_float(x) for x in (v if isinstance(v, list) else [v]))
 
 
 # JSON key -> (RunConfig or OptimizerConfig field, coercion); a dotted key
 # lives in the nested object named by its prefix.
 _FIELDS = {
-    "example": ("example", str), "methods": ("methods", tuple),
-    "sigma2": ("sigma2", _floats), "replications": ("replications", int),
-    "seed": ("seed", int), "design.kind": ("design", str), "design.n": ("design_n", int),
-    "kernel.family": ("kernel_family", str),
-    "kernel.nu": ("kernel_nu", lambda v: None if v is None else float(v)),
+    "example": ("example", _str), "methods": ("methods", tuple),
+    "sigma2": ("sigma2", _floats), "replications": ("replications", _int),
+    "seed": ("seed", _int), "design.kind": ("design", _str), "design.n": ("design_n", _int),
+    "kernel.family": ("kernel_family", _str),
+    "kernel.nu": ("kernel_nu", lambda v: None if v is None else _float(v)),
     "phi_grid": ("phi_grid", _floats), "lambda_grid": ("lambda_grid", _floats),
-    "quadrature_m": ("quadrature_m", int), "optimizer.grid_points": ("grid_points", int),
-    "optimizer.tolerance": ("tolerance", float),
-    "optimizer.max_iterations": ("max_iterations", int),
-    "theta_domain": ("theta_domain", _floats), "output": ("output", str),
+    "quadrature_m": ("quadrature_m", _int), "optimizer.grid_points": ("grid_points", _int),
+    "optimizer.tolerance": ("tolerance", _float),
+    "optimizer.max_iterations": ("max_iterations", _int),
+    "theta_domain": ("theta_domain", _floats), "output": ("output", _str),
 }
 _NESTED = ("design", "kernel", "optimizer")
 
@@ -288,20 +311,23 @@ def simulate(config: RunConfig, workers: int = 1,
 
     Replication r uses the data stream derived from (seed, r), so the
     report is independent of the worker count.  Every (sigma2, r) task
-    goes to one worker pool; results are gathered in task order before
-    aggregation.  The first ``log`` line gives the worker count and the
-    BLAS thread variables of the environment.  More than 1% failures for
-    any (method, sigma2) aborts with diagnostics.
+    goes to one worker pool of at most one worker per task; results are
+    gathered in task order before aggregation.  The first ``log`` line
+    gives that worker count and the BLAS thread variables of the
+    environment.  More than 1% failures for any (method, sigma2) aborts
+    with diagnostics.
     """
     if workers < 1:
         raise CliConfigError(f"workers must be at least 1, got {workers}")
+    R = config.replications
+    tasks = [(config, s2, r) for s2 in config.sigma2 for r in range(R)]
+    # a fork pool starts every worker at the first submit, needed or not
+    workers = min(workers, len(tasks))
     blas = " ".join(f"{v}={os.environ.get(v, 'unset')}"
                     for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
     _log(log, f"[simulate] workers={workers} {blas}")
     rows: list[MethodSummary] = []
     theta_star = config.system(config.sigma2[0]).theta_star
-    R = config.replications
-    tasks = [(config, s2, r) for s2 in config.sigma2 for r in range(R)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -12,15 +12,14 @@ i.i.d. Gaussian noise.
 Every fitted model comes from one symmetric eigendecomposition of the
 Gram matrix; a GCV sweep then scores the whole lambda grid in one
 (L x n) array pass, and a leave-one-out score costs one hat-matrix
-diagonal.  A phi sweep computes the pairwise squared distances once and
-builds each candidate's Gram matrix from them.  From ``LOWRANK_MIN_N``
-points it scores the candidates from a pivoted Cholesky factor and its
-thin SVD instead, at O(n r) per lambda for a rank r Gram matrix, and
-decomposes in full only the winner and the candidates it cannot score
-that way.  Below that size an eigh costs about as much as a low-rank
-scoring.  Only ``numpy.linalg`` is called: numpy and scipy each bundle
-their own OpenBLAS, and their busy-waiting threads contend on a small
-host.
+diagonal.  A phi sweep computes the pairwise squared distances once,
+builds each candidate's Gram matrix from them and scores it from a
+pivoted Cholesky factor and its thin SVD, at O(n r) per lambda for a
+rank r Gram matrix; only the winner and the candidates it cannot score
+that way are decomposed in full.  At n = 51 that costs about 3% more
+than one eigh per candidate.  Only ``numpy.linalg`` is called: numpy and
+scipy each bundle their own OpenBLAS, and their busy-waiting threads
+contend on a small host.
 
 The tuning policy lives here too: ``KernelConfig`` holds the phi and
 lambda grids, and ``fit_response_surface`` picks from both in one pass.
@@ -30,6 +29,7 @@ so the calibrators and the sandwich read a dataset only through it.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,30 +114,49 @@ def _data(points, y, jitter: float) -> tuple[np.ndarray, np.ndarray]:
     return points, y
 
 
-class _EigenPanel:
-    """Eigendecomposition of a (jittered) Gram matrix, reused across lambdas.
+class _Panel:
+    """Eigenpairs ``(w, Q)`` of a jittered Gram matrix on r of its n
+    directions, reused across lambdas.
 
-    ``gram`` is the unjittered ``kernels.gram`` of the points when the
-    caller already has it.
+    ``full`` decomposes the whole matrix (r = n).  ``low_rank`` takes the
+    r leading eigenpairs of ``C^T C + jitter*I`` from the thin SVD of the
+    factor ``C``, and scores at O(n r) per lambda; the other n - r
+    directions have eigenvalue ``jitter`` and hold ``perp``, the part of
+    y outside ``Q``.  Only full panels have ``coeffs``, ``hat_trace`` and
+    ``model`` called.
     """
 
-    def __init__(self, points, y, spec: KernelSpec, jitter: float = DEFAULT_JITTER,
-                 gram: np.ndarray | None = None):
-        self.points, self.y = _data(points, y, jitter)
-        self.spec = spec
-        self.n = self.y.shape[0]
-        K = kernels.gram(spec, kernels.sqdist(self.points)) if gram is None else gram
+    def __init__(self, y, w, Q, jitter, points=None, spec=None):
+        self.y, self.n, self.w, self.Q, self.jitter = y, y.shape[0], w, Q, jitter
+        self.points, self.spec = points, spec
+        self.qty = Q.T @ y
+        self.perp = y - Q @ self.qty if w.size < self.n else None
+
+    @classmethod
+    def full(cls, points, y, spec: KernelSpec, jitter: float = DEFAULT_JITTER,
+             gram: np.ndarray | None = None) -> _Panel:
+        """``gram`` is the unjittered ``kernels.gram`` of the points when the
+        caller already has it."""
+        points, y = _data(points, y, jitter)
+        K = kernels.gram(spec, kernels.sqdist(points)) if gram is None else gram
         if jitter:
-            K = K + jitter * np.eye(self.n)
-        self.w, self.Q = np.linalg.eigh(K)
-        self.qty = self.Q.T @ self.y
+            K = K + jitter * np.eye(y.shape[0])
+        w, Q = np.linalg.eigh(K)
+        return cls(y, w, Q, jitter, points, spec)
+
+    @classmethod
+    def low_rank(cls, factor: np.ndarray, y: np.ndarray, jitter: float) -> _Panel:
+        Q, s, _ = np.linalg.svd(factor.T, full_matrices=False)
+        return cls(y, s * s + jitter, Q, jitter)
 
     def _shift(self, lam) -> np.ndarray:
         """``w + n*lam`` for a scalar or, row by row, an ``(L, 1)`` column of
         lambdas; raises at the first numerically singular row."""
         shifted = self.w + self.n * lam
         tol = self.n * np.finfo(float).eps * np.maximum(shifted.max(axis=-1), 1.0)
-        low = np.atleast_1d(shifted.min(axis=-1))
+        # with r < n the least shifted eigenvalue is jitter + n*lam, as w >= jitter
+        low = (np.atleast_1d(shifted.min(axis=-1)) if self.perp is None
+               else np.ravel(self.jitter + self.n * lam))
         singular = np.flatnonzero(low <= tol)
         if singular.size:
             raise FitError(
@@ -149,23 +168,35 @@ class _EigenPanel:
         return self.Q @ (self.qty / self._shift(lam))
 
     def fitted(self, lam: float) -> np.ndarray:
-        return self.Q @ (self.w * self.qty / self._shift(lam))
+        fit = self.Q @ (self.w * self.qty / self._shift(lam))
+        if self.perp is None:
+            return fit
+        return fit + (self.jitter / (self.jitter + self.n * lam)) * self.perp
 
     def hat_trace(self, lam: float) -> float:
         return float(np.sum(self.w / self._shift(lam)))
 
     def hat_diag(self, lam: float) -> np.ndarray:
-        return np.einsum("ij,j,ij->i", self.Q, self.w / self._shift(lam), self.Q)
+        Q2 = self.Q * self.Q
+        diag = Q2 @ (self.w / self._shift(lam))
+        if self.perp is None:
+            return diag
+        return diag + (self.jitter / (self.jitter + self.n * lam)) * (1.0 - Q2.sum(axis=1))
 
     def gcv_scores(self, grid: tuple[float, ...]) -> np.ndarray:
         """GCV score of every lambda in ``grid``, one row per lambda."""
         lams = np.asarray(grid)[:, None]
         shrink = self.n * lams / self._shift(lams)
-        rss_term = np.sum((shrink * self.qty) ** 2, axis=1) / self.n
+        rss = np.sum((shrink * self.qty) ** 2, axis=1)
+        trace = np.sum(shrink, axis=1)
+        if self.perp is not None:
+            rest = (self.n * lams / (self.jitter + self.n * lams))[:, 0]
+            rss = rss + rest ** 2 * (self.perp @ self.perp)
+            trace = trace + (self.n - self.w.size) * rest
         # Python's float ** 2 (libm pow), not x * x, which can differ in the last bit
-        denom = np.array([float(m) ** 2 for m in np.sum(shrink, axis=1) / self.n])
+        denom = np.array([float(m) ** 2 for m in trace / self.n])
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(denom > 0.0, rss_term / denom, np.inf)
+            return np.where(denom > 0.0, rss / self.n / denom, np.inf)
 
     def model(self, lam: float) -> KrrModel:
         return KrrModel(kernel=self.spec, design=self.points, y=self.y,
@@ -207,7 +238,7 @@ def gcv_select(points, y, kernel: KernelSpec, lambda_grid=DEFAULT_LAMBDA_GRID,
     (smoother) lambda.  Returns ``(lambda, scores)``.
     """
     grid = _grid("lambda_grid", lambda_grid, ascending=True)
-    return _gcv_pick(_EigenPanel(points, y, kernel, jitter), grid)
+    return _gcv_pick(_Panel.full(points, y, kernel, jitter), grid)
 
 
 def fit_with_rule(points, y, kernel: KernelSpec, lambda_grid=DEFAULT_LAMBDA_GRID,
@@ -219,7 +250,7 @@ def fit_with_rule(points, y, kernel: KernelSpec, lambda_grid=DEFAULT_LAMBDA_GRID
     singular, every GCV score is non-finite or the responses contain NaN.
     """
     grid = _grid("lambda_grid", lambda_grid, ascending=True)
-    panel = _EigenPanel(points, y, kernel, jitter)
+    panel = _Panel.full(points, y, kernel, jitter)
     return panel.model(_gcv_pick(panel, grid)[0])
 
 
@@ -256,52 +287,6 @@ def _pivoted_cholesky(K: np.ndarray, tol: float, max_rank: int) -> np.ndarray | 
     return C if d.max() <= tol else None
 
 
-class _LowRankPanel:
-    """GCV and leave-one-out scores of ``C^T C + jitter*I`` from the thin
-    SVD of the factor ``C``: r leading eigenpairs, and ``jitter`` on the
-    other n - r directions, which hold the part of y outside them.
-
-    It has the scoring interface of ``_EigenPanel`` at O(n r) per lambda,
-    and raises :class:`FitError` where a full panel could disagree.
-    """
-
-    def __init__(self, factor: np.ndarray, y: np.ndarray, jitter: float):
-        self.y, self.n, self.jitter = y, y.shape[0], jitter
-        self.U, s, _ = np.linalg.svd(factor.T, full_matrices=False)
-        self.w = s * s + jitter
-        self.uty = self.U.T @ y
-        self.perp = y - self.U @ self.uty
-
-    def _shifts(self, lam):
-        """``w + n*lam`` and ``jitter + n*lam`` for a scalar or an
-        ``(L, 1)`` column of lambdas."""
-        shifted, rest = self.w + self.n * lam, self.jitter + self.n * lam
-        tol = self.n * np.finfo(float).eps * np.maximum(shifted.max(axis=-1), 1.0)
-        if np.any(np.ravel(rest) <= tol):
-            raise FitError("penalized system is numerically singular")
-        return shifted, rest
-
-    def gcv_scores(self, grid: tuple[float, ...]) -> np.ndarray:
-        lams = np.asarray(grid)[:, None]
-        shifted, rest = self._shifts(lams)
-        shrink, rest_shrink = self.n * lams / shifted, (self.n * lams / rest)[:, 0]
-        rss_term = (np.sum((shrink * self.uty) ** 2, axis=1)
-                    + rest_shrink ** 2 * (self.perp @ self.perp)) / self.n
-        trace = np.sum(shrink, axis=1) + (self.n - self.w.size) * rest_shrink
-        denom = (trace / self.n) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(denom > 0.0, rss_term / denom, np.inf)
-
-    def fitted(self, lam: float) -> np.ndarray:
-        shifted, rest = self._shifts(lam)
-        return self.U @ (self.w * self.uty / shifted) + (self.jitter / rest) * self.perp
-
-    def hat_diag(self, lam: float) -> np.ndarray:
-        shifted, rest = self._shifts(lam)
-        U2 = self.U * self.U
-        return U2 @ (self.w / shifted) + (self.jitter / rest) * (1.0 - U2.sum(axis=1))
-
-
 # Low-rank sweep constants, timed on a 2-core host with numpy 2.4 and
 # OpenBLAS.  The factor stops at PIVOT_TOL: the residual K - C^T C is then
 # positive semidefinite with 2-norm <= n * 1e-14, the order of eigh's own
@@ -311,11 +296,6 @@ PIVOT_TOL = 1e-14
 # It gives up past n // RANK_CAP_DIVISOR rows: at n = 201 a rank-63 factor
 # took 0.4-0.8 ms and its SVD 0.8-1.8 ms, against 2.7-3.2 ms for eigh.
 RANK_CAP_DIVISOR = 3
-# Timed call by call on 16 example2 designs, the low-rank sweep took
-# 1.03-1.04x the full sweep's time at n = 51, 0.97-0.98x at n = 61,
-# 0.89-0.92x at n = 71 and 0.79-0.82x at n = 101, with one BLAS thread
-# and with two; smaller designs keep the full sweep.
-LOWRANK_MIN_N = 61
 
 
 def _score(panel, grid: tuple[float, ...]) -> tuple[float, float]:
@@ -324,48 +304,34 @@ def _score(panel, grid: tuple[float, ...]) -> tuple[float, float]:
     return lam, _loo_score(panel, lam)
 
 
-def _low_rank_score(factor, y, jitter, grid) -> tuple[float, float] | None:
-    """``_score`` of ``factor^T factor + jitter*I``, or None where the
-    low-rank scores meet a singular shift, no finite GCV score or a unit
-    leverage, so that a full panel decides."""
-    try:
-        lam, score = _score(_LowRankPanel(factor, y, jitter), grid)
-    except FitError:
-        return None
-    return (lam, score) if np.isfinite(score) else None
-
-
 def loo_cv_phi(points, y, config: KernelConfig,
                jitter: float = DEFAULT_JITTER) -> KrrModel:
     """Fit at the phi in ``config.phi_grid`` with the least leave-one-out
     score, lambda per candidate by GCV over ``config.lambda_grid``.
 
     The grid is scanned in ascending-phi order and the first minimum
-    wins, so ties break toward the smaller (smoother) phi.  From
-    ``LOWRANK_MIN_N`` points, candidates are scored from a pivoted
-    Cholesky factor of their Gram matrix until one's rank passes
-    ``n // RANK_CAP_DIVISOR``; that candidate, every larger phi (rank
-    grows with phi) and any candidate whose low-rank scores are
-    exceptional get a full ``_EigenPanel``.  The winner's model always
-    comes from a full panel, lambda picked again by GCV, so it does not
-    depend on how the candidates were scored.
+    wins, so ties break toward the smaller (smoother) phi.  Candidates
+    are scored from a pivoted Cholesky factor of their Gram matrix until
+    one's rank passes ``n // RANK_CAP_DIVISOR``; that candidate, every
+    larger phi (rank grows with phi) and any candidate whose low-rank
+    scores meet a singular shift, no finite GCV score or a unit leverage
+    get a full panel.  The winner's model always comes from a full panel,
+    lambda picked again by GCV, whichever way the candidates were scored.
     """
     points, y = _data(points, y, jitter)
     d2 = kernels.sqdist(points)
     grid, n = config.lambda_grid, y.shape[0]
-    low_rank = n >= LOWRANK_MIN_N
-    best_score, best = np.inf, None
+    low_rank, best_score, best = True, np.inf, None
     for phi in sorted(config.phi_grid):
         spec = config.spec(phi)
         K = kernels.gram(spec, d2)
-        scored, panel = None, None
+        factor = _pivoted_cholesky(K, PIVOT_TOL, n // RANK_CAP_DIVISOR) if low_rank else None
+        scored, panel, low_rank = None, None, factor is not None
         if low_rank:
-            factor = _pivoted_cholesky(K, PIVOT_TOL, n // RANK_CAP_DIVISOR)
-            low_rank = factor is not None
-            if low_rank:
-                scored = _low_rank_score(factor, y, jitter, grid)
-        if scored is None:
-            panel = _EigenPanel(points, y, spec, jitter, K)
+            with suppress(FitError):
+                scored = _score(_Panel.low_rank(factor, y, jitter), grid)
+        if scored is None or not np.isfinite(scored[1]):
+            panel = _Panel.full(points, y, spec, jitter, K)
             scored = _score(panel, grid)
         lam, score = scored
         if score < best_score:
@@ -374,7 +340,7 @@ def loo_cv_phi(points, y, config: KernelConfig,
         raise FitError("all leave-one-out scores are non-finite")
     spec, K, panel, lam = best
     if panel is None:
-        panel = _EigenPanel(points, y, spec, jitter, K)
+        panel = _Panel.full(points, y, spec, jitter, K)
         lam = _gcv_pick(panel, grid)[0]
     return panel.model(lam)
 

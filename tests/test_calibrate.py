@@ -238,7 +238,7 @@ class TestSharedSurface:
         grid = sorted(rkhs.DEFAULT_PHI_GRID)
         surface = fit_response_surface(
             pts, y, KernelConfig(lambda_grid=(1e-2,)))
-        fixed = [rkhs._loo_score(rkhs._EigenPanel(pts, y, kernels.KernelSpec("gaussian", phi)),
+        fixed = [rkhs._loo_score(rkhs._Panel.full(pts, y, kernels.KernelSpec("gaussian", phi)),
                                  1e-2) for phi in grid]
         gcv = fit_response_surface(pts, y, KernelConfig(phi_grid=grid))
         phi = surface.kernel.phi

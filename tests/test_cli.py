@@ -97,6 +97,28 @@ class TestConfig:
     def test_bundled_config_loads(self, path):
         assert load_config(path).output == f"{path.stem}.csv"
 
+    def test_integral_numbers_are_integers(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "c.json", replications=1e3, seed=2.0))
+        assert (cfg.replications, cfg.seed) == (1000, 2)
+        assert type(cfg.replications) is int and type(cfg.seed) is int
+
+    @pytest.mark.parametrize("override,key", [
+        ({"replications": 2.7}, "replications"),
+        ({"design": {"kind": "fixed_grid", "n": 50.9}}, "design.n"),
+        ({"quadrature_m": "12"}, "quadrature_m"),
+        ({"seed": True}, "seed"),
+        ({"sigma2": [0.1, True]}, "sigma2"),
+        ({"output": 5}, "output"),
+    ], ids=["fractional_int", "fractional_nested_int", "string_int", "bool_int",
+            "bool_float", "number_string"])
+    def test_ill_typed_value_is_one_error_line_naming_the_key(self, tmp_path, capsys,
+                                                              override, key):
+        cfg = write_config(tmp_path / "c.json", **override)
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith(f"error: config key {key!r}")
+
 
 class TestDataCsv:
     def test_missing_y_column(self, tmp_path):
@@ -256,6 +278,13 @@ class TestTuneOnce:
         assert len(grams) == len(rkhs.DEFAULT_PHI_GRID)
         assert 1 <= len(eigh) <= 5
 
+    def test_grid51_sweep_scores_candidates_from_a_factor(self, monkeypatch):
+        # small designs take the low-rank sweep too; one eigh per candidate reads 15
+        pts, y = testbed.generate(testbed.make_system("example2", 0.01), 0, 0)
+        eigh = counting(monkeypatch, np.linalg, "eigh")
+        fit_response_surface(pts, y, rkhs.KernelConfig())
+        assert pts.shape[0] == 51 and 1 <= len(eigh) < len(rkhs.DEFAULT_PHI_GRID)
+
     def test_replication_tunes_once_for_l2_and_ko(self, monkeypatch):
         loo = counting(monkeypatch, rkhs, "loo_cv_phi")
         cfg = RunConfig(example="example2", methods=("L2", "KO"), sigma2=(0.01,),
@@ -339,6 +368,32 @@ class TestSimulateCommand:
         headers = [line.split()[1] for line in capsys.readouterr().err.splitlines()
                    if "_NUM_THREADS=" in line]
         assert headers == ["workers=1", "workers=2"]
+
+    @pytest.mark.parametrize("replications,want", [(1, None), (3, 3)])
+    def test_pool_has_at_most_one_worker_per_task(self, monkeypatch, replications, want):
+        # a recording stand-in for the pool, mapping serially: no process starts
+        import concurrent.futures
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = RunConfig(example="example2", methods=("OLS",), sigma2=(0.01,),
+                        replications=replications, seed=1, quadrature_m=64)
+        log = io.StringIO()
+        simulate(cfg, workers=64, log=log)
+        assert sizes == ([] if want is None else [want])
+        assert log.getvalue().split()[1] == f"workers={want or 1}"
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_worker_count_below_one_is_rejected(self, workers):

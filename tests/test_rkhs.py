@@ -174,7 +174,7 @@ class TestLooPhi:
         x, y = smooth_data(12, seed=19, noise=0.3)
         n = len(y)
         lam = 1e-3
-        score = rkhs._loo_score(rkhs._EigenPanel(x, y, GAUSS, jitter=0.0), lam)
+        score = rkhs._loo_score(rkhs._Panel.full(x, y, GAUSS, jitter=0.0), lam)
         loo_sq = []
         for i in range(n):
             keep = np.arange(n) != i
@@ -195,7 +195,7 @@ class TestLooPhi:
         x = np.arange(5.0)[:, None] * 4.0
         y = np.sin(x[:, 0])
         config = loo_config([1.0], (1e-16,))
-        assert np.isinf(rkhs._loo_score(rkhs._EigenPanel(x, y, GAUSS, jitter=0.0), 1e-16))
+        assert np.isinf(rkhs._loo_score(rkhs._Panel.full(x, y, GAUSS, jitter=0.0), 1e-16))
         with pytest.raises(rkhs.FitError, match="non-finite"):
             loo_cv_phi(x, y, config, jitter=0.0)
 
@@ -322,7 +322,7 @@ class TestVectorizedGcv:
             d2 = sqdist(pts)
             for phi in rkhs.DEFAULT_PHI_GRID:
                 spec = KernelSpec("gaussian", phi)
-                panel = rkhs._EigenPanel(pts, y, spec, gram=gram(spec, d2))
+                panel = rkhs._Panel.full(pts, y, spec, gram=gram(spec, d2))
                 want = np.array([scalar_gcv(panel, lam) for lam in grid])
                 lam, scores = rkhs._gcv_pick(panel, grid)
                 assert np.array_equal(scores, want)
@@ -331,7 +331,7 @@ class TestVectorizedGcv:
     def test_singular_lambda_raises_at_the_first_in_grid_order(self):
         # three tied points make the unjittered Gram matrix singular
         x, y = [1.0, 1.0, 1.0, 2.0], [0.5, 0.7, 0.6, 1.9]
-        panel = rkhs._EigenPanel(x, y, GAUSS, jitter=0.0)
+        panel = rkhs._Panel.full(x, y, GAUSS, jitter=0.0)
         grid = (1e-17, 1e-16, 1e-3)
         with pytest.raises(rkhs.FitError) as want:
             [scalar_gcv(panel, lam) for lam in grid]
@@ -341,7 +341,7 @@ class TestVectorizedGcv:
 
     def test_all_non_finite_scores_raise(self):
         x, _ = smooth_data(8)
-        panel = rkhs._EigenPanel(x, np.full(8, 1e200), GAUSS)
+        panel = rkhs._Panel.full(x, np.full(8, 1e200), GAUSS)
         grid = rkhs.DEFAULT_LAMBDA_GRID
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.any(np.isfinite([scalar_gcv(panel, lam) for lam in grid]))
@@ -351,7 +351,7 @@ class TestVectorizedGcv:
     def test_tie_goes_to_the_larger_lambda(self):
         # zero responses score 0 at every lambda
         x, _ = smooth_data(8)
-        panel = rkhs._EigenPanel(x, np.zeros(8), GAUSS)
+        panel = rkhs._Panel.full(x, np.zeros(8), GAUSS)
         lam, scores = rkhs._gcv_pick(panel, rkhs.DEFAULT_LAMBDA_GRID)
         assert np.all(scores == 0.0)
         assert lam == rkhs.DEFAULT_LAMBDA_GRID[-1]
@@ -370,10 +370,10 @@ class TestVectorizedGcv:
 
 def full_eigh_sweep(points, y, config, jitter=rkhs.DEFAULT_JITTER):
     """The phi sweep with a full eigendecomposition per candidate: every
-    candidate gets an ``_EigenPanel`` and the winner's model comes from it."""
+    candidate gets a full ``_Panel`` and the winner's model comes from it."""
     best_score, best = np.inf, None
     for phi in sorted(config.phi_grid):
-        panel = rkhs._EigenPanel(points, y, config.spec(phi), jitter)
+        panel = rkhs._Panel.full(points, y, config.spec(phi), jitter)
         lam = rkhs._gcv_pick(panel, config.lambda_grid)[0]
         score = rkhs._loo_score(panel, lam)
         if score < best_score:
@@ -423,9 +423,9 @@ class TestLowRankSweep:
         pts, y = testbed.generate(
             testbed.make_system("example2", 0.1, "uniform_random", 201), 0, 0)
         K = gram(KernelSpec("gaussian", phi), sqdist(pts))
-        low = rkhs._LowRankPanel(rkhs._pivoted_cholesky(K, rkhs.PIVOT_TOL, 201), y,
-                                 rkhs.DEFAULT_JITTER)
-        full = rkhs._EigenPanel(pts, y, KernelSpec("gaussian", phi), gram=K)
+        low = rkhs._Panel.low_rank(rkhs._pivoted_cholesky(K, rkhs.PIVOT_TOL, 201), y,
+                                   rkhs.DEFAULT_JITTER)
+        full = rkhs._Panel.full(pts, y, KernelSpec("gaussian", phi), gram=K)
         grid = rkhs.DEFAULT_LAMBDA_GRID
         assert np.allclose(low.gcv_scores(grid), full.gcv_scores(grid), rtol=1e-6)
         lam = rkhs._gcv_pick(full, grid)[0]
