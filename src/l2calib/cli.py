@@ -29,6 +29,7 @@ import os
 import re
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -62,6 +63,68 @@ def _log(log, msg: str) -> None:
     """Print one progress line to ``log``; ``log=None`` is silent."""
     if log is not None:
         print(msg, file=sys.stderr if log == STDERR else log)
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# (getter, setter) symbol pairs, by OpenBLAS build
+_BLAS_SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                 ("openblas_get_num_threads", "openblas_set_num_threads"))
+
+
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """``(get, set)`` for the thread count of the OpenBLAS numpy loaded,
+    found through ctypes as threadpoolctl does; None when there is none."""
+    import ctypes
+    from glob import glob
+    libs = glob(str(Path(np.__file__).parents[1] / "numpy.libs" / "*openblas*"))
+    try:
+        with open("/proc/self/maps") as maps:  # Linux: whatever is loaded
+            libs += [line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line]
+    except OSError:
+        pass
+    for path in dict.fromkeys(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get, set_ in _BLAS_SYMBOLS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                get, set_ = getattr(lib, get), getattr(lib, set_)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Cap numpy's OpenBLAS at one thread for the block, then restore the count.
+
+    Every matrix here has at most a few hundred rows, where one thread is
+    as fast as two, and an idle OpenBLAS thread busy-waits, so a second
+    thread doubles the CPU time and forked workers oversubscribe the
+    cores.  An explicit ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``
+    wins: the count is then left alone.  Yields the count a run uses: 1,
+    the environment's value, or ``"unknown"`` when no setter is found.
+    The count is process-wide: blocks that overlap in two threads restore
+    what each saw on entry, so the one that exits last decides it.
+    """
+    env = [os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ]
+    threads = None if env else _openblas_threads()
+    if threads is None:
+        yield env[0] if env else "unknown"
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield 1
+    finally:
+        set_(before)
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +375,12 @@ def simulate(config: RunConfig, workers: int = 1,
     Replication r uses the data stream derived from (seed, r), so the
     report is independent of the worker count.  Every (sigma2, r) task
     goes to one worker pool of at most one worker per task; results are
-    gathered in task order before aggregation.  The first ``log`` line
-    gives that worker count and the BLAS thread variables of the
-    environment.  More than 1% failures for any (method, sigma2) aborts
-    with diagnostics.
+    gathered in task order before aggregation.  The replications run under
+    ``one_blas_thread``, entered before the pool forks.  The first ``log``
+    line gives the worker count, the BLAS thread variables of the
+    environment and the BLAS thread count the run uses (``blas_threads``:
+    1, the environment's value, or ``unknown``).  More than 1% failures
+    for any (method, sigma2) aborts with diagnostics.
     """
     if workers < 1:
         raise CliConfigError(f"workers must be at least 1, got {workers}")
@@ -323,18 +388,18 @@ def simulate(config: RunConfig, workers: int = 1,
     tasks = [(config, s2, r) for s2 in config.sigma2 for r in range(R)]
     # a fork pool starts every worker at the first submit, needed or not
     workers = min(workers, len(tasks))
-    blas = " ".join(f"{v}={os.environ.get(v, 'unset')}"
-                    for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
-    _log(log, f"[simulate] workers={workers} {blas}")
+    env = " ".join(f"{v}={os.environ.get(v, 'unset')}" for v in BLAS_THREAD_VARS)
+    with one_blas_thread() as blas_threads:
+        _log(log, f"[simulate] workers={workers} {env} blas_threads={blas_threads}")
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                every = list(pool.map(_replicate, tasks,
+                                      chunksize=max(1, len(tasks) // (8 * workers))))
+        else:
+            every = [_replicate(t) for t in tasks]
     rows: list[MethodSummary] = []
     theta_star = config.system(config.sigma2[0]).theta_star
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            every = list(pool.map(_replicate, tasks,
-                                  chunksize=max(1, len(tasks) // (8 * workers))))
-    else:
-        every = [_replicate(t) for t in tasks]
     for i, s2 in enumerate(config.sigma2):
         results = every[i * R:(i + 1) * R]
         for meth in config.methods:
@@ -573,22 +638,23 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "discrepancy":
-            out = args.out or "discrepancy.csv"
-            m = 256
-            if args.config:
-                m = load_config(args.config).quadrature_m
-            return cmd_discrepancy(args.example, args.theta_min, args.theta_max,
-                                   args.steps, out, m, check=args.check)
-        config = load_config(args.config) if args.config else RunConfig()
-        if args.out:
-            config = replace(config, output=args.out)
-        if args.command == "calibrate":
-            return cmd_calibrate(config, args.data, config.output)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        return cmd_simulate(config, config.output, workers=args.workers,
-                            check=args.check)
+        with one_blas_thread():
+            if args.command == "discrepancy":
+                out = args.out or "discrepancy.csv"
+                m = 256
+                if args.config:
+                    m = load_config(args.config).quadrature_m
+                return cmd_discrepancy(args.example, args.theta_min, args.theta_max,
+                                       args.steps, out, m, check=args.check)
+            config = load_config(args.config) if args.config else RunConfig()
+            if args.out:
+                config = replace(config, output=args.out)
+            if args.command == "calibrate":
+                return cmd_calibrate(config, args.data, config.output)
+            if args.seed is not None:
+                config = replace(config, seed=args.seed)
+            return cmd_simulate(config, config.output, workers=args.workers,
+                                check=args.check)
     except CliConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

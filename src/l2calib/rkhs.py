@@ -19,7 +19,9 @@ rank r Gram matrix; only the winner and the candidates it cannot score
 that way are decomposed in full.  At n = 51 that costs about 3% more
 than one eigh per candidate.  Only ``numpy.linalg`` is called: numpy and
 scipy each bundle their own OpenBLAS, and their busy-waiting threads
-contend on a small host.
+contend on a small host.  ``cli`` runs cap numpy's copy at one thread
+(``cli.one_blas_thread``); scipy's is left alone, as it loads only for
+q >= 2 and its Nelder-Mead makes no BLAS call of its own.
 
 The tuning policy lives here too: ``KernelConfig`` holds the phi and
 lambda grids, and ``fit_response_surface`` picks from both in one pass.
@@ -105,6 +107,8 @@ def _data(points, y, jitter: float) -> tuple[np.ndarray, np.ndarray]:
     array, checked for a fit with the given jitter."""
     points = as_points(points)
     y = np.asarray(y, dtype=float).reshape(-1)
+    if points.shape[0] < 1:
+        raise ValueError("points must hold at least one design point, got 0 rows")
     if y.shape[0] != points.shape[0]:
         raise ValueError("points and responses length mismatch")
     if np.any(~np.isfinite(y)):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from l2calib import cli, kernels, rkhs, testbed
+from l2calib import calibrate, cli, kernels, rkhs, testbed
 from l2calib.calibrate import fit_response_surface
 from l2calib.cli import (CliConfigError, RunConfig, check_report, cmd_calibrate,
                          load_config, main, read_data_csv, simulate)
@@ -237,7 +237,8 @@ class TestCalibrateCommand:
             assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 0
         lines = buf.getvalue().splitlines()
         assert lines[0] == f"[calibrate] wrote {out}"
-        assert lines[1] == "[simulate] workers=1 OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset"
+        assert lines[1] == ("[simulate] workers=1 OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset "
+                            "blas_threads=1")
         assert lines[2].startswith("[simulate] OLS ")
         assert lines[-1] == f"[simulate] wrote {tmp_path / 'r.csv'}"
         assert capsys.readouterr() == ("", "")
@@ -427,6 +428,102 @@ class TestSimulateCommand:
         fields = rows[0].split(",")
         assert fields[0] == "OLS"
         assert int(fields[5]) == 2
+
+
+def blas_threads_in_worker():
+    return cli._openblas_threads()[0]()
+
+
+class TestBlasThreads:
+    """A run caps numpy's OpenBLAS at one thread and restores the count after."""
+
+    @pytest.fixture
+    def blas(self, monkeypatch):
+        """The getter the cap uses, with the count at 2 before each test."""
+        if cli._openblas_threads() is None:
+            pytest.skip("no OpenBLAS thread getter found")
+        for v in cli.BLAS_THREAD_VARS:
+            monkeypatch.delenv(v, raising=False)
+        get, set_ = cli._openblas_threads()
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    @staticmethod
+    def record(monkeypatch, owner, name, get):
+        """Replace ``owner.name`` by a wrapper; return the counts seen at its calls."""
+        seen, fn = [], getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            seen.append(get())
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+        return seen
+
+    def test_simulate_runs_at_one_thread_and_restores(self, blas, monkeypatch):
+        seen = self.record(monkeypatch, cli, "_replicate", blas)
+        log = io.StringIO()
+        cfg = RunConfig(example="example2", methods=("OLS",), sigma2=(0.01,),
+                        replications=2, seed=1, quadrature_m=64)
+        simulate(cfg, log=log)
+        assert seen == [1, 1]
+        assert blas() == 2
+        assert log.getvalue().splitlines()[0].endswith(" blas_threads=1")
+
+    def test_calibrate_runs_at_one_thread_and_restores(self, blas, monkeypatch, tmp_path):
+        seen = self.record(monkeypatch, calibrate, "fit_response_surface", blas)
+        data = write_noiseless_example1_csv(tmp_path / "d.csv")
+        cfg = write_config(tmp_path / "c.json", example="example1")
+        assert main(["calibrate", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "o.csv")]) == 0
+        assert seen == [1]
+        assert blas() == 2
+
+    def test_count_is_restored_when_the_run_raises(self, blas, monkeypatch, tmp_path, capsys):
+        seen = self.record(monkeypatch, cli, "_replicate", blas)
+        cfg = write_config(tmp_path / "c.json", lambda_grid=[1e-300])
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        assert "numerical failure: L2 failed in 2/2 replications" in capsys.readouterr().err
+        assert seen == [1, 1]
+        assert blas() == 2
+        with pytest.raises(RuntimeError, match="L2 failed"):
+            simulate(load_config(cfg), log=None)
+        assert blas() == 2
+
+    @pytest.mark.parametrize("var", cli.BLAS_THREAD_VARS)
+    def test_environment_count_wins(self, blas, monkeypatch, var):
+        monkeypatch.setenv(var, "3")
+        seen = self.record(monkeypatch, cli, "_replicate", blas)
+        log = io.StringIO()
+        cfg = RunConfig(example="example2", methods=("OLS",), sigma2=(0.01,),
+                        replications=1, seed=1, quadrature_m=64)
+        simulate(cfg, log=log)
+        assert seen == [2]
+        assert log.getvalue().splitlines()[0].endswith(" blas_threads=3")
+
+    def test_fork_pool_worker_inherits_the_cap(self, blas):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        def in_worker():
+            with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+                return pool.submit(blas_threads_in_worker).result()
+        with cli.one_blas_thread() as threads:
+            assert (threads, in_worker()) == (1, 1)
+        assert in_worker() == 2
+
+    def test_unknown_without_a_setter(self, monkeypatch):
+        for v in cli.BLAS_THREAD_VARS:
+            monkeypatch.delenv(v, raising=False)
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+        log = io.StringIO()
+        cfg = RunConfig(example="example2", methods=("OLS",), sigma2=(0.01,),
+                        replications=1, seed=1, quadrature_m=64)
+        simulate(cfg, log=log)
+        assert log.getvalue().splitlines()[0] == (
+            "[simulate] workers=1 OPENBLAS_NUM_THREADS=unset OMP_NUM_THREADS=unset "
+            "blas_threads=unknown")
 
 
 class TestDiscrepancyCommand:

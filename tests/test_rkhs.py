@@ -54,6 +54,12 @@ class TestFit:
         with pytest.raises(rkhs.FitError, match="NaN"):
             fit_with_rule([0.0, 1.0], [1.0, np.nan], GAUSS, (0.1,))
 
+    def test_rejects_empty_design(self):
+        with pytest.raises(ValueError, match="points must hold at least one design point"):
+            rkhs.fit_response_surface(np.zeros((0, 1)), [], KernelConfig())
+        with pytest.raises(ValueError, match="points must hold at least one design point"):
+            loo_cv_phi(np.zeros((0, 1)), [], KernelConfig())
+
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             fit_with_rule([0.0], [1.0], GAUSS, (0.0,))
