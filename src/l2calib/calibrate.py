@@ -12,8 +12,8 @@
   profiled out.  It reads the data, the kernel and the Gram eigenpairs
   from the same fitted surface.
 
-All three are objectives of the parameter alone, searched over its box
-by the same deterministic grid-plus-refinement minimizer.
+All three reduce one residual, data minus simulator, row by row, and
+are searched over the box by the same grid-plus-refinement minimizer.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 from . import rkhs
 # perfbench's tracer patches calibrate._scipy_minimize, which no estimator
 # calls; it imports scipy only when called
-from .numerics import (BoxDomain, OptimizerConfig, QuadratureRule, _scipy_minimize,
-                       as_points, fd_grad, fd_hess, minimize)
+from .numerics import (BoxDomain, FitError, OptimizerConfig, QuadratureRule,
+                       _scipy_minimize, as_points, fd_grad, fd_hess, minimize)
 # cli fits every surface through calibrate.fit_response_surface
 from .rkhs import KrrModel, fit_response_surface
 
@@ -99,16 +99,21 @@ class CalibrationEstimate:
     meta: dict = field(default_factory=dict)
 
 
+def _residual_objective(model: ComputerModel, points: np.ndarray, target: np.ndarray,
+                        reduce: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """Every estimator's batched objective: the simulator's ``(k, n)`` residuals
+    ``target - model.batch(points, thetas)``, reduced row by row."""
+    return lambda thetas: reduce(target - model.batch(points, thetas))
+
+
 def l2_objective(zeta_nodes: np.ndarray, model: ComputerModel,
                  rule: QuadratureRule) -> Callable[[np.ndarray], np.ndarray]:
     """Batched squared L2 distance ``integral (zeta - y^s(., theta))^2 dz``
     over the rule's box (raw ``dz`` measure, no volume normalization), for
     ``zeta`` given by its values at ``rule.nodes``: maps a ``(k, q)`` batch
     of parameters to ``(k,)`` distances."""
-    def objective(thetas: np.ndarray) -> np.ndarray:
-        diff = zeta_nodes - model.batch(rule.nodes, thetas)
-        return np.array([rule.weights @ d2 for d2 in diff * diff])
-    return objective
+    return _residual_objective(model, rule.nodes, zeta_nodes,
+                               lambda diff: np.array([rule.weights @ d2 for d2 in diff * diff]))
 
 
 def l2_calibrate(surface: KrrModel, model: ComputerModel, rule: QuadratureRule,
@@ -132,18 +137,9 @@ def l2_calibrate(surface: KrrModel, model: ComputerModel, rule: QuadratureRule,
 def ols_calibrate(points, y, model: ComputerModel,
                   opt: OptimizerConfig = OptimizerConfig()) -> CalibrationEstimate:
     """Least-squares calibration; the objective value is the minimized RSS."""
-    pts = as_points(points)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    if pts.shape[0] == 0:
-        raise ValueError("data must be nonempty")
-    if yv.shape[0] != pts.shape[0]:
-        raise ValueError("points and responses length mismatch")
-
-    def objective(thetas: np.ndarray) -> np.ndarray:
-        resid = yv - model.batch(pts, thetas)
-        return np.array([r @ r for r in resid])
-
-    res = minimize(objective, model.theta_domain, opt)
+    pts, yv = rkhs._data(points, y, jitter=0.0)
+    rss = _residual_objective(model, pts, yv, lambda resid: np.array([r @ r for r in resid]))
+    res = minimize(rss, model.theta_domain, opt)
     return CalibrationEstimate(
         theta_hat=res.x, method="OLS", objective_value=res.fun,
         meta={"iterations": res.iterations, "boundary": res.on_boundary},
@@ -163,26 +159,24 @@ class _ProfiledGpLikelihood:
     """
 
     def __init__(self, surface: KrrModel, model: ComputerModel):
-        self.pts, self.y, self.n = surface.design, surface.y, surface.n
-        self.model = model
+        self.n = surface.n
         self.rho, self.Q = surface.gram_eig
         if self.rho.min() <= 0:
-            raise rkhs.FitError("GP correlation matrix is not positive definite "
-                                f"after jitter (smallest eigenvalue {self.rho.min():.3e})")
+            raise FitError("GP correlation matrix is not positive definite "
+                           f"after jitter (smallest eigenvalue {self.rho.min():.3e})")
+        self.residual_sq = _residual_objective(  # s^2 for each theta, shape (k, n)
+            model, surface.design, surface.y, lambda r: (r @ self.Q) ** 2)
         self.u_bounds = np.log(ETA_BOUNDS)
         self.u_grid = np.linspace(*self.u_bounds, ETA_GRID_POINTS)
         d_grid = self.rho + np.exp(self.u_grid)[:, None]
         self.inv_d_grid, self.logdet_grid = 1.0 / d_grid, np.log(d_grid).sum(axis=1)
 
-    def residual_sq(self, thetas: np.ndarray) -> np.ndarray:
-        """``s^2`` for each row of ``thetas``, shape ``(k, n)``."""
-        return ((self.y - self.model.batch(self.pts, thetas)) @ self.Q) ** 2
-
     def _f(self, a: np.ndarray, logdet: np.ndarray):
         """``(f, tau2)``; ``tau2`` is floored at the smallest normal float where
-        ``a`` is 0 or not finite."""
-        tau2 = np.where(np.isfinite(a) & (a > 0.0), a / self.n, np.finfo(float).tiny)
-        return 0.5 * self.n * np.log(tau2) + 0.5 * logdet, tau2
+        ``a`` is 0, and ``f`` is +inf where ``a`` is not finite (NaN or inf output)."""
+        finite = np.isfinite(a)
+        tau2 = np.where(finite & (a > 0.0), a / self.n, np.finfo(float).tiny)
+        return np.where(finite, 0.5 * self.n * np.log(tau2) + 0.5 * logdet, np.inf), tau2
 
     def _newton_parts(self, s2: np.ndarray, u: np.ndarray):
         """``(f, f', f'', tau2)`` at ``u``, derivatives in ``u``, one row of
@@ -193,7 +187,7 @@ class _ProfiledGpLikelihood:
         w1 = s2 * inv
         w2 = w1 * inv
         f, tau2 = self._f(w1.sum(axis=1), np.log(d).sum(axis=1))
-        a = self.n * tau2  # a floored tau2 comes from s = 0, where m2 = m3 = 0
+        a = self.n * tau2  # floored where s = 0 (m2 = m3 = 0) or f = +inf (no step kept)
         m2, m3 = w2.sum(axis=1) / a, (w2 * inv).sum(axis=1) / a
         f1 = eta * (0.5 * inv.sum(axis=1) - 0.5 * self.n * m2)
         f2 = f1 + eta ** 2 * (0.5 * self.n * (2.0 * m3 - m2 ** 2)
@@ -235,7 +229,7 @@ def ko_calibrate(surface: KrrModel, model: ComputerModel,
     objective value is the concentrated negative log likelihood at theta.
     """
     if surface.n < 3:
-        raise ValueError("GP calibration needs at least 3 observations")
+        raise FitError("GP calibration needs at least 3 observations")
     nll = _ProfiledGpLikelihood(surface, model)
     res = minimize(lambda thetas: nll.profile(thetas)[0], model.theta_domain, opt)
     _, u, tau2 = nll.profile(res.x[None])

@@ -17,7 +17,8 @@ then ``y``.  Reports carry 17 significant digits so byte-identical
 output is a meaningful determinism check.
 
 Exit codes: 0 success, 1 usage/config/parse error, 2 numerical failure,
-3 threshold violation under ``--check``.
+3 threshold violation under ``--check``.  A programming error is none of
+them: it ends the run with its traceback.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from . import calibrate, inference, rkhs, testbed
 from .calibrate import (CalibrationEstimate, ComputerModel, ko_calibrate,
                         l2_calibrate, ols_calibrate)
-from .numerics import MAX_GRID_POINTS, BoxDomain, OptimizerConfig, gauss_legendre, scan
+from .numerics import MAX_GRID_POINTS, BoxDomain, FitError, OptimizerConfig, gauss_legendre, scan
 from .rkhs import KernelConfig
 from .testbed import SyntheticSystem, generate, make_system
 
@@ -108,12 +109,13 @@ def one_blas_thread():
     as fast as two, and an idle OpenBLAS thread busy-waits, so a second
     thread doubles the CPU time and forked workers oversubscribe the
     cores.  An explicit ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``
-    wins: the count is then left alone.  Yields the count a run uses: 1,
+    wins: the count is then left alone.  An empty or blank value is unset,
+    as OpenBLAS reads it.  Yields the count a run uses: 1,
     the environment's value, or ``"unknown"`` when no setter is found.
     The count is process-wide: blocks that overlap in two threads restore
     what each saw on entry, so the one that exits last decides it.
     """
-    env = [os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ]
+    env = [os.environ[v] for v in BLAS_THREAD_VARS if os.environ.get(v, "").strip()]
     threads = None if env else _openblas_threads()
     if threads is None:
         yield env[0] if env else "unknown"
@@ -311,8 +313,12 @@ def _cached_rule(m: int):
     return gauss_legendre(testbed.OMEGA, m)
 
 
-# Input and numerical failures a method may report; anything else propagates.
-NUMERICAL_ERRORS = (ValueError, np.linalg.LinAlgError, FloatingPointError)
+# The numerical failures a method reports in its row; anything else propagates.
+NUMERICAL_ERRORS = (FitError, np.linalg.LinAlgError)
+
+
+class FailureRateError(RuntimeError):
+    """A method failed in over ``MAX_FAILURE_FRACTION`` of a study's replications."""
 
 
 def _run_methods(config: RunConfig, pts: np.ndarray, y: np.ndarray,
@@ -380,7 +386,7 @@ def simulate(config: RunConfig, workers: int = 1,
     line gives the worker count, the BLAS thread variables of the
     environment and the BLAS thread count the run uses (``blas_threads``:
     1, the environment's value, or ``unknown``).  More than 1% failures
-    for any (method, sigma2) aborts with diagnostics.
+    for any (method, sigma2) raises ``FailureRateError`` with diagnostics.
     """
     if workers < 1:
         raise CliConfigError(f"workers must be at least 1, got {workers}")
@@ -409,7 +415,7 @@ def simulate(config: RunConfig, workers: int = 1,
                       if res[meth][2] is not None]
             if len(errors) > MAX_FAILURE_FRACTION * R:
                 detail = "; ".join(f"rep {r}: {msg}" for r, msg in errors[:5])
-                raise RuntimeError(
+                raise FailureRateError(
                     f"{meth} failed in {len(errors)}/{R} replications at "
                     f"sigma2={s2}: {detail}")
             ok = thetas[np.isfinite(thetas)]
@@ -658,7 +664,7 @@ def main(argv=None) -> int:
     except CliConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (rkhs.FitError, np.linalg.LinAlgError, RuntimeError) as e:
+    except (FailureRateError, *NUMERICAL_ERRORS) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
 

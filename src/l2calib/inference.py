@@ -31,7 +31,7 @@ import numpy as np
 
 from . import rkhs
 from .calibrate import ComputerModel
-from .numerics import QuadratureRule, as_points
+from .numerics import FitError, QuadratureRule, as_points
 from .rkhs import KrrModel
 
 
@@ -115,10 +115,10 @@ def expand(model: ComputerModel, zeta: Callable[[np.ndarray], np.ndarray],
             "derivative-based covariance estimation is not valid for it")
     G = model.grad_theta(rule.nodes, theta)
     if np.any(~np.isfinite(G)):
-        raise ValueError("model gradient is non-finite at some design point")
+        raise FitError("model gradient is non-finite at some design point")
     H = model.hess_theta(rule.nodes, theta)
     if np.any(~np.isfinite(H)):
-        raise ValueError("model derivatives are non-finite at some design point")
+        raise FitError("model derivatives are non-finite at some design point")
     delta = np.asarray(zeta(rule.nodes), dtype=float).reshape(-1) - model(rule.nodes, theta)
     return Expansion(G=G, H=H, delta=delta, weights=rule.weights)
 

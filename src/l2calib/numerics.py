@@ -32,6 +32,10 @@ SCAN_BLOCK_ROWS = 401
 REFINE_POINTS = 15
 
 
+class FitError(ValueError):
+    """The one class for a numerical outcome; invalid input is a plain ``ValueError``."""
+
+
 def _scipy_minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported on first call: only q >= 2 needs
     it, and importing it takes longer than a one-parameter calibration."""
@@ -209,7 +213,7 @@ def minimize(objective: Objective, box: BoxDomain,
     pts = tensor_grid(box, config.grid_points)
     vals = scan(objective, pts)
     if not np.any(np.isfinite(vals)):
-        raise ValueError("objective is non-finite on the whole coarse grid")
+        raise FitError("objective is non-finite on the whole coarse grid")
     best = int(np.argmin(vals))
 
     if q == 1:

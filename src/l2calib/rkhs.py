@@ -38,7 +38,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import KernelSpec
-from .numerics import as_points
+from .numerics import FitError, as_points  # FitError: re-exported
 
 DEFAULT_JITTER = 1e-10
 
@@ -46,10 +46,6 @@ DEFAULT_JITTER = 1e-10
 # datasets still select a grid end (phi = 1e-2 or lambda = 1e-8).
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(np.logspace(-8.0, 0.0, 25))
 DEFAULT_PHI_GRID: tuple[float, ...] = tuple(np.logspace(-2.0, 1.5, 15))
-
-
-class FitError(ValueError):
-    """Raised when the penalized linear system cannot be solved reliably."""
 
 
 def _grid(name: str, values, ascending: bool = False) -> tuple[float, ...]:

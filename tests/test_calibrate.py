@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,29 @@ class TestKo:
             ko_calibrate(fit_response_surface(np.array([[0.1], [0.2]]), np.array([1.0, 2.0]),
                                               KernelConfig()),
                          system.computer_model)
+
+    def test_non_finite_simulator_output_fits_nothing(self):
+        # NaN past theta = 1.5 once won KO with a floored process variance;
+        # like L2 and OLS, KO now returns its plain estimate bit for bit
+        system = testbed.make_system("example2", 0.1, "uniform_random", 101)
+        pts, y = testbed.generate(system, 0, 0)
+        model = system.computer_model
+        cut = replace(model, eval=lambda p, ths: np.where(ths > 1.5, np.nan, model.eval(p, ths)))
+        surface = fit_response_surface(pts, y, KernelConfig())
+        for run in (lambda m: ko_calibrate(surface, m),
+                    lambda m: l2_calibrate(surface, m, RULE, OPT),
+                    lambda m: ols_calibrate(pts, y, m, OPT)):
+            plain, est = run(model), run(cut)
+            assert np.array_equal(est.theta_hat, plain.theta_hat)
+            assert est.objective_value == plain.objective_value
+
+    def test_nan_everywhere_is_a_fit_error(self):
+        system, pts, y = noisy_example2()
+        nan = replace(system.computer_model,
+                      eval=lambda p, ths: np.full((len(ths), len(p)), np.nan))
+        with pytest.raises(rkhs.FitError,
+                           match="objective is non-finite on the whole coarse grid"):
+            ko_calibrate(fit_response_surface(pts, y, KernelConfig()), nan)
 
     def test_fixed_phi_respected(self):
         system, pts, y = noisy_example2(seed=13)

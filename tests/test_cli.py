@@ -3,6 +3,7 @@ import io
 import json
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,14 @@ def counting(monkeypatch, owner, name):
         return fn(*args, **kwargs)
     monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+def type_bug(*args, **kwargs):
+    raise TypeError("bug in a calibrator")
+
+
+def broadcast_bug(*args, **kwargs):
+    return np.ones(3) + np.ones(2)  # ValueError: operands could not be broadcast
 
 
 def write_noiseless_example1_csv(path):
@@ -192,8 +201,7 @@ class TestCalibrateCommand:
                      "--out", str(out)]) == 0
         rows = {r.split(",")[0]: r for r in out.read_text().strip().splitlines()[1:]}
         assert rows["OLS"].rstrip().endswith("ok")
-        assert "error" in rows["KO"]
-        assert "at least 3" in rows["KO"]
+        assert rows["KO"].endswith(",error: FitError: GP calibration needs at least 3 observations")
 
     def test_standard_errors_emitted_for_smooth_model(self, tmp_path):
         system = testbed.make_system("example2", 0.01)
@@ -326,14 +334,45 @@ class TestTuneOnce:
         for meth in ("L2", "KO"):
             assert rows[meth].endswith("error: FitError: all GCV scores are non-finite")
 
-    def test_programming_error_propagates(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise TypeError("bug in a calibrator")
-        monkeypatch.setattr(cli, "ols_calibrate", broken)
+    @pytest.mark.parametrize("bug,error,match", [
+        (type_bug, TypeError, "bug in a calibrator"),
+        (broadcast_bug, ValueError, "could not be broadcast")], ids=["type", "broadcast"])
+    def test_programming_error_propagates(self, monkeypatch, bug, error, match):
+        monkeypatch.setattr(cli, "ols_calibrate", bug)
         cfg = RunConfig(example="example2", methods=("OLS",), sigma2=(0.01,),
                         replications=2, seed=3, quadrature_m=64)
-        with pytest.raises(TypeError, match="bug in a calibrator"):
+        with pytest.raises(error, match=match):
             simulate(cfg, log=None)
+
+    def test_programming_error_ends_calibrate(self, tmp_path, monkeypatch):
+        # not an "error: ValueError" row with exit 0
+        monkeypatch.setattr(cli, "l2_calibrate", broadcast_bug)
+        data = write_noiseless_example1_csv(tmp_path / "d.csv")
+        cfg = write_config(tmp_path / "c.json", example="example1")
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            main(["calibrate", "--config", str(cfg), "--data", str(data),
+                  "--out", str(tmp_path / "o.csv")])
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_programming_error_ends_simulate(self, tmp_path, monkeypatch):
+        # not a "numerical failure" with exit 2
+        def unfinished(*args, **kwargs):
+            raise NotImplementedError("unfinished calibrator")
+        monkeypatch.setattr(cli, "ols_calibrate", unfinished)
+        cfg = write_config(tmp_path / "c.json", methods=["OLS"])
+        with pytest.raises(NotImplementedError, match="unfinished calibrator"):
+            main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+
+    def test_non_finite_model_fails_its_row(self):
+        system = testbed.make_system("example2", 0.01)
+        pts, y = testbed.generate(system, 5, 0)
+        nan = replace(system.computer_model,
+                      eval=lambda p, ths: np.full((len(ths), len(p)), np.nan))
+        cfg = RunConfig(example="example2", methods=("OLS",), sigma2=(0.01,),
+                        replications=1, quadrature_m=64)
+        est, _, err = cli._run_methods(cfg, pts, y, nan)["OLS"]
+        assert est is None
+        assert err == "FitError: objective is non-finite on the whole coarse grid"
 
     def test_calibrate_without_log_is_silent(self, tmp_path, capsys):
         # a lambda grid whose GCV scores are all non-finite makes the shared
@@ -491,16 +530,19 @@ class TestBlasThreads:
             simulate(load_config(cfg), log=None)
         assert blas() == 2
 
+    # an empty or blank value is unset, as OpenBLAS reads it: the cap applies
+    @pytest.mark.parametrize("value,seen,threads", [("3", 2, "3"), ("", 1, "1"), (" ", 1, "1")],
+                             ids=["three", "empty", "blank"])
     @pytest.mark.parametrize("var", cli.BLAS_THREAD_VARS)
-    def test_environment_count_wins(self, blas, monkeypatch, var):
-        monkeypatch.setenv(var, "3")
-        seen = self.record(monkeypatch, cli, "_replicate", blas)
+    def test_environment_count_wins(self, blas, monkeypatch, var, value, seen, threads):
+        monkeypatch.setenv(var, value)
+        counts = self.record(monkeypatch, cli, "_replicate", blas)
         log = io.StringIO()
         cfg = RunConfig(example="example2", methods=("OLS",), sigma2=(0.01,),
                         replications=1, seed=1, quadrature_m=64)
         simulate(cfg, log=log)
-        assert seen == [2]
-        assert log.getvalue().splitlines()[0].endswith(" blas_threads=3")
+        assert counts == [seen]
+        assert log.getvalue().splitlines()[0].endswith(f" blas_threads={threads}")
 
     def test_fork_pool_worker_inherits_the_cap(self, blas):
         import multiprocessing

@@ -93,6 +93,18 @@ class TestW:
         with pytest.raises(ValueError, match="non-smooth"):
             at_design(model, ZETA, np.array([-1.0]), np.linspace(0, 6, 10))
 
+    @pytest.mark.parametrize("grad,match", [
+        (lambda pts, th: np.full((len(pts), 1), np.nan), "gradient is non-finite"),
+        (lambda pts, th: pts, "derivatives are non-finite")], ids=["gradient", "hessian"])
+    def test_non_finite_derivatives_are_a_fit_error(self, grad, match):
+        # the gradient, or the finite-difference Hessian of an output that is
+        # NaN at x > 3, is non-finite: a numerical outcome, not an input error
+        model = ComputerModel(
+            eval=lambda pts, ths: np.where(pts[:, 0] > 3.0, np.nan, ths * pts[:, 0]),
+            grad=grad, theta_domain=BoxDomain((-2.0,), (2.0,)))
+        with pytest.raises(rkhs.FitError, match=match):
+            at_design(model, ZETA, np.array([1.0]), np.linspace(0, 6, 10))
+
 
 class TestV:
     def test_perfect_surface_gives_twice_w(self):
