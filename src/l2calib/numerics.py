@@ -120,10 +120,10 @@ class OptimizerConfig:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if self.grid_points < 3:
-            raise ValueError("need at least 3 grid points per dimension")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 3 <= self.grid_points <= MAX_GRID_POINTS:
+            raise ValueError(f"need 3 to {MAX_GRID_POINTS} grid points, got {self.grid_points}")
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -173,8 +173,10 @@ def tensor_grid(box: BoxDomain, per_axis: int) -> np.ndarray:
 
 
 def _evaluate(objective: Objective, thetas: np.ndarray) -> np.ndarray:
-    """Objective values at the rows of ``thetas``, non-finite ones as ``+inf``."""
-    vals = np.asarray(objective(thetas), dtype=float)
+    """Objective values at the rows of ``thetas``, non-finite ones as ``+inf``;
+    numpy's overflow and invalid-value warnings on the way are silenced."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(objective(thetas), dtype=float)
     if vals.shape != (thetas.shape[0],):
         raise ValueError(f"objective returned shape {vals.shape} for "
                          f"{thetas.shape[0]} parameter vectors")

@@ -19,7 +19,6 @@ design, with one reproducible stream per (seed, replication) pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -120,24 +119,21 @@ def example2_model(theta_domain: BoxDomain = DEFAULT_THETA_DOMAIN) -> ComputerMo
 
 @dataclass(frozen=True)
 class SyntheticSystem:
-    """Truth, simulator, noise level and design for one study setup."""
+    """Simulator, noise level and design of one study; the truth is zeta_true on OMEGA."""
 
-    name: str
-    true_process: Callable[[np.ndarray], np.ndarray]   # (n, d) -> (n,)
     computer_model: ComputerModel
     theta_star: float
     noise_sigma2: float = 0.1
     design: str = "fixed_grid"          # "fixed_grid" | "uniform_random"
     n: int = FIXED_GRID_N
-    domain: BoxDomain = OMEGA
 
     def __post_init__(self):
         if self.design not in ("fixed_grid", "uniform_random"):
             raise ValueError(f"unknown design {self.design!r}")
         if self.design == "fixed_grid" and self.n != FIXED_GRID_N:
             raise ValueError(f"the fixed grid has {FIXED_GRID_N} points, got n={self.n}")
-        if self.noise_sigma2 < 0:
-            raise ValueError("noise variance must be nonnegative")
+        if not (np.isfinite(self.noise_sigma2) and self.noise_sigma2 >= 0):
+            raise ValueError(f"noise variance must be finite and >= 0, got {self.noise_sigma2}")
         if self.n < 1:
             raise ValueError("need at least one design point")
 
@@ -157,8 +153,6 @@ def make_system(example: str, noise_sigma2: float,
         raise ValueError(f"unknown example {example!r}")
     make_model, theta_star, _ = EXAMPLES[example]
     return SyntheticSystem(
-        name=example,
-        true_process=lambda pts: zeta_true(as_points(pts)[:, 0]),
         computer_model=make_model(theta_domain),
         theta_star=theta_star,
         noise_sigma2=noise_sigma2,
@@ -190,10 +184,9 @@ def generate(system: SyntheticSystem, seed: int,
     if system.design == "fixed_grid":
         x = 2.0 * np.pi * np.arange(FIXED_GRID_N) / (FIXED_GRID_N - 1.0)
     else:
-        lo, hi = system.domain.lower[0], system.domain.upper[0]
-        x = rng.uniform(lo, hi, system.n)
+        x = rng.uniform(OMEGA.lower[0], OMEGA.upper[0], system.n)
     pts = as_points(x)
-    y = system.true_process(pts)
+    y = zeta_true(x)
     if system.noise_sigma2 > 0:
         y = y + rng.normal(0.0, np.sqrt(system.noise_sigma2), pts.shape[0])
     return pts, y

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -167,6 +168,19 @@ class TestKo:
             assert np.array_equal(est.theta_hat, plain.theta_hat)
             assert est.objective_value == plain.objective_value
 
+    def test_infinite_simulator_output_prints_no_warning(self):
+        # projecting an infinite residual on the Gram eigenvectors makes
+        # inf - inf, which numpy reports as "invalid value encountered in matmul"
+        system = testbed.make_system("example2", 0.01, "uniform_random", 101)
+        pts, y = testbed.generate(system, 0, 0)
+        model = system.computer_model
+        cut = replace(model, eval=lambda p, ths: np.where(ths > -0.1, np.inf,
+                                                          model.eval(p, ths)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = ko_calibrate(fit_response_surface(pts, y, KernelConfig()), cut)
+        assert est.theta_hat[0] <= -0.1
+
     def test_nan_everywhere_is_a_fit_error(self):
         system, pts, y = noisy_example2()
         nan = replace(system.computer_model,
@@ -221,9 +235,9 @@ class TestSharedSurface:
         model = system.computer_model
         for phi_grid in (rkhs.DEFAULT_PHI_GRID, (0.5,)):
             config = cli.RunConfig(example=example, sigma2=(0.1,), design="uniform_random",
-                                   design_n=41, phi_grid=phi_grid)
+                                   design_n=41, kernel=KernelConfig(phi_grid=phi_grid))
             ran = cli._run_methods(config, pts, y, model, sandwich=True)
-            kcfg = config.kernel_config()
+            kcfg = config.kernel
             for meth, alone in (
                     ("L2", l2_calibrate(fit_response_surface(pts, y, kcfg), model, RULE, OPT)),
                     ("OLS", ols_calibrate(pts, y, model, OPT)),

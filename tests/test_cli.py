@@ -17,6 +17,7 @@ from l2calib.cli import (CliConfigError, RunConfig, check_report, cmd_calibrate,
 
 
 BUNDLED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
 def write_config(path, **overrides):
@@ -110,6 +111,24 @@ class TestConfig:
         cfg = load_config(write_config(tmp_path / "c.json", replications=1e3, seed=2.0))
         assert (cfg.replications, cfg.seed) == (1000, 2)
         assert type(cfg.replications) is int and type(cfg.seed) is int
+
+    def test_methods_string_is_not_split_into_characters(self, tmp_path):
+        with pytest.raises(CliConfigError, match="config key 'methods': cannot use 'OLS' "
+                                                 r"\(expected a list of strings"):
+            load_config(write_config(tmp_path / "c.json", methods="OLS"))
+
+    def test_readme_config_block_names_every_key(self, tmp_path):
+        section = README.split("### Configuration format", 1)[1]
+        doc = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        config = load_config(cfg)
+        assert (config.kernel.phi_grid, config.optimizer.max_iterations) == (
+            tuple(doc["phi_grid"]), doc["optimizer"]["max_iterations"])
+        keys = set()
+        for k, v in doc.items():
+            keys |= {f"{k}.{sub}" for sub in v} if isinstance(v, dict) else {k}
+        assert keys == set(cli._FIELDS)
 
     @pytest.mark.parametrize("override,key", [
         ({"replications": 2.7}, "replications"),
@@ -314,7 +333,7 @@ class TestTuneOnce:
                      "--out", str(out)]) == 0
         rows = {r.split(",")[0]: r for r in out.read_text().strip().splitlines()[1:]}
         assert rows["OLS"].endswith(",ok")
-        kcfg = load_config(cfg).kernel_config()
+        kcfg = load_config(cfg).kernel
         with pytest.raises(rkhs.FitError) as alone:
             fit_response_surface(pts, y, kcfg)
         for meth in ("L2", "KO"):
@@ -450,6 +469,21 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(b),
                      "--seed", "12"]) == 0
         assert a.read_bytes() != b.read_bytes()
+
+    def test_overflowing_theta_box_prints_no_warning(self, tmp_path, capsys):
+        # past |theta| ~ 1e154 the simulators overflow; every estimator
+        # scores those parameters +inf, and numpy does not warn
+        cfg = write_config(tmp_path / "c.json", methods=["L2", "OLS", "KO"], replications=1,
+                           theta_domain=[-1e300, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "r.csv")]) == 0
+        assert "Warning" not in capsys.readouterr().err
+
+    def test_every_noise_variance_is_checked(self):
+        with pytest.raises(CliConfigError, match="noise variance must be finite and >= 0"):
+            RunConfig(sigma2=(0.1, float("nan")))
 
     def test_list_theta_domain(self):
         cfg = RunConfig(theta_domain=[-2.0, 2.0], replications=1, methods=("OLS",))
@@ -656,12 +690,13 @@ class TestConfigErrors:
         {"design": {"kind": "fixed_grid", "n": 7}},
         {"optimizer": {"grid_points": 401 ** 2 + 1}},
         {"methods": ["L2", "L2"]},
+        {"methods": "OLS"},
     ], ids=["theta_domain", "replications", "quadrature_m", "design_n",
             "kernel_string", "kernel_family", "replications_infinity",
             "theta_domain_nan", "sigma2_nan", "sigma2_inf", "phi_grid_nan",
             "lambda_grid_nan", "phi_grid_empty", "lambda_grid_unsorted", "tolerance_nan",
             "seed_negative", "fixed_grid_n", "grid_points_over_cap",
-            "methods_repeated"])
+            "methods_repeated", "methods_string"])
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path / "c.json", **override)
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])

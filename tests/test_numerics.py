@@ -288,6 +288,23 @@ class TestZoomMatchesGoldenSection:
         assert res.fun <= f(tensor_grid(THETA_BOX, OptimizerConfig().grid_points)).min()
 
 
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
+    def test_rejects_tolerance_not_positive_and_finite(self, tolerance):
+        # with a NaN tolerance no refinement round would run, and minimize
+        # would return a grid point (0.12 for a minimum at 0.1234568)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            OptimizerConfig(tolerance=tolerance)
+
+    @pytest.mark.parametrize("grid_points", [2, MAX_GRID_POINTS + 1])
+    def test_rejects_grid_points_out_of_range(self, grid_points):
+        with pytest.raises(ValueError, match=f"need 3 to {MAX_GRID_POINTS} grid points"):
+            OptimizerConfig(grid_points=grid_points)
+
+    def test_accepts_the_cap(self):
+        assert OptimizerConfig(grid_points=MAX_GRID_POINTS).grid_points == MAX_GRID_POINTS
+
+
 class TestTensorGrid:
     def test_rows_are_the_row_major_tensor_product(self):
         box = BoxDomain((0.0, -1.0), (1.0, 1.0))

@@ -140,12 +140,16 @@ class TestGenerate:
         # chi-square concentration: relative error ~ sqrt(2/n) at 4 sigma
         assert np.var(e) == pytest.approx(0.5, rel=4.0 * np.sqrt(2.0 / e.size))
 
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf, -0.1], ids=["nan", "inf", "negative"])
+    def test_rejects_noise_variance_not_finite_and_nonnegative(self, sigma2):
+        with pytest.raises(ValueError, match="noise variance must be finite and >= 0"):
+            make_system("example2", sigma2)
+
     def test_invalid_system_parameters(self):
         with pytest.raises(ValueError):
             make_system("example3", 0.1)
         with pytest.raises(ValueError):
-            SyntheticSystem(name="x", true_process=zeta_true,
-                            computer_model=testbed.example2_model(),
+            SyntheticSystem(computer_model=testbed.example2_model(),
                             theta_star=0.0, design="latin")
         with pytest.raises(ValueError, match="51 points, got n=7"):
             make_system("example2", 0.1, "fixed_grid", 7)
