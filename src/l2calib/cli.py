@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibrate, inference, testbed
+from . import calibrate, inference, numerics, testbed
 from .calibrate import (CalibrationEstimate, ComputerModel, ko_calibrate,
                         l2_calibrate, ols_calibrate)
 from .numerics import BoxDomain, FitError, OptimizerConfig, gauss_legendre, scan
@@ -145,7 +145,7 @@ class RunConfig:
     output: str = "report.csv"
 
     def __post_init__(self):
-        # a tuple, as the system cache key needs
+        # a tuple of floats, as annotated, whatever sequence the caller passed
         object.__setattr__(self, "theta_domain", tuple(float(t) for t in self.theta_domain))
         if not self.methods:
             raise CliConfigError("methods must be nonempty")
@@ -172,8 +172,8 @@ class RunConfig:
             raise CliConfigError(str(e))
 
     def system(self, sigma2: float) -> SyntheticSystem:
-        return _cached_system(self.example, sigma2, self.design, self.design_n,
-                              self.theta_domain)
+        box = BoxDomain((self.theta_domain[0],), (self.theta_domain[1],))
+        return make_system(self.example, sigma2, self.design, self.design_n, box)
 
 
 def _int(v) -> int:
@@ -292,13 +292,6 @@ class SimulationReport:
         return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=8)
-def _cached_system(example: str, sigma2: float, design: str, n: int,
-                   theta_domain: tuple[float, float]) -> SyntheticSystem:
-    box = BoxDomain((theta_domain[0],), (theta_domain[1],))
-    return make_system(example, sigma2, design, n, box)
-
-
 @lru_cache(maxsize=4)
 def _cached_rule(m: int):
     return gauss_legendre(testbed.OMEGA, m)
@@ -312,16 +305,24 @@ class FailureRateError(RuntimeError):
     """A method failed in over ``MAX_FAILURE_FRACTION`` of a study's replications."""
 
 
+@dataclass(frozen=True)
+class MethodRun:
+    """One method on one dataset: the estimate, or None and the error, and its seconds."""
+    estimate: CalibrationEstimate | None
+    seconds: float
+    error: str | None = None
+
+
 def _run_methods(config: RunConfig, pts: np.ndarray, y: np.ndarray,
                  model: ComputerModel, sandwich: bool = False,
-                 log=None) -> dict[str, tuple[CalibrationEstimate | None, float, str | None]]:
+                 log=None) -> dict[str, MethodRun]:
     """Tune phi and lambda once, then run every configured method.
 
-    Returns ``method -> (estimate, seconds, error)``; estimate is None on
-    failure.  The one fitted surface goes to L2, KO and, with ``sandwich``,
-    the L2/OLS standard errors, so a method's seconds exclude the tuning.
-    If that tuning fails, L2 and KO report its error and OLS runs without
-    standard errors.  No method draws random numbers.
+    Returns ``method -> MethodRun``.  The one fitted surface goes to L2, KO
+    and, with ``sandwich``, the L2/OLS standard errors, so a method's
+    seconds exclude the tuning.  If that tuning fails, L2 and KO report its
+    error and OLS runs without standard errors.  No method draws random
+    numbers.
     """
     rule = _cached_rule(config.quadrature_m)
     with_se = sandwich and model.smooth_in_theta
@@ -333,10 +334,10 @@ def _run_methods(config: RunConfig, pts: np.ndarray, y: np.ndarray,
         except NUMERICAL_ERRORS as e:
             fit_error = f"{type(e).__name__}: {e}"
             _log(log, f"[calibrate] shared surface fit failed: {e}")
-    out: dict[str, tuple[CalibrationEstimate | None, float, str | None]] = {}
+    out: dict[str, MethodRun] = {}
     for meth in config.methods:
         if meth != "OLS" and zeta_hat is None:
-            out[meth] = (None, 0.0, fit_error)
+            out[meth] = MethodRun(None, 0.0, fit_error)
             continue
         t0 = time.perf_counter()
         try:
@@ -349,20 +350,17 @@ def _run_methods(config: RunConfig, pts: np.ndarray, y: np.ndarray,
             if with_se and meth != "KO" and zeta_hat is not None:
                 sand = inference.estimate_sandwich(zeta_hat, model, est.theta_hat)
                 est = replace(est, covariance=sand.cov_l2 if meth == "L2" else sand.cov_ols)
-            out[meth] = (est, time.perf_counter() - t0, None)
+            out[meth] = MethodRun(est, time.perf_counter() - t0)
         except NUMERICAL_ERRORS as e:
-            out[meth] = (None, time.perf_counter() - t0, f"{type(e).__name__}: {e}")
+            out[meth] = MethodRun(None, time.perf_counter() - t0, f"{type(e).__name__}: {e}")
     return out
 
 
-def _replicate(args: tuple[RunConfig, float, int]) -> dict[str, tuple[float, float, str | None]]:
-    """Replication r: ``method -> (theta, seconds, error)``, theta NaN on failure."""
+def _replicate(args: tuple[RunConfig, float, int]) -> dict[str, MethodRun]:
+    """Replication r of the study at one noise variance."""
     config, sigma2, r = args
     system = config.system(sigma2)
-    pts, y = generate(system, config.seed, r)
-    results = _run_methods(config, pts, y, system.computer_model)
-    return {meth: (float("nan") if est is None else float(est.theta_hat[0]), secs, err)
-            for meth, (est, secs, err) in results.items()}
+    return _run_methods(config, *generate(system, config.seed, r), system.computer_model)
 
 
 def simulate(config: RunConfig, workers: int = 1,
@@ -398,18 +396,16 @@ def simulate(config: RunConfig, workers: int = 1,
     rows: list[MethodSummary] = []
     theta_star = config.system(config.sigma2[0]).theta_star
     for i, s2 in enumerate(config.sigma2):
-        results = every[i * R:(i + 1) * R]
         for meth in config.methods:
-            thetas = np.array([res[meth][0] for res in results])
-            secs = float(sum(res[meth][1] for res in results))
-            errors = [(r, res[meth][2]) for r, res in enumerate(results)
-                      if res[meth][2] is not None]
+            runs = [res[meth] for res in every[i * R:(i + 1) * R]]
+            secs = float(sum(run.seconds for run in runs))
+            errors = [(r, run.error) for r, run in enumerate(runs) if run.error is not None]
             if len(errors) > MAX_FAILURE_FRACTION * R:
                 detail = "; ".join(f"rep {r}: {msg}" for r, msg in errors[:5])
                 raise FailureRateError(
                     f"{meth} failed in {len(errors)}/{R} replications at "
                     f"sigma2={s2}: {detail}")
-            ok = thetas[np.isfinite(thetas)]
+            ok = np.array([run.estimate.theta_hat[0] for run in runs if run.error is None])
             mean = float(np.mean(ok))
             sd = float(np.std(ok))
             mse = float(np.mean((ok - theta_star) ** 2))
@@ -441,7 +437,7 @@ def check_report(report: SimulationReport, tol: float = 1e-10) -> list[str]:
 
 
 def read_data_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a headed UTF-8 CSV with columns x1..xd then y; cells must be finite."""
+    """Read a headed UTF-8 CSV: columns x1..xd and y, each once, no gap; cells must be finite."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
@@ -454,18 +450,19 @@ def read_data_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     except StopIteration:
         raise CliConfigError(f"{path}: empty data file")
     header = [h.strip() for h in header]
-    if "y" not in header:
-        raise CliConfigError(f"{path}: column 'y' not found (header: {header})")
-    y_idx = header.index("y")
-    d = 1
-    while f"x{d + 1}" in header:
-        d += 1
-    x_idx = []
-    for j in range(1, d + 1):
-        name = f"x{j}"
+    for name in header:
+        if name and header.count(name) > 1:
+            raise CliConfigError(f"{path}: column {name!r} is repeated (header: {header})")
+    for name in ("y", "x1"):
         if name not in header:
             raise CliConfigError(f"{path}: column {name!r} not found (header: {header})")
-        x_idx.append(header.index(name))
+    x_names = [h for h in header if re.fullmatch("x[0-9]+", h)]
+    run = [f"x{j}" for j in range(1, len(x_names) + 1)]
+    for name in x_names:
+        if name not in run:
+            raise CliConfigError(f"{path}: column {name!r} breaks the numbering; control "
+                                 f"columns are x1, x2, ... with no gap (header: {header})")
+    y_idx, x_idx = header.index("y"), [header.index(name) for name in run]
     xs, ys = [], []
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
@@ -517,10 +514,10 @@ def cmd_calibrate(config: RunConfig, data_path: str | Path,
     model = config.system(config.sigma2[0]).computer_model
     results = _run_methods(config, pts, y, model, sandwich=True, log=log)
     lines = ["method,theta_hat,objective,lambda,phi,stderr,status"]
-    for meth in config.methods:
-        est, _, err = results[meth]
+    for meth, run in results.items():
+        est = run.estimate
         if est is None:
-            cells = [""] * 5 + [f"error: {err}".replace(",", ";")]
+            cells = [""] * 5 + [f"error: {run.error}".replace(",", ";")]
         else:
             se = None if est.covariance is None else np.sqrt(est.covariance[0, 0])
             cells = ["" if v is None else _fmt(v) for v in (
@@ -538,8 +535,8 @@ def cmd_calibrate(config: RunConfig, data_path: str | Path,
 def discrepancy_curve(example: str, theta_min: float, theta_max: float,
                       steps: int, quadrature_m: int = RunConfig.quadrature_m) -> np.ndarray:
     """Columns (theta, closed-form value, quadrature value)."""
-    if steps < 2:
-        raise CliConfigError("need at least 2 steps")
+    if not 2 <= steps <= numerics.MAX_GRID_POINTS:
+        raise CliConfigError(f"need 2 to {numerics.MAX_GRID_POINTS} steps, got {steps}")
     if not (np.isfinite(theta_min) and np.isfinite(theta_max) and theta_min < theta_max):
         raise CliConfigError("need finite theta_min < theta_max")
     if example not in testbed.EXAMPLES:

@@ -15,13 +15,14 @@ Gram matrix; a GCV sweep then scores the whole lambda grid in one
 diagonal.  A phi sweep computes the pairwise squared distances once,
 builds each candidate's Gram matrix from them and scores it from a
 pivoted Cholesky factor and its thin SVD, at O(n r) per lambda for a
-rank r Gram matrix; only the winner and the candidates it cannot score
-that way are decomposed in full.  At n = 51 that costs about 3% more
-than one eigh per candidate.  Only ``numpy.linalg`` is called: numpy and
-scipy each bundle their own OpenBLAS, and their busy-waiting threads
-contend on a small host.  ``cli`` runs cap numpy's copy at one thread
-(``cli.one_blas_thread``); scipy's is left alone, as it loads only for
-q >= 2 and its Nelder-Mead makes no BLAS call of its own.
+rank r Gram matrix; the candidates it cannot score that way, and the
+winner after the sweep, are decomposed in full.  At n = 51 that costs
+about 3% more than one eigh per candidate.  Only ``numpy.linalg`` is
+called: numpy and scipy each bundle their own OpenBLAS, and their
+busy-waiting threads contend on a small host.  ``cli`` runs cap numpy's
+copy at one thread (``cli.one_blas_thread``); scipy's is left alone, as
+it loads only for q >= 2 and its Nelder-Mead makes no BLAS call of its
+own.
 
 The tuning policy lives here too: ``KernelConfig`` holds the phi and
 lambda grids, and ``fit_response_surface`` picks from both in one pass.
@@ -298,10 +299,9 @@ PIVOT_TOL = 1e-14
 RANK_CAP_DIVISOR = 3
 
 
-def _score(panel, grid: tuple[float, ...]) -> tuple[float, float]:
-    """The GCV lambda of one phi candidate and its leave-one-out score."""
-    lam = _gcv_pick(panel, grid)[0]
-    return lam, _loo_score(panel, lam)
+def _score(panel, grid: tuple[float, ...]) -> float:
+    """The leave-one-out score of one phi candidate at its GCV lambda."""
+    return _loo_score(panel, _gcv_pick(panel, grid)[0])
 
 
 def loo_cv_phi(points, y, config: KernelConfig,
@@ -315,8 +315,8 @@ def loo_cv_phi(points, y, config: KernelConfig,
     one's rank passes ``n // RANK_CAP_DIVISOR``; that candidate, every
     larger phi (rank grows with phi) and any candidate whose low-rank
     scores meet a singular shift, no finite GCV score or a unit leverage
-    get a full panel.  The winner's model always comes from a full panel,
-    lambda picked again by GCV, whichever way the candidates were scored.
+    get a full panel.  The winner gets a full panel of its own after the
+    sweep, from its Gram matrix, with lambda picked again by GCV.
     """
     points, y = _data(points, y, jitter)
     d2 = kernels.sqdist(points)
@@ -326,23 +326,19 @@ def loo_cv_phi(points, y, config: KernelConfig,
         spec = config.spec(phi)
         K = kernels.gram(spec, d2)
         factor = _pivoted_cholesky(K, PIVOT_TOL, n // RANK_CAP_DIVISOR) if low_rank else None
-        scored, panel, low_rank = None, None, factor is not None
+        score, low_rank = np.inf, factor is not None
         if low_rank:
             with suppress(FitError):
-                scored = _score(_Panel.low_rank(factor, y, jitter), grid)
-        if scored is None or not np.isfinite(scored[1]):
-            panel = _Panel.full(points, y, spec, jitter, K)
-            scored = _score(panel, grid)
-        lam, score = scored
+                score = _score(_Panel.low_rank(factor, y, jitter), grid)
+        if not np.isfinite(score):
+            score = _score(_Panel.full(points, y, spec, jitter, K), grid)
         if score < best_score:
-            best_score, best = score, (spec, K, panel, lam)
+            best_score, best = score, (spec, K)
     if best is None:
         raise FitError("all leave-one-out scores are non-finite")
-    spec, K, panel, lam = best
-    if panel is None:
-        panel = _Panel.full(points, y, spec, jitter, K)
-        lam = _gcv_pick(panel, grid)[0]
-    return panel.model(lam)
+    spec, K = best
+    panel = _Panel.full(points, y, spec, jitter, K)
+    return panel.model(_gcv_pick(panel, grid)[0])
 
 
 def fit_response_surface(points, y, config: KernelConfig) -> KrrModel:

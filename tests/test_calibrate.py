@@ -242,8 +242,8 @@ class TestSharedSurface:
                     ("L2", l2_calibrate(fit_response_surface(pts, y, kcfg), model, RULE, OPT)),
                     ("OLS", ols_calibrate(pts, y, model, OPT)),
                     ("KO", ko_calibrate(fit_response_surface(pts, y, kcfg), model, OPT))):
-                est, _, err = ran[meth]
-                assert err is None
+                est = ran[meth].estimate
+                assert ran[meth].error is None
                 assert np.array_equal(est.theta_hat, alone.theta_hat)
                 assert est.objective_value == alone.objective_value
                 assert est.meta == alone.meta

@@ -191,6 +191,31 @@ class TestDataCsv:
         pts, _ = read_data_csv(p)
         assert pts.shape == (2, 2)
 
+    @pytest.mark.parametrize("content,message", [
+        ("x1,x3,y\n0.5,0.1,1.5\n", "column 'x3' breaks the numbering"),
+        ("x0,x1,y\n0.5,0.1,1.5\n", "column 'x0' breaks the numbering"),
+        ("x1,x1,y\n0.5,0.1,1.5\n", "column 'x1' is repeated"),
+        ("x1,y,y\n0.5,0.1,1.5\n", "column 'y' is repeated"),
+        ("x1,x2,y\n0.5,0.1,1.5\n1.5,0.2,2.5\n",
+         "example2 expects 1 control variable, data has 2"),
+        (b"x1,y\n\xff,1.5\n", "not UTF-8 text"),
+        (None, "data file not found"),
+    ], ids=["gap", "x0", "repeated-x", "repeated-y", "two-control-variables",
+            "not-utf8", "missing"])
+    def test_bad_file_is_one_error_line(self, tmp_path, capsys, content, message):
+        data = tmp_path / "d.csv"
+        if isinstance(content, bytes):
+            data.write_bytes(content)
+        elif content is not None:
+            data.write_text(content)
+        cfg = write_config(tmp_path / "c.json", methods=["L2", "OLS", "KO"])
+        code = main(["calibrate", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "fit.csv")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+        assert not (tmp_path / "fit.csv").exists()
+
 
 class TestCalibrateCommand:
     def test_noiseless_example1_and_determinism(self, tmp_path):
@@ -389,9 +414,9 @@ class TestTuneOnce:
                       eval=lambda p, ths: np.full((len(ths), len(p)), np.nan))
         cfg = RunConfig(example="example2", methods=("OLS",), sigma2=(0.01,),
                         replications=1, quadrature_m=64)
-        est, _, err = cli._run_methods(cfg, pts, y, nan)["OLS"]
-        assert est is None
-        assert err == "FitError: objective is non-finite on the whole coarse grid"
+        run = cli._run_methods(cfg, pts, y, nan)["OLS"]
+        assert run.estimate is None
+        assert run.error == "FitError: objective is non-finite on the whole coarse grid"
 
     def test_calibrate_without_log_is_silent(self, tmp_path, capsys):
         # a lambda grid whose GCV scores are all non-finite makes the shared
@@ -691,12 +716,13 @@ class TestConfigErrors:
         {"optimizer": {"grid_points": 401 ** 2 + 1}},
         {"methods": ["L2", "L2"]},
         {"methods": "OLS"},
+        {"sigma2": []},
     ], ids=["theta_domain", "replications", "quadrature_m", "design_n",
             "kernel_string", "kernel_family", "replications_infinity",
             "theta_domain_nan", "sigma2_nan", "sigma2_inf", "phi_grid_nan",
             "lambda_grid_nan", "phi_grid_empty", "lambda_grid_unsorted", "tolerance_nan",
             "seed_negative", "fixed_grid_n", "grid_points_over_cap",
-            "methods_repeated", "methods_string"])
+            "methods_repeated", "methods_string", "sigma2_empty"])
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path / "c.json", **override)
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
@@ -705,6 +731,16 @@ class TestConfigErrors:
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize("doc", [[], "example2", 3, None],
+                             ids=["list", "string", "number", "null"])
+    def test_config_not_an_object_is_one_error_line(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert lines == ["error: config must be a JSON object"]
 
 
 class TestExitCodes:
@@ -719,14 +755,33 @@ class TestExitCodes:
         (["simulate", "--seed", "-1"], "error: seed must be nonnegative"),
         (["simulate", "--workers", "0"], "error: workers must be at least 1"),
         (["simulate", "--workers", "-2"], "error: workers must be at least 1"),
+        (["discrepancy", "--steps", "1"], "error: need 2 to 160801 steps, got 1"),
+        # rejected before any array of that length is built
+        (["discrepancy", "--steps", "160802"], "error: need 2 to 160801 steps, got 160802"),
     ], ids=["discrepancy-seed", "calibrate-seed", "calibrate-workers", "calibrate-check",
-            "unknown", "missing-data", "negative-seed", "zero-workers", "negative-workers"])
+            "unknown", "missing-data", "negative-seed", "zero-workers", "negative-workers",
+            "one-step", "steps-over-cap"])
     def test_usage_error_is_one(self, capsys, argv, prefix):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(prefix)
+
+    def test_check_failure_is_three(self, tmp_path, capsys, monkeypatch):
+        # a report whose MSE breaks MSE = SD^2 + bias^2 for one row
+        rows = tuple(cli.MethodSummary(method=m, sigma2=0.1, mean=0.5, mse=mse, sd=0.1,
+                                       reps=2, theta_star=0.5, wall_time_s=0.0, failures=0)
+                     for m, mse in (("L2", 0.01), ("OLS", 0.02)))
+        monkeypatch.setattr(cli, "simulate", lambda config, workers=1, log=None:
+                            cli.SimulationReport(theta_star=0.5, rows=rows))
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--check", "--out", str(out)]) == 3
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("[simulate] check failed:")]
+        assert len(failed) == 1
+        assert "OLS sigma2=0.1: MSE identity off by" in failed[0]
+        assert out.read_text().count("\n") == 3
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -800,7 +855,8 @@ class TestParserFuzz:
             pass
 
     @settings(max_examples=150, deadline=None)
-    @given(header=st.sampled_from(["x1,y", "y,x1", "x1,x2,y", "x2,y", "x1", "", "y"]),
+    @given(header=st.sampled_from(["x1,y", "y,x1", "x1,x2,y", "x2,y", "x1", "", "y",
+                                   "x1,x3,y", "x1,x1,y"]),
            rows=st.lists(st.lists(st.sampled_from(CSV_CELLS), max_size=4), max_size=4),
            noise=st.text(max_size=12))
     def test_read_data_csv(self, tmp_path_factory, header, rows, noise):

@@ -273,10 +273,10 @@ class TestPluginStandardErrors:
         for r in range(100):
             pts, y = testbed.generate(system, config.seed, r)
             runs = cli._run_methods(config, pts, y, system.computer_model, sandwich=True)
-            for method, (est, _, err) in runs.items():
-                assert err is None
-                theta[method].append(est.theta_hat[0])
-                se2[method].append(est.covariance[0, 0])
+            for method, run in runs.items():
+                assert run.error is None
+                theta[method].append(run.estimate.theta_hat[0])
+                se2[method].append(run.estimate.covariance[0, 0])
         for method in theta:
             ratio = np.mean(se2[method]) / np.var(theta[method], ddof=1)
             assert 1.0 / 1.5 <= ratio <= 1.5, (method, ratio)
