@@ -36,7 +36,8 @@ import numpy as np
 from . import calibrate, inference, numerics, testbed
 from .calibrate import (CalibrationEstimate, ComputerModel, ko_calibrate,
                         l2_calibrate, ols_calibrate)
-from .numerics import BoxDomain, FitError, OptimizerConfig, gauss_legendre, scan
+from .numerics import (MAX_QUADRATURE_NODES, BoxDomain, FitError, OptimizerConfig,
+                       QuadratureRule, gauss_legendre, scan)
 from .rkhs import KernelConfig
 from .testbed import DEFAULT_THETA_DOMAIN, SyntheticSystem, generate, make_system
 
@@ -97,13 +98,26 @@ def _openblas_threads():
     return None
 
 
+def _cap_blas() -> tuple[int | str, int | None]:
+    """Apply ``one_blas_thread``'s cap and keep it: return the count a run
+    uses and the count before, or None where the count is left alone."""
+    env = [os.environ[v] for v in BLAS_THREAD_VARS if os.environ.get(v, "").strip()]
+    threads = None if env else _openblas_threads()
+    if threads is None:
+        return (env[0] if env else "unknown"), None
+    get, set_ = threads
+    before = get()
+    set_(1)
+    return 1, before
+
+
 @contextmanager
 def one_blas_thread():
     """Cap numpy's OpenBLAS at one thread for the block, then restore the count.
 
     Every matrix here has at most a few hundred rows, where one thread is
     as fast as two, and an idle OpenBLAS thread busy-waits, so a second
-    thread doubles the CPU time and forked workers oversubscribe the
+    thread doubles the CPU time and pool workers oversubscribe the
     cores.  An explicit ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``
     wins: the count is then left alone.  An empty or blank value is unset,
     as OpenBLAS reads it.  Yields the count a run uses: 1,
@@ -111,18 +125,12 @@ def one_blas_thread():
     The count is process-wide: blocks that overlap in two threads restore
     what each saw on entry, so the one that exits last decides it.
     """
-    env = [os.environ[v] for v in BLAS_THREAD_VARS if os.environ.get(v, "").strip()]
-    threads = None if env else _openblas_threads()
-    if threads is None:
-        yield env[0] if env else "unknown"
-        return
-    get, set_ = threads
-    before = get()
-    set_(1)
+    threads, before = _cap_blas()
     try:
-        yield 1
+        yield threads
     finally:
-        set_(before)
+        if before is not None:
+            _openblas_threads()[1](before)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +162,11 @@ class RunConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise CliConfigError(f"unknown method {m!r}; expected subset of {METHODS}")
-        for name in ("replications", "quadrature_m"):
-            if getattr(self, name) < 1:
-                raise CliConfigError(f"{name} must be at least 1")
+        if self.replications < 1:
+            raise CliConfigError("replications must be at least 1")
+        if not 1 <= self.quadrature_m <= MAX_QUADRATURE_NODES:
+            raise CliConfigError(f"quadrature_m must be 1 to {MAX_QUADRATURE_NODES}, "
+                                 f"got {self.quadrature_m}")
         if self.seed < 0:
             raise CliConfigError(f"seed must be nonnegative, got {self.seed}")
         if not self.sigma2:
@@ -292,9 +302,26 @@ class SimulationReport:
         return "\n".join(lines) + "\n"
 
 
+# A rule takes 6-10 ms to build, 10-20% of a one-replication run: share it.
 @lru_cache(maxsize=4)
-def _cached_rule(m: int):
+def _cached_rule(m: int) -> QuadratureRule:
     return gauss_legendre(testbed.OMEGA, m)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What a run builds once and each replication reads: the config, the
+    computer model, the quadrature rule and one system per noise variance."""
+    config: RunConfig
+    model: ComputerModel
+    rule: QuadratureRule
+    systems: tuple[SyntheticSystem, ...]
+
+    @classmethod
+    def of(cls, config: RunConfig) -> _Plan:
+        systems = tuple(config.system(sigma2) for sigma2 in config.sigma2)
+        return cls(config, systems[0].computer_model, _cached_rule(config.quadrature_m),
+                   systems)
 
 
 # The numerical failures a method reports in its row; anything else propagates.
@@ -313,8 +340,7 @@ class MethodRun:
     error: str | None = None
 
 
-def _run_methods(config: RunConfig, pts: np.ndarray, y: np.ndarray,
-                 model: ComputerModel, sandwich: bool = False,
+def _run_methods(plan: _Plan, pts: np.ndarray, y: np.ndarray, sandwich: bool = False,
                  log=None) -> dict[str, MethodRun]:
     """Tune phi and lambda once, then run every configured method.
 
@@ -324,7 +350,7 @@ def _run_methods(config: RunConfig, pts: np.ndarray, y: np.ndarray,
     error and OLS runs without standard errors.  No method draws random
     numbers.
     """
-    rule = _cached_rule(config.quadrature_m)
+    config, model = plan.config, plan.model
     with_se = sandwich and model.smooth_in_theta
     zeta_hat, fit_error = None, None
     if {"L2", "KO"} & set(config.methods) or (with_se and "OLS" in config.methods):
@@ -342,7 +368,7 @@ def _run_methods(config: RunConfig, pts: np.ndarray, y: np.ndarray,
         t0 = time.perf_counter()
         try:
             if meth == "L2":
-                est = l2_calibrate(zeta_hat, model, rule, config.optimizer)
+                est = l2_calibrate(zeta_hat, model, plan.rule, config.optimizer)
             elif meth == "OLS":
                 est = ols_calibrate(pts, y, model, config.optimizer)
             else:
@@ -356,11 +382,22 @@ def _run_methods(config: RunConfig, pts: np.ndarray, y: np.ndarray,
     return out
 
 
-def _replicate(args: tuple[RunConfig, float, int]) -> dict[str, MethodRun]:
-    """Replication r of the study at one noise variance."""
-    config, sigma2, r = args
-    system = config.system(sigma2)
-    return _run_methods(config, *generate(system, config.seed, r), system.computer_model)
+_WORKER_PLAN: _Plan | None = None  # set in a pool worker by _start_worker
+
+
+def _start_worker(plan: _Plan) -> None:
+    """Pool initializer: keep the run's plan and cap BLAS as the parent does,
+    which a spawned or forkserver worker does not inherit."""
+    global _WORKER_PLAN
+    _WORKER_PLAN = plan
+    _cap_blas()
+
+
+def _replicate(task: tuple[int, int], plan: _Plan | None = None) -> dict[str, MethodRun]:
+    """Replication r at the i-th noise variance of ``plan``, by default the worker's."""
+    i, r = task
+    plan = plan or _WORKER_PLAN
+    return _run_methods(plan, *generate(plan.systems[i], plan.config.seed, r))
 
 
 def simulate(config: RunConfig, workers: int = 1,
@@ -370,17 +407,21 @@ def simulate(config: RunConfig, workers: int = 1,
     Replication r uses the data stream derived from (seed, r), so the
     report is independent of the worker count.  Every (sigma2, r) task
     goes to one worker pool of at most one worker per task; results are
-    gathered in task order before aggregation.  The replications run under
-    ``one_blas_thread``, entered before the pool forks.  The first ``log``
-    line gives the worker count, the BLAS thread variables of the
-    environment and the BLAS thread count the run uses (``blas_threads``:
-    1, the environment's value, or ``unknown``).  More than 1% failures
-    for any (method, sigma2) raises ``FailureRateError`` with diagnostics.
+    gathered in task order before aggregation.  The model, the quadrature
+    rule and the systems are built once, in the parent; the parent runs
+    under ``one_blas_thread``, and each pool worker receives the plan and
+    the same cap from the pool initializer, whatever the start method.
+    The first ``log`` line gives the worker count, the BLAS thread
+    variables of the environment and the BLAS thread count the run uses
+    (``blas_threads``: 1, the environment's value, or ``unknown``).  More
+    than 1% failures for any (method, sigma2) raises ``FailureRateError``
+    with diagnostics.
     """
     if workers < 1:
         raise CliConfigError(f"workers must be at least 1, got {workers}")
     R = config.replications
-    tasks = [(config, s2, r) for s2 in config.sigma2 for r in range(R)]
+    plan = _Plan.of(config)
+    tasks = [(i, r) for i in range(len(config.sigma2)) for r in range(R)]
     # a fork pool starts every worker at the first submit, needed or not
     workers = min(workers, len(tasks))
     env = " ".join(f"{v}={os.environ.get(v, 'unset')}" for v in BLAS_THREAD_VARS)
@@ -388,13 +429,14 @@ def simulate(config: RunConfig, workers: int = 1,
         _log(log, f"[simulate] workers={workers} {env} blas_threads={blas_threads}")
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                     initargs=(plan,)) as pool:
                 every = list(pool.map(_replicate, tasks,
                                       chunksize=max(1, len(tasks) // (8 * workers))))
         else:
-            every = [_replicate(t) for t in tasks]
+            every = [_replicate(t, plan) for t in tasks]
     rows: list[MethodSummary] = []
-    theta_star = config.system(config.sigma2[0]).theta_star
+    theta_star = plan.systems[0].theta_star
     for i, s2 in enumerate(config.sigma2):
         for meth in config.methods:
             runs = [res[meth] for res in every[i * R:(i + 1) * R]]
@@ -511,8 +553,7 @@ def cmd_calibrate(config: RunConfig, data_path: str | Path,
     if pts.shape[1] != 1:
         raise CliConfigError(f"{config.example} expects 1 control variable, "
                              f"data has {pts.shape[1]}")
-    model = config.system(config.sigma2[0]).computer_model
-    results = _run_methods(config, pts, y, model, sandwich=True, log=log)
+    results = _run_methods(_Plan.of(config), pts, y, sandwich=True, log=log)
     lines = ["method,theta_hat,objective,lambda,phi,stderr,status"]
     for meth, run in results.items():
         est = run.estimate

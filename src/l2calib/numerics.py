@@ -25,6 +25,9 @@ Objective = Callable[[np.ndarray], np.ndarray]  # (k, q) -> (k,)
 # Largest tensor grid a scan may build: the default 401 points per axis
 # at q = 2.
 MAX_GRID_POINTS = 401 ** 2
+# Most Gauss-Legendre nodes per dimension: leggauss eigendecomposes an m x m
+# matrix, which takes 0.2 s at m = 1,024 and fills 7 GB near m = 30,000.
+MAX_QUADRATURE_NODES = 1024
 # Most parameter vectors one objective call receives during a grid scan.
 SCAN_BLOCK_ROWS = 401
 # Interior points of the bracket one one-parameter zoom round scans.  Odd,
@@ -141,8 +144,8 @@ def gauss_legendre(domain: BoxDomain, m: int) -> QuadratureRule:
 
     Exact for polynomials of coordinate degree up to ``2m - 1``.
     """
-    if m < 1:
-        raise ValueError("need at least one node per dimension")
+    if not 1 <= m <= MAX_QUADRATURE_NODES:
+        raise ValueError(f"need 1 to {MAX_QUADRATURE_NODES} nodes per dimension, got {m}")
     xi, wi = leggauss(m)
     axes, wts = [], []
     for lo, hi in zip(domain.lower, domain.upper):

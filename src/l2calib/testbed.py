@@ -96,10 +96,24 @@ def discrepancy_example1_closed_form(theta: float) -> float:
     return (theta + 1.0) ** 2 * _trig_factor(theta)
 
 
+# The model wrappers are module-level functions so that a model pickles, and
+# look the simulators up by global name at each call, where a tracer may patch them.
+def _example1_eval(pts, ths):
+    return ys_example1(pts[:, 0][None, :], ths[:, :1])
+
+
+def _example2_eval(pts, ths):
+    return ys_example2(pts[:, 0][None, :], ths[:, :1])
+
+
+def _example2_grad(pts, th):
+    return ys_example2_grad(pts[:, 0], float(th[0]))[:, None]
+
+
 def example1_model(theta_domain: BoxDomain = DEFAULT_THETA_DOMAIN) -> ComputerModel:
     """Simulator 1 wrapped for the calibrators; kinked at theta = -1."""
     return ComputerModel(
-        eval=lambda pts, ths: ys_example1(pts[:, 0][None, :], ths[:, :1]),
+        eval=_example1_eval,
         theta_domain=theta_domain,
         smooth_in_theta=False,
         name="example1",
@@ -109,9 +123,9 @@ def example1_model(theta_domain: BoxDomain = DEFAULT_THETA_DOMAIN) -> ComputerMo
 def example2_model(theta_domain: BoxDomain = DEFAULT_THETA_DOMAIN) -> ComputerModel:
     """Simulator 2 wrapped for the calibrators, with analytic gradient."""
     return ComputerModel(
-        eval=lambda pts, ths: ys_example2(pts[:, 0][None, :], ths[:, :1]),
+        eval=_example2_eval,
         theta_domain=theta_domain,
-        grad=lambda pts, th: ys_example2_grad(pts[:, 0], float(th[0]))[:, None],
+        grad=_example2_grad,
         smooth_in_theta=True,
         name="example2",
     )

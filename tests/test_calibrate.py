@@ -236,7 +236,7 @@ class TestSharedSurface:
         for phi_grid in (rkhs.DEFAULT_PHI_GRID, (0.5,)):
             config = cli.RunConfig(example=example, sigma2=(0.1,), design="uniform_random",
                                    design_n=41, kernel=KernelConfig(phi_grid=phi_grid))
-            ran = cli._run_methods(config, pts, y, model, sandwich=True)
+            ran = cli._run_methods(cli._Plan.of(config), pts, y, sandwich=True)
             kcfg = config.kernel
             for meth, alone in (
                     ("L2", l2_calibrate(fit_response_surface(pts, y, kcfg), model, RULE, OPT)),

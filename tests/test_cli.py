@@ -14,6 +14,7 @@ from l2calib import calibrate, cli, kernels, rkhs, testbed
 from l2calib.calibrate import fit_response_surface
 from l2calib.cli import (CliConfigError, RunConfig, check_report, cmd_calibrate,
                          load_config, main, read_data_csv, simulate)
+from l2calib.numerics import MAX_QUADRATURE_NODES
 
 
 BUNDLED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
@@ -408,13 +409,12 @@ class TestTuneOnce:
             main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
 
     def test_non_finite_model_fails_its_row(self):
-        system = testbed.make_system("example2", 0.01)
-        pts, y = testbed.generate(system, 5, 0)
-        nan = replace(system.computer_model,
-                      eval=lambda p, ths: np.full((len(ths), len(p)), np.nan))
         cfg = RunConfig(example="example2", methods=("OLS",), sigma2=(0.01,),
                         replications=1, quadrature_m=64)
-        run = cli._run_methods(cfg, pts, y, nan)["OLS"]
+        plan = cli._Plan.of(cfg)
+        pts, y = testbed.generate(plan.systems[0], 5, 0)
+        nan = replace(plan.model, eval=lambda p, ths: np.full((len(ths), len(p)), np.nan))
+        run = cli._run_methods(replace(plan, model=nan), pts, y)["OLS"]
         assert run.estimate is None
         assert run.error == "FitError: objective is non-finite on the whole coarse grid"
 
@@ -460,8 +460,9 @@ class TestSimulateCommand:
         sizes = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 sizes.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -472,6 +473,7 @@ class TestSimulateCommand:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli, "_WORKER_PLAN", None)  # the initializer sets it
         cfg = RunConfig(example="example2", methods=("OLS",), sigma2=(0.01,),
                         replications=replications, seed=1, quadrature_m=64)
         log = io.StringIO()
@@ -530,6 +532,18 @@ class TestSimulateCommand:
 
 def blas_threads_in_worker():
     return cli._openblas_threads()[0]()
+
+
+REPLICATE = cli._replicate
+
+
+def replicate_at_one_blas_thread(task):
+    """``cli._replicate``, failing unless the worker runs it at one OpenBLAS thread;
+    module-level, so that a spawned worker unpickles it by name."""
+    threads = blas_threads_in_worker()
+    if threads != 1:
+        raise AssertionError(f"a pool task ran at {threads} OpenBLAS threads")
+    return REPLICATE(task)
 
 
 class TestBlasThreads:
@@ -613,6 +627,21 @@ class TestBlasThreads:
         with cli.one_blas_thread() as threads:
             assert (threads, in_worker()) == (1, 1)
         assert in_worker() == 2
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_without_fork_matches_serial_at_one_thread(self, blas, monkeypatch, method):
+        # such a worker inherits neither the plan nor the cap; the pool initializer gives both
+        import concurrent.futures
+        import multiprocessing
+        from functools import partial
+        cfg = RunConfig(example="example2", methods=("L2", "OLS"), sigma2=(0.01, 0.1),
+                        replications=2, seed=1, quadrature_m=64)
+        serial = simulate(cfg, log=None).to_csv()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            partial(concurrent.futures.ProcessPoolExecutor,
+                                    mp_context=multiprocessing.get_context(method)))
+        monkeypatch.setattr(cli, "_replicate", replicate_at_one_blas_thread)
+        assert simulate(cfg, workers=2, log=None).to_csv() == serial
 
     def test_unknown_without_a_setter(self, monkeypatch):
         for v in cli.BLAS_THREAD_VARS:
@@ -699,6 +728,7 @@ class TestConfigErrors:
         {"theta_domain": [1]},
         {"replications": "abc"},
         {"quadrature_m": 0},
+        {"quadrature_m": MAX_QUADRATURE_NODES + 1},
         {"design": {"kind": "uniform_random", "n": 0}},
         {"kernel": "gaussian"},
         {"kernel": {"family": "foo"}},
@@ -717,8 +747,8 @@ class TestConfigErrors:
         {"methods": ["L2", "L2"]},
         {"methods": "OLS"},
         {"sigma2": []},
-    ], ids=["theta_domain", "replications", "quadrature_m", "design_n",
-            "kernel_string", "kernel_family", "replications_infinity",
+    ], ids=["theta_domain", "replications", "quadrature_m", "quadrature_m_over_cap",
+            "design_n", "kernel_string", "kernel_family", "replications_infinity",
             "theta_domain_nan", "sigma2_nan", "sigma2_inf", "phi_grid_nan",
             "lambda_grid_nan", "phi_grid_empty", "lambda_grid_unsorted", "tolerance_nan",
             "seed_negative", "fixed_grid_n", "grid_points_over_cap",

@@ -268,11 +268,11 @@ class TestPluginStandardErrors:
         # across replications (100 replications: var is itself +-14%)
         config = cli.RunConfig(methods=("L2", "OLS"), sigma2=(0.1,), design="uniform_random",
                                design_n=101, seed=0)
-        system = config.system(0.1)
+        plan = cli._Plan.of(config)
         theta, se2 = {"L2": [], "OLS": []}, {"L2": [], "OLS": []}
         for r in range(100):
-            pts, y = testbed.generate(system, config.seed, r)
-            runs = cli._run_methods(config, pts, y, system.computer_model, sandwich=True)
+            pts, y = testbed.generate(plan.systems[0], config.seed, r)
+            runs = cli._run_methods(plan, pts, y, sandwich=True)
             for method, run in runs.items():
                 assert run.error is None
                 theta[method].append(run.estimate.theta_hat[0])

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from l2calib import rkhs, testbed
 from l2calib.calibrate import ComputerModel, _ProfiledGpLikelihood, ko_calibrate, l2_objective
-from l2calib.numerics import (MAX_GRID_POINTS, REFINE_POINTS, SCAN_BLOCK_ROWS, BoxDomain,
-                              OptimizerConfig, fd_grad, fd_hess, fd_step, gauss_legendre,
-                              minimize, scan, tensor_grid)
+from l2calib.numerics import (MAX_GRID_POINTS, MAX_QUADRATURE_NODES, REFINE_POINTS,
+                              SCAN_BLOCK_ROWS, BoxDomain, OptimizerConfig, fd_grad, fd_hess,
+                              fd_step, gauss_legendre, minimize, scan, tensor_grid)
 from l2calib.rkhs import KernelConfig, fit_response_surface
 
 UNIT = BoxDomain((0.0,), (1.0,))
@@ -115,6 +115,12 @@ class TestGaussLegendre:
         a, b = (rule.weights @ f(rule.nodes)
                 for rule in (gauss_legendre(OMEGA, 128), gauss_legendre(OMEGA, 256)))
         assert abs(a - b) <= 1e-10 * abs(b)
+
+    @pytest.mark.parametrize("m", [0, MAX_QUADRATURE_NODES + 1])
+    def test_node_count_outside_the_range_is_rejected(self, m):
+        # rejected before leggauss builds its m x m matrix
+        with pytest.raises(ValueError, match=f"need 1 to {MAX_QUADRATURE_NODES} nodes"):
+            gauss_legendre(OMEGA, m)
 
 
 def l2_distance_sq(f, g, rule):

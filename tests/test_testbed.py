@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,16 @@ class TestSimulators:
         fd = (ys_example2(x, theta + h) - ys_example2(x, theta - h)) / (2 * h)
         got = ys_example2_grad(x, theta)
         assert np.allclose(got, fd, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("example", ["example1", "example2"])
+    def test_model_survives_a_pickle_round_trip(self, example):
+        # a spawned pool worker receives the model pickled
+        model = make_system(example, 0.1).computer_model
+        back = pickle.loads(pickle.dumps(model))
+        x, thetas = np.linspace(0.1, 6.0, 25), np.array([[-1.5], [-0.2], [0.7]])
+        assert np.array_equal(back.batch(x, thetas), model.batch(x, thetas))
+        for theta in thetas:
+            assert np.array_equal(back.grad_theta(x, theta), model.grad_theta(x, theta))
 
 
 class TestClosedFormDiscrepancy:
