@@ -3,8 +3,8 @@
 * ``l2_calibrate`` takes the response surface fitted to the physical
   data (``fit_response_surface``) and moves the simulator parameter to
   minimize the squared L2 distance between surface and simulator.
-* ``ols_calibrate`` minimizes the residual sum of squares of the
-  simulator against the raw observations.
+* ``ols_calibrate`` minimizes the same squared distance to the raw
+  observations, with unit weights at the design points.
 * ``ko_calibrate`` is the frequentist Gaussian-process variant: the
   observations are modeled as the simulator mean plus a stationary GP
   discrepancy plus white noise, and the parameter maximizes the
@@ -12,8 +12,8 @@
   profiled out.  It reads the data, the kernel and the Gram eigenpairs
   from the same fitted surface.
 
-All three reduce one residual, data minus simulator, row by row, and
-are searched over the box by the same grid-plus-refinement minimizer.
+All three reduce one residual, data minus simulator, and are searched
+over the box by the same grid-plus-refinement minimizer.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 from . import rkhs
 # perfbench's tracer patches calibrate._scipy_minimize, which no estimator
 # calls; it imports scipy only when called
-from .numerics import (BoxDomain, FitError, OptimizerConfig, QuadratureRule,
-                       _scipy_minimize, as_points, fd_grad, fd_hess, minimize)
+from .numerics import (BoxDomain, FitError, OptimizerConfig, QuadratureRule, _scipy_minimize,
+                       as_points, design_rule, fd_grad, fd_hess, minimize)
 # cli fits every surface through calibrate.fit_response_surface
 from .rkhs import KrrModel, fit_response_surface
 
@@ -102,18 +102,18 @@ class CalibrationEstimate:
 def _residual_objective(model: ComputerModel, points: np.ndarray, target: np.ndarray,
                         reduce: Callable) -> Callable[[np.ndarray], np.ndarray]:
     """Every estimator's batched objective: the simulator's ``(k, n)`` residuals
-    ``target - model.batch(points, thetas)``, reduced row by row."""
+    ``target - model.batch(points, thetas)``, reduced by ``reduce``."""
     return lambda thetas: reduce(target - model.batch(points, thetas))
 
 
 def l2_objective(zeta_nodes: np.ndarray, model: ComputerModel,
                  rule: QuadratureRule) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched squared L2 distance ``integral (zeta - y^s(., theta))^2 dz``
-    over the rule's box (raw ``dz`` measure, no volume normalization), for
-    ``zeta`` given by its values at ``rule.nodes``: maps a ``(k, q)`` batch
-    of parameters to ``(k,)`` distances."""
+    """Batched weighted residual sum ``sum_i w_i (zeta_i - y^s(x_i, theta))^2``
+    over ``rule``, ``zeta`` given at ``rule.nodes``: ``(k, q)`` parameters to
+    ``(k,)`` values.  A Gauss-Legendre rule gives the squared L2 distance over its
+    box (raw ``dz``); unit weights at the design give the residual sum of squares."""
     return _residual_objective(model, rule.nodes, zeta_nodes,
-                               lambda diff: np.array([rule.weights @ d2 for d2 in diff * diff]))
+                               lambda diff: (diff * diff) @ rule.weights)
 
 
 def l2_calibrate(surface: KrrModel, model: ComputerModel, rule: QuadratureRule,
@@ -138,8 +138,7 @@ def ols_calibrate(points, y, model: ComputerModel,
                   opt: OptimizerConfig = OptimizerConfig()) -> CalibrationEstimate:
     """Least-squares calibration; the objective value is the minimized RSS."""
     pts, yv = rkhs._data(points, y, jitter=0.0)
-    rss = _residual_objective(model, pts, yv, lambda resid: np.array([r @ r for r in resid]))
-    res = minimize(rss, model.theta_domain, opt)
+    res = minimize(l2_objective(yv, model, design_rule(pts)), model.theta_domain, opt)
     return CalibrationEstimate(
         theta_hat=res.x, method="OLS", objective_value=res.fun,
         meta={"iterations": res.iterations, "boundary": res.on_boundary},

@@ -406,11 +406,12 @@ def simulate(config: RunConfig, workers: int = 1,
 
     Replication r uses the data stream derived from (seed, r), so the
     report is independent of the worker count.  Every (sigma2, r) task
-    goes to one worker pool of at most one worker per task; results are
-    gathered in task order before aggregation.  The model, the quadrature
-    rule and the systems are built once, in the parent; the parent runs
-    under ``one_blas_thread``, and each pool worker receives the plan and
-    the same cap from the pool initializer, whatever the start method.
+    goes to one worker pool of at most one worker per task and per CPU
+    this process may use; results are gathered in task order before
+    aggregation.  The model, the quadrature rule and the systems are
+    built once, in the parent; the parent runs under ``one_blas_thread``,
+    and each pool worker receives the plan and the same cap from the pool
+    initializer, whatever the start method.
     The first ``log`` line gives the worker count, the BLAS thread
     variables of the environment and the BLAS thread count the run uses
     (``blas_threads``: 1, the environment's value, or ``unknown``).  More
@@ -423,7 +424,8 @@ def simulate(config: RunConfig, workers: int = 1,
     plan = _Plan.of(config)
     tasks = [(i, r) for i in range(len(config.sigma2)) for r in range(R)]
     # a fork pool starts every worker at the first submit, needed or not
-    workers = min(workers, len(tasks))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(tasks), cpus or 1)
     env = " ".join(f"{v}={os.environ.get(v, 'unset')}" for v in BLAS_THREAD_VARS)
     with one_blas_thread() as blas_threads:
         _log(log, f"[simulate] workers={workers} {env} blas_threads={blas_threads}")

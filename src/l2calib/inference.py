@@ -31,7 +31,7 @@ import numpy as np
 
 from . import rkhs
 from .calibrate import ComputerModel
-from .numerics import FitError, QuadratureRule, as_points
+from .numerics import FitError, QuadratureRule, design_rule
 from .rkhs import KrrModel
 
 
@@ -63,12 +63,6 @@ class SandwichEstimate:
     @property
     def se_ols(self) -> np.ndarray:
         return np.sqrt(np.diag(self.cov_ols))
-
-
-def design_rule(points) -> QuadratureRule:
-    """Unit weights at the design points: rule means become sample means."""
-    pts = as_points(points)
-    return QuadratureRule(nodes=pts, weights=np.ones(pts.shape[0]))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Quadrature, box-constrained minimization and finite differences.
 
 Shared numerical machinery for the calibrators: tensor-product
-Gauss-Legendre rules over rectangular domains, a deterministic
-grid-scan-plus-refinement minimizer, and central-difference
-derivatives.  One-parameter refinement zooms in on the best grid cell
-by batched rounds through :func:`scan`, so an objective sees a few
-large batches rather than many single rows.
+Gauss-Legendre rules over rectangular domains, the unit-weight rule at
+a design, a deterministic grid-scan-plus-refinement minimizer, and
+central-difference derivatives.  One-parameter refinement zooms in on
+the best grid cell by batched rounds through :func:`scan`, so an
+objective sees a few large batches rather than many single rows.
 
 Objectives passed to :func:`scan` and :func:`minimize` are batched: they
 take a ``(k, q)`` array of parameter vectors and return ``(k,)`` values.
@@ -158,6 +158,12 @@ def gauss_legendre(domain: BoxDomain, m: int) -> QuadratureRule:
     for w in wts[1:]:
         weights = np.multiply.outer(weights, w)
     return QuadratureRule(nodes=nodes, weights=np.asarray(weights).ravel())
+
+
+def design_rule(points) -> QuadratureRule:
+    """Unit weights at the design points: rule means become sample means."""
+    pts = as_points(points)
+    return QuadratureRule(nodes=pts, weights=np.ones(pts.shape[0]))
 
 
 def tensor_grid(box: BoxDomain, per_axis: int) -> np.ndarray:

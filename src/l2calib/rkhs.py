@@ -194,8 +194,8 @@ class _Panel:
             rest = (self.n * lams / (self.jitter + self.n * lams))[:, 0]
             rss = rss + rest ** 2 * (self.perp @ self.perp)
             trace = trace + (self.n - self.w.size) * rest
-        # Python's float ** 2 (libm pow), not x * x, which can differ in the last bit
-        denom = np.array([float(m) ** 2 for m in trace / self.n])
+        m = trace / self.n
+        denom = m * m
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(denom > 0.0, rss / self.n / denom, np.inf)
 

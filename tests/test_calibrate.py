@@ -7,7 +7,8 @@ import pytest
 from l2calib import cli, kernels, rkhs, testbed
 from l2calib.calibrate import (ETA_BOUNDS, ComputerModel, _ProfiledGpLikelihood,
                                ko_calibrate, l2_calibrate, l2_objective, ols_calibrate)
-from l2calib.numerics import BoxDomain, OptimizerConfig, gauss_legendre, minimize
+from l2calib.numerics import (BoxDomain, OptimizerConfig, design_rule, gauss_legendre, minimize,
+                              scan, tensor_grid)
 from l2calib.rkhs import KernelConfig, fit_response_surface
 
 RULE = gauss_legendre(testbed.OMEGA, 256)
@@ -366,11 +367,34 @@ class TestComputerModel:
 
 
 class TestBatchedObjectives:
-    """L2 and OLS give what minimizing their per-theta objectives gives."""
+    """L2 and OLS minimize one weighted residual sum, ``l2_objective``: on the
+    coarse grid it agrees with the per-theta sum to rounding and picks the
+    same point, and the estimates agree to well inside the goldens' 1e-6."""
 
     @staticmethod
     def per_theta(f):
         return lambda thetas: np.array([f(th) for th in thetas])
+
+    @staticmethod
+    def assert_matches(batched, per_theta, box, opt, theta_hat):
+        """Checks ``batched`` against ``per_theta``; returns the oracle's minimum."""
+        grid = tensor_grid(box, opt.grid_points)
+        got, want = scan(batched, grid), scan(per_theta, grid)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        assert np.argmin(got) == np.argmin(want)
+        res = minimize(per_theta, box, opt)
+        np.testing.assert_allclose(theta_hat, res.x, rtol=0, atol=1e-8)
+        return res
+
+    @staticmethod
+    def ols_case(q):
+        system, pts, y = noisy_example2(seed=32)
+        if q == 1:
+            return system.computer_model, OPT, pts, y
+        model = ComputerModel(
+            eval=lambda p, ths: ths[:, :1] * np.sin(p[:, 0]) + ths[:, 1:],
+            theta_domain=BoxDomain((-2.0, -2.0), (2.0, 2.0)))
+        return model, OptimizerConfig(grid_points=45), pts, y
 
     def test_l2_matches_the_per_theta_objective(self):
         system, pts, y = noisy_example2(seed=31)
@@ -382,25 +406,27 @@ class TestBatchedObjectives:
         def objective(th):
             diff = zeta_nodes - model(RULE.nodes, th)
             return float(RULE.weights @ (diff * diff))
-        res = minimize(self.per_theta(objective), model.theta_domain, OPT)
-        assert np.array_equal(est.theta_hat, res.x)
-        assert est.objective_value == np.sqrt(res.fun)
+        res = self.assert_matches(l2_objective(zeta_nodes, model, RULE), self.per_theta(objective),
+                                  model.theta_domain, OPT, est.theta_hat)
+        assert est.objective_value == pytest.approx(np.sqrt(res.fun), rel=1e-12)
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_ols_matches_the_per_theta_objective(self, q):
-        system, pts, y = noisy_example2(seed=32)
-        model = system.computer_model
-        opt = OPT
-        if q == 2:
-            model = ComputerModel(
-                eval=lambda p, ths: ths[:, :1] * np.sin(p[:, 0]) + ths[:, 1:],
-                theta_domain=BoxDomain((-2.0, -2.0), (2.0, 2.0)))
-            opt = OptimizerConfig(grid_points=45)
+        model, opt, pts, y = self.ols_case(q)
 
         def objective(th):
             resid = y - model(pts, th)
             return float(resid @ resid)
-        res = minimize(self.per_theta(objective), model.theta_domain, opt)
+        est = ols_calibrate(pts, y, model, opt)
+        res = self.assert_matches(l2_objective(y, model, design_rule(pts)),
+                                  self.per_theta(objective), model.theta_domain, opt,
+                                  est.theta_hat)
+        assert est.objective_value == pytest.approx(res.fun, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_ols_is_the_l2_objective_on_the_design_rule(self, q):
+        model, opt, pts, y = self.ols_case(q)
+        res = minimize(l2_objective(y, model, design_rule(pts)), model.theta_domain, opt)
         est = ols_calibrate(pts, y, model, opt)
         assert np.array_equal(est.theta_hat, res.x)
         assert est.objective_value == res.fun

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import sys
 import warnings
 from dataclasses import replace
@@ -453,10 +454,12 @@ class TestSimulateCommand:
                    if "_NUM_THREADS=" in line]
         assert headers == ["workers=1", "workers=2"]
 
-    @pytest.mark.parametrize("replications,want", [(1, None), (3, 3)])
+    @pytest.mark.parametrize("replications,want", [(1, None), (3, 3), (6, 4)])
     def test_pool_has_at_most_one_worker_per_task(self, monkeypatch, replications, want):
-        # a recording stand-in for the pool, mapping serially: no process starts
+        # a recording stand-in for the pool, mapping serially, on 4 pinned
+        # CPUs: no process starts, and 6 tasks get one worker per CPU
         import concurrent.futures
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         sizes = []
 
         class SerialPool:
