@@ -9,12 +9,14 @@ Subcommands
 Configuration is a single JSON object; ``_FIELDS`` maps each of its keys
 to the class that owns it.  Unknown keys and ill-typed values are
 rejected so typos fail fast.  Data files are headed CSV with columns
-``x1..xd`` then ``y``.  Reports carry 17 significant digits so
-byte-identical output is a meaningful determinism check.
+``x1..xd`` then ``y``; both files are UTF-8, a byte-order mark allowed.
+Reports carry 17 significant digits so byte-identical output is a
+meaningful determinism check.  A ``simulate`` pool gets the run plan
+with each chunk of tasks, and its initializer applies the BLAS cap.
 
-Exit codes: 0 success, 1 usage/config/parse error, 2 numerical failure,
-3 threshold violation under ``--check``.  A programming error is none of
-them: it ends the run with its traceback.
+Exit codes: 0 success, 1 usage/config/parse/output error, 2 numerical
+failure, 3 threshold violation under ``--check``.  A programming error is
+none of them: it ends the run with its traceback.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +53,24 @@ class CliConfigError(ValueError):
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text: a string cell as it is, None as an empty cell, a number through ``_fmt``."""
+    return "\n".join([header] + [",".join(c if isinstance(c, str) else "" if c is None
+                                           else _fmt(c) for c in row) for row in rows]) + "\n"
+
+
+def _read_text(path: str | Path, what: str) -> str:
+    """The UTF-8 text of the ``what`` file at ``path``, without a leading byte-order mark."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except FileNotFoundError:
+        raise CliConfigError(f"{what} file not found: {path}")
+    except UnicodeDecodeError as e:
+        raise CliConfigError(f"{path}: not UTF-8 text ({e})")
+    except OSError as e:
+        raise CliConfigError(f"cannot read {what} file {path}: {e.strerror}")
 
 
 # Default ``log``: whatever ``sys.stderr`` is when a line is printed.
@@ -236,9 +256,7 @@ _NESTED = ("design", "kernel", "optimizer")
 def load_config(path: str | Path) -> RunConfig:
     """Parse a JSON config; unknown keys and ill-typed values are an error."""
     try:
-        raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise CliConfigError(f"config file not found: {path}")
+        raw = json.loads(_read_text(path, "config"))
     except json.JSONDecodeError as e:
         raise CliConfigError(f"config is not valid JSON: {e}")
     if not isinstance(raw, dict):
@@ -294,12 +312,9 @@ class SimulationReport:
     rows: tuple[MethodSummary, ...]
 
     def to_csv(self) -> str:
-        lines = ["method,sigma2,mean,mse,sd,reps,theta_star"]
-        for r in self.rows:
-            lines.append(",".join([r.method, _fmt(r.sigma2), _fmt(r.mean),
-                                   _fmt(r.mse), _fmt(r.sd), str(r.reps),
-                                   _fmt(r.theta_star)]))
-        return "\n".join(lines) + "\n"
+        return _csv("method,sigma2,mean,mse,sd,reps,theta_star",
+                    [(r.method, r.sigma2, r.mean, r.mse, r.sd, r.reps, r.theta_star)
+                     for r in self.rows])
 
 
 # A rule takes 6-10 ms to build, 10-20% of a one-replication run: share it.
@@ -382,21 +397,9 @@ def _run_methods(plan: _Plan, pts: np.ndarray, y: np.ndarray, sandwich: bool = F
     return out
 
 
-_WORKER_PLAN: _Plan | None = None  # set in a pool worker by _start_worker
-
-
-def _start_worker(plan: _Plan) -> None:
-    """Pool initializer: keep the run's plan and cap BLAS as the parent does,
-    which a spawned or forkserver worker does not inherit."""
-    global _WORKER_PLAN
-    _WORKER_PLAN = plan
-    _cap_blas()
-
-
-def _replicate(task: tuple[int, int], plan: _Plan | None = None) -> dict[str, MethodRun]:
-    """Replication r at the i-th noise variance of ``plan``, by default the worker's."""
+def _replicate(plan: _Plan, task: tuple[int, int]) -> dict[str, MethodRun]:
+    """Replication r at the i-th noise variance of ``plan``."""
     i, r = task
-    plan = plan or _WORKER_PLAN
     return _run_methods(plan, *generate(plan.systems[i], plan.config.seed, r))
 
 
@@ -409,9 +412,9 @@ def simulate(config: RunConfig, workers: int = 1,
     goes to one worker pool of at most one worker per task and per CPU
     this process may use; results are gathered in task order before
     aggregation.  The model, the quadrature rule and the systems are
-    built once, in the parent; the parent runs under ``one_blas_thread``,
-    and each pool worker receives the plan and the same cap from the pool
-    initializer, whatever the start method.
+    built once, in the parent, and the plan goes with each chunk of tasks.
+    The parent runs under ``one_blas_thread``, and the pool initializer
+    applies the same cap in each worker, whatever the start method.
     The first ``log`` line gives the worker count, the BLAS thread
     variables of the environment and the BLAS thread count the run uses
     (``blas_threads``: 1, the environment's value, or ``unknown``).  More
@@ -431,12 +434,11 @@ def simulate(config: RunConfig, workers: int = 1,
         _log(log, f"[simulate] workers={workers} {env} blas_threads={blas_threads}")
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-            with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                                     initargs=(plan,)) as pool:
-                every = list(pool.map(_replicate, tasks,
+            with ProcessPoolExecutor(max_workers=workers, initializer=_cap_blas) as pool:
+                every = list(pool.map(partial(_replicate, plan), tasks,
                                       chunksize=max(1, len(tasks) // (8 * workers))))
         else:
-            every = [_replicate(t, plan) for t in tasks]
+            every = [_replicate(plan, t) for t in tasks]
     rows: list[MethodSummary] = []
     theta_star = plan.systems[0].theta_star
     for i, s2 in enumerate(config.sigma2):
@@ -482,13 +484,7 @@ def check_report(report: SimulationReport, tol: float = 1e-10) -> list[str]:
 
 def read_data_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a headed UTF-8 CSV: columns x1..xd and y, each once, no gap; cells must be finite."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise CliConfigError(f"data file not found: {path}")
-    except UnicodeDecodeError as e:
-        raise CliConfigError(f"{path}: not UTF-8 text ({e})")
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(_read_text(path, "data").splitlines())
     try:
         header = next(reader)
     except StopIteration:
@@ -532,6 +528,14 @@ def read_data_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 # Subcommands
 
 
+def _write(path: str | Path, text: str, command: str, log) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise CliConfigError(f"cannot write {path}: {e.strerror}")
+    _log(log, f"[{command}] wrote {path}")
+
+
 def _grid_edges(est: CalibrationEstimate, config: RunConfig) -> list[str]:
     """Tuning values in ``est.meta`` at an end of a configured grid of two or more."""
     edges = []
@@ -556,22 +560,20 @@ def cmd_calibrate(config: RunConfig, data_path: str | Path,
         raise CliConfigError(f"{config.example} expects 1 control variable, "
                              f"data has {pts.shape[1]}")
     results = _run_methods(_Plan.of(config), pts, y, sandwich=True, log=log)
-    lines = ["method,theta_hat,objective,lambda,phi,stderr,status"]
+    rows = []
     for meth, run in results.items():
         est = run.estimate
         if est is None:
-            cells = [""] * 5 + [f"error: {run.error}".replace(",", ";")]
-        else:
-            se = None if est.covariance is None else np.sqrt(est.covariance[0, 0])
-            cells = ["" if v is None else _fmt(v) for v in (
-                est.theta_hat[0], est.objective_value, est.meta.get("lambda"),
-                est.meta.get("phi"), se)] + ["ok"]
-            edges = _grid_edges(est, config)
-            if edges:
-                _log(log, f"[calibrate] {meth} tuned on a grid edge: {', '.join(edges)}")
-        lines.append(",".join([meth] + cells))
-    Path(out_path).write_text("\n".join(lines) + "\n")
-    _log(log, f"[calibrate] wrote {out_path}")
+            rows.append([meth] + [None] * 5 + [f"error: {run.error}".replace(",", ";")])
+            continue
+        se = None if est.covariance is None else np.sqrt(est.covariance[0, 0])
+        rows.append([meth, est.theta_hat[0], est.objective_value, est.meta.get("lambda"),
+                     est.meta.get("phi"), se, "ok"])
+        edges = _grid_edges(est, config)
+        if edges:
+            _log(log, f"[calibrate] {meth} tuned on a grid edge: {', '.join(edges)}")
+    _write(out_path, _csv("method,theta_hat,objective,lambda,phi,stderr,status", rows),
+           "calibrate", log)
     return 0
 
 
@@ -597,11 +599,7 @@ def cmd_discrepancy(example: str, theta_min: float, theta_max: float, steps: int
                     out_path: str | Path, quadrature_m: int = RunConfig.quadrature_m,
                     check: bool = False, log=STDERR) -> int:
     rows = discrepancy_curve(example, theta_min, theta_max, steps, quadrature_m)
-    lines = ["theta,closed_form,quadrature"]
-    for t, cf, qv in rows:
-        lines.append(f"{_fmt(t)},{_fmt(cf)},{_fmt(qv)}")
-    Path(out_path).write_text("\n".join(lines) + "\n")
-    _log(log, f"[discrepancy] wrote {out_path}")
+    _write(out_path, _csv("theta,closed_form,quadrature", rows), "discrepancy", log)
     if check:
         with np.errstate(invalid="ignore"):  # inf - inf where a distance overflows
             rel = np.abs(rows[:, 1] - rows[:, 2]) / np.maximum(np.abs(rows[:, 1]), 1e-300)
@@ -618,8 +616,7 @@ def cmd_discrepancy(example: str, theta_min: float, theta_max: float, steps: int
 def cmd_simulate(config: RunConfig, out_path: str | Path, workers: int = 1,
                  check: bool = False, log=STDERR) -> int:
     report = simulate(config, workers=workers, log=log)
-    Path(out_path).write_text(report.to_csv())
-    _log(log, f"[simulate] wrote {out_path}")
+    _write(out_path, report.to_csv(), "simulate", log)
     if check:
         problems = check_report(report)
         for p in problems:
@@ -675,18 +672,21 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         with one_blas_thread():
             config = load_config(args.config) if args.config else RunConfig()
+            out = args.out or ("discrepancy.csv" if args.command == "discrepancy"
+                               else config.output)
+            folder = Path(out).parent  # checked before any work, as the write is last
+            if Path(out).is_dir():
+                raise CliConfigError(f"cannot write {out}: it is a directory")
+            if not (folder.is_dir() and os.access(folder, os.W_OK)):
+                raise CliConfigError(f"cannot write {out}: no writable directory {folder}")
             if args.command == "discrepancy":
                 return cmd_discrepancy(args.example, args.theta_min, args.theta_max,
-                                       args.steps, args.out or "discrepancy.csv",
-                                       config.quadrature_m, check=args.check)
-            if args.out:
-                config = replace(config, output=args.out)
+                                       args.steps, out, config.quadrature_m, check=args.check)
             if args.command == "calibrate":
-                return cmd_calibrate(config, args.data, config.output)
+                return cmd_calibrate(config, args.data, out)
             if args.seed is not None:
                 config = replace(config, seed=args.seed)
-            return cmd_simulate(config, config.output, workers=args.workers,
-                                check=args.check)
+            return cmd_simulate(config, out, workers=args.workers, check=args.check)
     except CliConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -105,6 +105,27 @@ class TestConfig:
         with pytest.raises(CliConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # as an editor's "UTF-8 with BOM" encoding writes it
+        p = write_config(tmp_path / "c.json")
+        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        assert load_config(p) == load_config(write_config(tmp_path / "plain.json"))
+
+    def test_not_utf8_is_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b'{"example": "example\xff"}')
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith(f"error: {cfg}: not UTF-8 text")
+
+    def test_directory_is_one_error_line(self, tmp_path, capsys):
+        code = main(["simulate", "--config", str(tmp_path), "--out", str(tmp_path / "r.csv")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(lines) == 1
+        assert lines[0] == f"error: cannot read config file {tmp_path}: Is a directory"
+
     @pytest.mark.parametrize("path", BUNDLED_CONFIGS, ids=lambda p: p.name)
     def test_bundled_config_loads(self, path):
         assert load_config(path).output == f"{path.stem}.csv"
@@ -187,6 +208,14 @@ class TestDataCsv:
         assert pts.shape == (2, 1)
         assert np.array_equal(y, [1.5, 2.5])
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with one
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbfx1,y\n0.5,1.5\n1.5,2.5\n")
+        pts, y = read_data_csv(p)
+        assert np.array_equal(pts, [[0.5], [1.5]])
+        assert np.array_equal(y, [1.5, 2.5])
+
     def test_multidimensional_columns(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("x1,x2,y\n0.5,0.1,1.5\n1.5,0.2,2.5\n")
@@ -202,11 +231,14 @@ class TestDataCsv:
          "example2 expects 1 control variable, data has 2"),
         (b"x1,y\n\xff,1.5\n", "not UTF-8 text"),
         (None, "data file not found"),
+        (Path.mkdir, "cannot read data file"),
     ], ids=["gap", "x0", "repeated-x", "repeated-y", "two-control-variables",
-            "not-utf8", "missing"])
+            "not-utf8", "missing", "directory"])
     def test_bad_file_is_one_error_line(self, tmp_path, capsys, content, message):
         data = tmp_path / "d.csv"
-        if isinstance(content, bytes):
+        if content is Path.mkdir:
+            data.mkdir()
+        elif isinstance(content, bytes):
             data.write_bytes(content)
         elif content is not None:
             data.write_text(content)
@@ -463,9 +495,9 @@ class TestSimulateCommand:
         sizes = []
 
         class SerialPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers, initializer):
                 sizes.append(max_workers)
-                initializer(*initargs)
+                initializer()
 
             def __enter__(self):
                 return self
@@ -476,13 +508,25 @@ class TestSimulateCommand:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(cli, "_WORKER_PLAN", None)  # the initializer sets it
         cfg = RunConfig(example="example2", methods=("OLS",), sigma2=(0.01,),
                         replications=replications, seed=1, quadrature_m=64)
         log = io.StringIO()
         simulate(cfg, workers=64, log=log)
         assert sizes == ([] if want is None else [want])
         assert log.getvalue().split()[1] == f"workers={want or 1}"
+
+    @pytest.mark.parametrize("out,message", [
+        ("missing/r.csv", "no writable directory"), (".", "it is a directory")],
+        ids=["missing-directory", "directory"])
+    def test_unwritable_output_fails_before_any_replication(self, tmp_path, capsys,
+                                                            monkeypatch, out, message):
+        calls = counting(monkeypatch, cli, "_replicate")
+        cfg = write_config(tmp_path / "c.json", replications=1)
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert (code, calls) == (1, [])
+        assert err.startswith(f"error: cannot write {tmp_path / out}: {message}")
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_worker_count_below_one_is_rejected(self, workers):
@@ -540,13 +584,13 @@ def blas_threads_in_worker():
 REPLICATE = cli._replicate
 
 
-def replicate_at_one_blas_thread(task):
+def replicate_at_one_blas_thread(plan, task):
     """``cli._replicate``, failing unless the worker runs it at one OpenBLAS thread;
     module-level, so that a spawned worker unpickles it by name."""
     threads = blas_threads_in_worker()
     if threads != 1:
         raise AssertionError(f"a pool task ran at {threads} OpenBLAS threads")
-    return REPLICATE(task)
+    return REPLICATE(plan, task)
 
 
 class TestBlasThreads:
@@ -633,7 +677,8 @@ class TestBlasThreads:
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_pool_without_fork_matches_serial_at_one_thread(self, blas, monkeypatch, method):
-        # such a worker inherits neither the plan nor the cap; the pool initializer gives both
+        # such a worker inherits no cap: the pool initializer applies it, and the
+        # plan comes with each chunk of tasks
         import concurrent.futures
         import multiprocessing
         from functools import partial
@@ -791,9 +836,14 @@ class TestExitCodes:
         (["discrepancy", "--steps", "1"], "error: need 2 to 160801 steps, got 1"),
         # rejected before any array of that length is built
         (["discrepancy", "--steps", "160802"], "error: need 2 to 160801 steps, got 160802"),
+        # an output that cannot be written is refused before any work
+        (["calibrate", "--data", "d.csv", "--out", "."], "error: cannot write .: it is a"),
+        (["discrepancy", "--out", f"{os.devnull}/c.csv"],
+         f"error: cannot write {os.devnull}/c.csv: no writable directory {os.devnull}"),
     ], ids=["discrepancy-seed", "calibrate-seed", "calibrate-workers", "calibrate-check",
             "unknown", "missing-data", "negative-seed", "zero-workers", "negative-workers",
-            "one-step", "steps-over-cap"])
+            "one-step", "steps-over-cap", "calibrate-out-directory",
+            "discrepancy-out-not-in-a-directory"])
     def test_usage_error_is_one(self, capsys, argv, prefix):
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -815,6 +865,14 @@ class TestExitCodes:
         assert len(failed) == 1
         assert "OLS sigma2=0.1: MSE identity off by" in failed[0]
         assert out.read_text().count("\n") == 3
+
+    def test_failed_write_is_one(self, tmp_path, capsys, monkeypatch):
+        def full_disk(path, text):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        out = tmp_path / "c.csv"
+        assert main(["discrepancy", "--steps", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: No space left on device\n"
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
