@@ -13,7 +13,9 @@
   from the same fitted surface.
 
 All three reduce one residual, data minus simulator, and are searched
-over the box by the same grid-plus-refinement minimizer.
+over the box by the same grid-plus-refinement minimizer.  A simulator is
+its batched ``eval`` alone: the sandwich takes its theta-derivatives by
+central differences of it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from . import rkhs
 # perfbench's tracer patches calibrate._scipy_minimize, which no estimator
 # calls; it imports scipy only when called
 from .numerics import (BoxDomain, FitError, OptimizerConfig, QuadratureRule, _scipy_minimize,
-                       as_points, design_rule, fd_grad, fd_hess, minimize)
+                       as_points, design_rule, minimize)
 # cli fits every surface through calibrate.fit_response_surface
 from .rkhs import KrrModel, fit_response_surface
 
@@ -43,15 +45,13 @@ class ComputerModel:
     ``eval(points, thetas)`` maps an ``(n, d)`` array of control points
     and a ``(k, q)`` batch of parameter vectors to a ``(k, n)`` output
     array, one row per parameter vector; calling the model evaluates one
-    parameter vector as a batch of one.  ``grad``, when given, maps the
-    points and one parameter vector ``(q,)`` to the ``(n, q)`` Jacobian;
-    otherwise central differences are used, as they always are for the
-    Hessian.  ``smooth_in_theta`` gates derivative-based inference.
+    parameter vector as a batch of one.  ``smooth_in_theta`` gates
+    derivative-based inference, whose theta-derivatives are central
+    differences of ``eval``.
     """
 
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
     theta_domain: BoxDomain
-    grad: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     smooth_in_theta: bool = True
     name: str = "computer-model"
 
@@ -74,20 +74,6 @@ class ComputerModel:
 
     def __call__(self, x, theta) -> np.ndarray:
         return self.batch(x, np.atleast_1d(np.asarray(theta, dtype=float))[None])[0]
-
-    def grad_theta(self, x, theta) -> np.ndarray:
-        """Jacobian of the output in theta, shape ``(n, q)``."""
-        pts = as_points(x)
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self.grad is not None:
-            g = np.asarray(self.grad(pts, th), dtype=float)
-            return g.reshape(pts.shape[0], self.q)
-        return fd_grad(lambda t: self(pts, t), th)
-
-    def hess_theta(self, x, theta) -> np.ndarray:
-        """Per-point Hessian of the output in theta, shape ``(n, q, q)``."""
-        pts = as_points(x)
-        return fd_hess(lambda t: self(pts, t), theta)
 
 
 @dataclass(frozen=True)

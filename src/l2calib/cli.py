@@ -465,14 +465,14 @@ def simulate(config: RunConfig, workers: int = 1,
     return SimulationReport(theta_star=theta_star, rows=tuple(rows))
 
 
-def check_report(report: SimulationReport, tol: float = 1e-10) -> list[str]:
-    """Internal-consistency gate: MSE = SD^2 + bias^2 per row."""
+def check_report(report: SimulationReport) -> list[str]:
+    """Internal-consistency gate: MSE = SD^2 + bias^2 per row, to 1e-10 relative."""
     problems = []
     for r in report.rows:
         lhs = r.mse
         rhs = r.sd ** 2 + (r.mean - r.theta_star) ** 2
         scale = max(abs(lhs), abs(rhs), 1e-300)
-        if abs(lhs - rhs) / scale > tol:
+        if abs(lhs - rhs) / scale > 1e-10:
             problems.append(f"{r.method} sigma2={r.sigma2:g}: MSE identity off by "
                             f"{abs(lhs - rhs) / scale:.3e} relative")
     return problems

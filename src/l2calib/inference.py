@@ -31,7 +31,7 @@ import numpy as np
 
 from . import rkhs
 from .calibrate import ComputerModel
-from .numerics import FitError, QuadratureRule, design_rule
+from .numerics import FitError, QuadratureRule, design_rule, fd_derivatives
 from .rkhs import KrrModel
 
 
@@ -102,18 +102,18 @@ class Expansion:
 
 def expand(model: ComputerModel, zeta: Callable[[np.ndarray], np.ndarray],
            theta, rule: QuadratureRule) -> Expansion:
-    """Evaluate the sandwich ingredients of ``model`` at ``theta`` once."""
+    """Evaluate the sandwich ingredients of ``model`` at ``theta`` in one
+    simulator call: the central-difference stencil of :func:`fd_derivatives`."""
     if not model.smooth_in_theta:
         raise ValueError(
             f"model {model.name!r} is flagged non-smooth in theta; "
             "derivative-based covariance estimation is not valid for it")
-    G = model.grad_theta(rule.nodes, theta)
+    ys, G, H = fd_derivatives(lambda thetas: model.batch(rule.nodes, thetas), theta)
     if np.any(~np.isfinite(G)):
         raise FitError("model gradient is non-finite at some design point")
-    H = model.hess_theta(rule.nodes, theta)
     if np.any(~np.isfinite(H)):
         raise FitError("model derivatives are non-finite at some design point")
-    delta = np.asarray(zeta(rule.nodes), dtype=float).reshape(-1) - model(rule.nodes, theta)
+    delta = np.asarray(zeta(rule.nodes), dtype=float).reshape(-1) - ys
     return Expansion(G=G, H=H, delta=delta, weights=rule.weights)
 
 

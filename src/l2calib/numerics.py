@@ -3,9 +3,10 @@
 Shared numerical machinery for the calibrators: tensor-product
 Gauss-Legendre rules over rectangular domains, the unit-weight rule at
 a design, a deterministic grid-scan-plus-refinement minimizer, and
-central-difference derivatives.  One-parameter refinement zooms in on
-the best grid cell by batched rounds through :func:`scan`, so an
-objective sees a few large batches rather than many single rows.
+central-difference derivatives from one batched stencil.  One-parameter
+refinement zooms in on the best grid cell by batched rounds through
+:func:`scan`, so an objective sees a few large batches rather than many
+single rows.
 
 Objectives passed to :func:`scan` and :func:`minimize` are batched: they
 take a ``(k, q)`` array of parameter vectors and return ``(k,)`` values.
@@ -259,34 +260,29 @@ def fd_step(x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return np.maximum(h, h * np.abs(x))
 
 
-def fd_grad(f: Callable[[np.ndarray], np.ndarray], x, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of ``f`` on R^q, shape ``f(x).shape + (q,)``."""
+def fd_derivatives(f: Callable[[np.ndarray], np.ndarray], x,
+                   h: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(f(x), G, H)``: value, central-difference gradient ``f(x).shape + (q,)``
+    and symmetric Hessian ``f(x).shape + (q, q)`` of a batched ``f``,
+    ``(k, q) -> (k, ...)``.  One call evaluates the stencil ``x``, ``x +- e_i``
+    and, for ``i < j``, ``x +- e_i +- e_j`` (``e_i`` the :func:`fd_step` of
+    coordinate ``i``), under :func:`_evaluate`'s errstate: a non-finite output
+    gives a non-finite derivative, not a warning."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    steps = fd_step(x, h)
-    cols = []
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = steps[j]
-        cols.append((f(x + e) - f(x - e)) / (2.0 * steps[j]))
-    return np.stack(cols, axis=-1)
-
-
-def fd_hess(f: Callable[[np.ndarray], np.ndarray], x, h: float = 1e-5) -> np.ndarray:
-    """Central-difference Hessian of ``f`` on R^q (symmetrized), shape
-    ``f(x).shape + (q, q)``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    steps = fd_step(x, h)
-    q = x.size
-    f0 = np.asarray(f(x), dtype=float)
-    H = np.empty(f0.shape + (q, q))
-    for j in range(q):
-        ej = np.zeros_like(x)
-        ej[j] = steps[j]
-        H[..., j, j] = (f(x + ej) - 2.0 * f0 + f(x - ej)) / steps[j] ** 2
-        for k in range(j + 1, q):
-            ek = np.zeros_like(x)
-            ek[k] = steps[k]
-            H[..., j, k] = H[..., k, j] = (
-                f(x + ej + ek) - f(x + ej - ek)
-                - f(x - ej + ek) + f(x - ej - ek)) / (4.0 * steps[j] * steps[k])
-    return H
+    q, steps = x.size, fd_step(x, h)
+    E = np.diag(steps)
+    pairs = [(j, k) for j in range(q) for k in range(j + 1, q)]
+    rows = [x[None], x + E, x - E] + [
+        np.stack([x + E[j] + E[k], x + E[j] - E[k], x - E[j] + E[k], x - E[j] - E[k]])
+        for j, k in pairs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(f(np.concatenate(rows)), dtype=float)
+        f0, plus, minus, mixed = out[0], out[1:q + 1], out[q + 1:2 * q + 1], out[2 * q + 1:]
+        G = np.empty(f0.shape + (q,))
+        H = np.empty(f0.shape + (q, q))
+        for j in range(q):
+            G[..., j] = (plus[j] - minus[j]) / (2.0 * steps[j])
+            H[..., j, j] = (plus[j] - 2.0 * f0 + minus[j]) / steps[j] ** 2
+        for (j, k), (pp, pm, mp, mm) in zip(pairs, mixed.reshape((len(pairs), 4) + f0.shape)):
+            H[..., j, k] = H[..., k, j] = (pp - pm - mp + mm) / (4.0 * steps[j] * steps[k])
+    return f0, G, H

@@ -304,8 +304,7 @@ def _score(panel, grid: tuple[float, ...]) -> float:
     return _loo_score(panel, _gcv_pick(panel, grid)[0])
 
 
-def loo_cv_phi(points, y, config: KernelConfig,
-               jitter: float = DEFAULT_JITTER) -> KrrModel:
+def loo_cv_phi(points, y, config: KernelConfig) -> KrrModel:
     """Fit at the phi in ``config.phi_grid`` with the least leave-one-out
     score, lambda per candidate by GCV over ``config.lambda_grid``.
 
@@ -318,7 +317,7 @@ def loo_cv_phi(points, y, config: KernelConfig,
     get a full panel.  The winner gets a full panel of its own after the
     sweep, from its Gram matrix, with lambda picked again by GCV.
     """
-    points, y = _data(points, y, jitter)
+    points, y = _data(points, y, DEFAULT_JITTER)
     d2 = kernels.sqdist(points)
     grid, n = config.lambda_grid, y.shape[0]
     low_rank, best_score, best = True, np.inf, None
@@ -329,15 +328,15 @@ def loo_cv_phi(points, y, config: KernelConfig,
         score, low_rank = np.inf, factor is not None
         if low_rank:
             with suppress(FitError):
-                score = _score(_Panel.low_rank(factor, y, jitter), grid)
+                score = _score(_Panel.low_rank(factor, y, DEFAULT_JITTER), grid)
         if not np.isfinite(score):
-            score = _score(_Panel.full(points, y, spec, jitter, K), grid)
+            score = _score(_Panel.full(points, y, spec, gram=K), grid)
         if score < best_score:
             best_score, best = score, (spec, K)
     if best is None:
         raise FitError("all leave-one-out scores are non-finite")
     spec, K = best
-    panel = _Panel.full(points, y, spec, jitter, K)
+    panel = _Panel.full(points, y, spec, gram=K)
     return panel.model(_gcv_pick(panel, grid)[0])
 
 

@@ -106,10 +106,6 @@ def _example2_eval(pts, ths):
     return ys_example2(pts[:, 0][None, :], ths[:, :1])
 
 
-def _example2_grad(pts, th):
-    return ys_example2_grad(pts[:, 0], float(th[0]))[:, None]
-
-
 def example1_model(theta_domain: BoxDomain = DEFAULT_THETA_DOMAIN) -> ComputerModel:
     """Simulator 1 wrapped for the calibrators; kinked at theta = -1."""
     return ComputerModel(
@@ -121,11 +117,10 @@ def example1_model(theta_domain: BoxDomain = DEFAULT_THETA_DOMAIN) -> ComputerMo
 
 
 def example2_model(theta_domain: BoxDomain = DEFAULT_THETA_DOMAIN) -> ComputerModel:
-    """Simulator 2 wrapped for the calibrators, with analytic gradient."""
+    """Simulator 2 wrapped for the calibrators; smooth in theta."""
     return ComputerModel(
         eval=_example2_eval,
         theta_domain=theta_domain,
-        grad=_example2_grad,
         smooth_in_theta=True,
         name="example2",
     )

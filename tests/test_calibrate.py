@@ -7,8 +7,8 @@ import pytest
 from l2calib import cli, kernels, rkhs, testbed
 from l2calib.calibrate import (ETA_BOUNDS, ComputerModel, _ProfiledGpLikelihood,
                                ko_calibrate, l2_calibrate, l2_objective, ols_calibrate)
-from l2calib.numerics import (BoxDomain, OptimizerConfig, design_rule, gauss_legendre, minimize,
-                              scan, tensor_grid)
+from l2calib.numerics import (BoxDomain, OptimizerConfig, design_rule, fd_derivatives,
+                              gauss_legendre, minimize, scan, tensor_grid)
 from l2calib.rkhs import KernelConfig, fit_response_surface
 
 RULE = gauss_legendre(testbed.OMEGA, 256)
@@ -336,9 +336,8 @@ class TestComputerModel:
         model = system.computer_model
         pts = np.linspace(0.3, 6.0, 11)[:, None]
         theta = np.array([0.7])
-        analytic = model.grad_theta(pts, theta)
-        fd_model = ComputerModel(eval=model.eval, theta_domain=model.theta_domain)
-        fd = fd_model.grad_theta(pts, theta)
+        analytic = testbed.ys_example2_grad(pts[:, 0], theta[0])[:, None]
+        fd = fd_derivatives(lambda ths: model.batch(pts, ths), theta)[1]
         assert np.allclose(analytic, fd, rtol=1e-4, atol=1e-6)
 
     @pytest.mark.parametrize("example", ["example1", "example2"])

@@ -9,7 +9,7 @@ from l2calib.inference import (SingularCurvatureError, design_rule,
                                efficiency_gap, estimate_sandwich, expand,
                                l2_cov, ols_cov)
 from l2calib.kernels import KernelSpec
-from l2calib.numerics import BoxDomain, fd_hess, gauss_legendre
+from l2calib.numerics import BoxDomain, fd_derivatives, gauss_legendre
 from l2calib.rkhs import KernelConfig, fit_response_surface, sigma2_hat
 
 RULE = gauss_legendre(testbed.OMEGA, 512)
@@ -32,7 +32,6 @@ def linear_model(coef_dim=2):
         return np.column_stack([np.ones(pts.shape[0]), pts[:, 0]])
     return ComputerModel(
         eval=lambda pts, ths: ths @ h(pts).T,
-        grad=lambda pts, th: h(pts),
         theta_domain=BoxDomain((-5.0,) * coef_dim, (5.0,) * coef_dim),
     ), h
 
@@ -68,7 +67,6 @@ class TestW:
     def test_constant_model_gives_zero(self):
         model = ComputerModel(
             eval=lambda pts, ths: np.full((len(ths), pts.shape[0]), 2.0),
-            grad=lambda pts, th: np.zeros((pts.shape[0], 1)),
             theta_domain=BoxDomain((-1.0,), (1.0,)))
         W = at_design(model, no_surface, np.array([0.0]), np.linspace(0, 1, 20)).W()
         assert np.all(W == 0.0)
@@ -93,15 +91,18 @@ class TestW:
         with pytest.raises(ValueError, match="non-smooth"):
             at_design(model, ZETA, np.array([-1.0]), np.linspace(0, 6, 10))
 
-    @pytest.mark.parametrize("grad,match", [
-        (lambda pts, th: np.full((len(pts), 1), np.nan), "gradient is non-finite"),
-        (lambda pts, th: pts, "derivatives are non-finite")], ids=["gradient", "hessian"])
-    def test_non_finite_derivatives_are_a_fit_error(self, grad, match):
-        # the gradient, or the finite-difference Hessian of an output that is
-        # NaN at x > 3, is non-finite: a numerical outcome, not an input error
-        model = ComputerModel(
-            eval=lambda pts, ths: np.where(pts[:, 0] > 3.0, np.nan, ths * pts[:, 0]),
-            grad=grad, theta_domain=BoxDomain((-2.0,), (2.0,)))
+    @pytest.mark.parametrize("output,match", [
+        (lambda pts, ths: np.where(ths == 1.0, ths * pts[:, 0], np.nan), "gradient is non-finite"),
+        (lambda pts, ths: np.where(ths == 1.0, np.nan, ths * pts[:, 0]),
+         "derivatives are non-finite"),
+        (lambda pts, ths: np.where(ths == 1.0, ths * pts[:, 0], np.inf), "gradient is non-finite"),
+    ], ids=["gradient", "hessian", "inf-on-both-sides"])
+    def test_non_finite_derivatives_are_a_fit_error(self, output, match):
+        # an output that is NaN or +inf off theta has a non-finite gradient
+        # (inf - inf, with no warning); one that is NaN only at theta has a
+        # finite gradient and a non-finite Hessian: a numerical outcome, not
+        # an input error
+        model = ComputerModel(eval=output, theta_domain=BoxDomain((-2.0,), (2.0,)))
         with pytest.raises(rkhs.FitError, match=match):
             at_design(model, ZETA, np.array([1.0]), np.linspace(0, 6, 10))
 
@@ -127,7 +128,8 @@ class TestV:
             d = surface(pts) - model(pts, th)
             return float(d @ d) / pts.shape[0]
 
-        H = fd_hess(objective, theta, h=1e-4)
+        _, _, H = fd_derivatives(lambda ths: np.array([objective(th) for th in ths]), theta,
+                                 h=1e-4)
         assert V[0, 0] == pytest.approx(H[0, 0], rel=1e-3)
 
     def test_population_curvature_positive_at_minimum(self):
@@ -238,6 +240,20 @@ class TestSandwichAssembly:
         assert W2[0, 0] == pytest.approx(sand.W_hat[0, 0], rel=1e-4)
         assert V2[0, 0] == pytest.approx(sand.V_hat[0, 0], rel=1e-4)
         assert S22[0, 0] == pytest.approx(sand.Sigma2_hat[0, 0], rel=1e-4)
+
+    def test_calls_the_model_once(self):
+        # value, gradient and Hessian at theta-hat come from one batched stencil
+        system = testbed.make_system("example2", 0.01)
+        pts, y = testbed.generate(system, 66, 0)
+        zeta_hat = fit_response_surface(pts, y, KernelConfig())
+        model = system.computer_model
+        calls = []
+        counted = ComputerModel(
+            eval=lambda p, ths: calls.append(len(ths)) or model.eval(p, ths),
+            theta_domain=model.theta_domain)
+        sand = estimate_sandwich(zeta_hat, counted, THETA_STAR)
+        assert calls == [3]
+        assert np.array_equal(sand.cov_l2, estimate_sandwich(zeta_hat, model, THETA_STAR).cov_l2)
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_matches_rule_formulas_at_unit_design_weights(self, q):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from l2calib import rkhs, testbed
 from l2calib.calibrate import ComputerModel, _ProfiledGpLikelihood, ko_calibrate, l2_objective
 from l2calib.numerics import (MAX_GRID_POINTS, MAX_QUADRATURE_NODES, REFINE_POINTS,
-                              SCAN_BLOCK_ROWS, BoxDomain, OptimizerConfig, fd_grad, fd_hess,
+                              SCAN_BLOCK_ROWS, BoxDomain, OptimizerConfig, fd_derivatives,
                               fd_step, gauss_legendre, minimize, scan, tensor_grid)
 from l2calib.rkhs import KernelConfig, fit_response_surface
 
@@ -338,27 +338,32 @@ class TestTensorGrid:
         assert calls == []
 
 
+def scalar(f):
+    """A batched ``(k, q) -> (k,)`` version of the one-vector function ``f``."""
+    return lambda ts: np.array([f(t) for t in ts])
+
+
 class TestFiniteDifferences:
     def test_linear_has_zero_hessian(self):
         f = lambda t: 3.0 * t[0] - 2.0 * t[1]
-        H = fd_hess(f, np.array([0.3, -0.4]))
+        _, _, H = fd_derivatives(scalar(f), np.array([0.3, -0.4]))
         assert np.abs(H).max() <= 1e-6
 
     def test_quadratic_hessian_is_2i(self):
         f = lambda t: float(t @ t)
-        H = fd_hess(f, np.array([0.5, -1.2, 2.0]))
+        _, _, H = fd_derivatives(scalar(f), np.array([0.5, -1.2, 2.0]))
         assert np.allclose(H, 2.0 * np.eye(3), atol=1e-5)
 
     def test_gradient_of_quadratic(self):
         f = lambda t: float(t @ t)
         x = np.array([0.5, -1.2])
-        assert np.allclose(fd_grad(f, x), 2.0 * x, atol=1e-8)
+        assert np.allclose(fd_derivatives(scalar(f), x)[1], 2.0 * x, atol=1e-8)
 
     def test_example2_theta_gradient_matches_analytic(self):
         x = np.linspace(0.3, 5.9, 7)
         theta = 0.5
         f = lambda t: float(np.sum(testbed.ys_example2(x, t[0])))
-        got = fd_grad(f, np.array([theta]))[0]
+        got = fd_derivatives(scalar(f), np.array([theta]))[1][0]
         want = float(np.sum(testbed.ys_example2_grad(x, theta)))
         assert got == pytest.approx(want, rel=1e-6)
 
@@ -385,8 +390,8 @@ def _column_loop_derivatives(f, x):
 
 
 class TestVectorFiniteDifferences:
-    """Vector-valued fd_grad/fd_hess, as ComputerModel uses them, equal the
-    per-column loop bit for bit."""
+    """The batched stencil, as the sandwich uses it, equals the per-column
+    loop bit for bit and calls the model once."""
 
     MODELS = {
         1: (lambda p, ths: np.exp(ths[:, :1] * p[:, 0] / 5.0) * np.sin(p[:, 0]), [0.7]),
@@ -399,11 +404,13 @@ class TestVectorFiniteDifferences:
         ev, theta = self.MODELS[q]
         pts = np.linspace(0.1, 6.0, 13)[:, None]
         theta = np.array(theta)
-        f = lambda t: ev(pts, t[None])[0]
-        G, H = _column_loop_derivatives(f, theta)
-        assert fd_grad(f, theta).shape == (13, q)
-        assert np.array_equal(fd_grad(f, theta), G)
-        assert np.array_equal(fd_hess(f, theta), H)
-        model = ComputerModel(eval=ev, theta_domain=BoxDomain((-2.0,) * q, (2.0,) * q))
-        assert np.array_equal(model.grad_theta(pts, theta), G)
-        assert np.array_equal(model.hess_theta(pts, theta), H)
+        G, H = _column_loop_derivatives(lambda t: ev(pts, t[None])[0], theta)
+        calls = []
+        model = ComputerModel(eval=lambda p, ths: calls.append(len(ths)) or ev(p, ths),
+                              theta_domain=BoxDomain((-2.0,) * q, (2.0,) * q))
+        y, got_G, got_H = fd_derivatives(lambda ths: model.batch(pts, ths), theta)
+        assert calls == [2 * q * q + 1]
+        assert got_G.shape == (13, q) and got_H.shape == (13, q, q)
+        assert np.array_equal(y, ev(pts, theta[None])[0])
+        assert np.array_equal(got_G, G)
+        assert np.array_equal(got_H, H)

@@ -203,7 +203,7 @@ class TestLooPhi:
         config = loo_config([1.0], (1e-16,))
         assert np.isinf(rkhs._loo_score(rkhs._Panel.full(x, y, GAUSS, jitter=0.0), 1e-16))
         with pytest.raises(rkhs.FitError, match="non-finite"):
-            loo_cv_phi(x, y, config, jitter=0.0)
+            loo_cv_phi(x, y, config)
 
 
 class TestKernelConfig:
