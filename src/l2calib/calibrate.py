@@ -123,7 +123,7 @@ def l2_calibrate(surface: KrrModel, model: ComputerModel, rule: QuadratureRule,
 def ols_calibrate(points, y, model: ComputerModel,
                   opt: OptimizerConfig = OptimizerConfig()) -> CalibrationEstimate:
     """Least-squares calibration; the objective value is the minimized RSS."""
-    pts, yv = rkhs._data(points, y, jitter=0.0)
+    pts, yv = rkhs._data(points, y)
     res = minimize(l2_objective(yv, model, design_rule(pts)), model.theta_domain, opt)
     return CalibrationEstimate(
         theta_hat=res.x, method="OLS", objective_value=res.fun,
@@ -217,7 +217,8 @@ def ko_calibrate(surface: KrrModel, model: ComputerModel,
         raise FitError("GP calibration needs at least 3 observations")
     nll = _ProfiledGpLikelihood(surface, model)
     res = minimize(lambda thetas: nll.profile(thetas)[0], model.theta_domain, opt)
-    _, u, tau2 = nll.profile(res.x[None])
+    with np.errstate(over="ignore", invalid="ignore"):  # as minimize's evaluations
+        _, u, tau2 = nll.profile(res.x[None])
     eta, tau2 = float(np.exp(u[0])), float(tau2[0])
     return CalibrationEstimate(
         theta_hat=res.x, method="KO", objective_value=res.fun,

@@ -390,7 +390,10 @@ def _run_methods(plan: _Plan, pts: np.ndarray, y: np.ndarray, sandwich: bool = F
                 est = ko_calibrate(zeta_hat, model, config.optimizer)
             if with_se and meth != "KO" and zeta_hat is not None:
                 sand = inference.estimate_sandwich(zeta_hat, model, est.theta_hat)
-                est = replace(est, covariance=sand.cov_l2 if meth == "L2" else sand.cov_ols)
+                cov = sand.cov_l2 if meth == "L2" else sand.cov_ols
+                if not np.all(np.isfinite(cov)):
+                    raise FitError(f"{meth} sandwich covariance is non-finite")
+                est = replace(est, covariance=cov)
             out[meth] = MethodRun(est, time.perf_counter() - t0)
         except NUMERICAL_ERRORS as e:
             out[meth] = MethodRun(None, time.perf_counter() - t0, f"{type(e).__name__}: {e}")

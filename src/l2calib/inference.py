@@ -10,16 +10,18 @@ with the expectation taken under the uniform distribution on the
 control domain.  It is estimated as a weighted mean over the nodes of a
 rule, divided by the sum of its weights: unit weights at the design
 points give the plug-in estimate, a quadrature rule over the domain the
-population oracle.  The asymptotic covariances are then
+population oracle.  The asymptotic covariances are one sandwich, one
+bread ``V`` and two middles:
 
-    cov(L2)  = (4 sigma^2 / n) V^{-1} W V^{-1}
+    cov(L2)  = (1 / n) V^{-1} (4 sigma^2 W) V^{-1}
     cov(OLS) = (1 / n) V^{-1} Sigma2 V^{-1},
     Sigma2   = 4 sigma^2 W + 4 E[delta^2 g g^T]
 
-so the least-squares spread exceeds the L2 spread exactly when the
-model discrepancy is nonzero where the sweep moves.  The plug-in
-estimate reads the design, the responses and sigma^2 from the fitted
-surface alone.
+so cov(OLS) - cov(L2) = (1 / n) V^{-1} (Sigma2 - 4 sigma^2 W) V^{-1}, which
+``efficiency_gap(4 sigma^2 W, Sigma2)`` checks: the least-squares spread
+exceeds the L2 spread exactly when the model discrepancy is nonzero where
+the sweep moves.  The plug-in estimate reads the design, the responses
+and sigma^2 from the fitted surface alone.
 """
 
 from __future__ import annotations
@@ -117,30 +119,27 @@ def expand(model: ComputerModel, zeta: Callable[[np.ndarray], np.ndarray],
     return Expansion(G=G, H=H, delta=delta, weights=rule.weights)
 
 
-def _inv_v(V_hat: np.ndarray) -> np.ndarray:
+def _sandwich(V_hat, M, n: int) -> np.ndarray:
+    """``V^{-1} M V^{-1} / n``, symmetrized; the bread ``V`` must be invertible."""
     V = np.atleast_2d(np.asarray(V_hat, dtype=float))
     cond = np.linalg.cond(V)
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularCurvatureError(
             f"curvature matrix is singular or near-singular (cond={cond:.3e}); "
             "the asymptotic covariance requires invertible curvature at the estimate")
-    return np.linalg.inv(V)
+    Vinv = np.linalg.inv(V)
+    cov = (Vinv @ np.atleast_2d(np.asarray(M, dtype=float)) @ Vinv) / n
+    return 0.5 * (cov + cov.T)
 
 
 def l2_cov(V_hat, W_hat, sigma2_hat: float, n: int) -> np.ndarray:
-    """Covariance of the L2 estimate: ``(4 sigma^2 / n) V^{-1} W V^{-1}``."""
-    Vinv = _inv_v(V_hat)
-    W = np.atleast_2d(np.asarray(W_hat, dtype=float))
-    cov = (4.0 * sigma2_hat / n) * (Vinv @ W @ Vinv)
-    return 0.5 * (cov + cov.T)
+    """Covariance of the L2 estimate: ``(1/n) V^{-1} (4 sigma^2 W) V^{-1}``."""
+    return _sandwich(V_hat, 4.0 * sigma2_hat * np.asarray(W_hat, dtype=float), n)
 
 
 def ols_cov(V_hat, Sigma2_hat, n: int) -> np.ndarray:
     """Covariance of the least-squares estimate: ``(1/n) V^{-1} Sigma2 V^{-1}``."""
-    Vinv = _inv_v(V_hat)
-    S = np.atleast_2d(np.asarray(Sigma2_hat, dtype=float))
-    cov = (Vinv @ S @ Vinv) / n
-    return 0.5 * (cov + cov.T)
+    return _sandwich(V_hat, Sigma2_hat, n)
 
 
 @dataclass(frozen=True)
@@ -172,8 +171,9 @@ def estimate_sandwich(zeta_hat: KrrModel, model: ComputerModel,
     s2 = rkhs.sigma2_hat(zeta_hat)
     ex = expand(model, lambda p: rkhs.predict(zeta_hat, p), theta_hat,
                 design_rule(zeta_hat.design))
-    W, V, S2m = ex.W(), ex.V(), ex.Sigma2(s2)
     n = zeta_hat.n
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves a non-finite cov
+        W, V, S2m = ex.W(), ex.V(), ex.Sigma2(s2)
+        cov_l2, cov_ols = l2_cov(V, W, s2, n), ols_cov(V, S2m, n)
     return SandwichEstimate(V_hat=V, W_hat=W, sigma2_hat=s2, Sigma2_hat=S2m,
-                            cov_l2=l2_cov(V, W, s2, n),
-                            cov_ols=ols_cov(V, S2m, n), n=n)
+                            cov_l2=cov_l2, cov_ols=cov_ols, n=n)

@@ -15,14 +15,15 @@ Gram matrix; a GCV sweep then scores the whole lambda grid in one
 diagonal.  A phi sweep computes the pairwise squared distances once,
 builds each candidate's Gram matrix from them and scores it from a
 pivoted Cholesky factor and its thin SVD, at O(n r) per lambda for a
-rank r Gram matrix; the candidates it cannot score that way, and the
-winner after the sweep, are decomposed in full.  At n = 51 that costs
-about 3% more than one eigh per candidate.  Only ``numpy.linalg`` is
-called: numpy and scipy each bundle their own OpenBLAS, and their
-busy-waiting threads contend on a small host.  ``cli`` runs cap numpy's
-copy at one thread (``cli.one_blas_thread``); scipy's is left alone, as
-it loads only for q >= 2 and its Nelder-Mead makes no BLAS call of its
-own.
+rank r Gram matrix (the full-rank formulas, with the jitter as the
+eigenvalue of the other n - r directions); the candidates it cannot score
+that way, and the winner after the sweep, are decomposed in full.  At
+n = 51 that costs about 3% more than one eigh per candidate.  Only
+``numpy.linalg`` is called: numpy and scipy each bundle their own
+OpenBLAS, and their busy-waiting threads contend on a small host.
+``cli`` runs cap numpy's copy at one thread (``cli.one_blas_thread``);
+scipy's is left alone, as it loads only for q >= 2 and its Nelder-Mead
+makes no BLAS call of its own.
 
 The tuning policy lives here too: ``KernelConfig`` holds the phi and
 lambda grids, and ``fit_response_surface`` picks from both in one pass.
@@ -99,9 +100,8 @@ class KrrModel:
         return predict(self, x)
 
 
-def _data(points, y, jitter: float) -> tuple[np.ndarray, np.ndarray]:
-    """The design as ``(n, d)`` points and the responses as an ``(n,)``
-    array, checked for a fit with the given jitter."""
+def _data(points, y) -> tuple[np.ndarray, np.ndarray]:
+    """The design as ``(n, d)`` points and the responses as an ``(n,)`` array."""
     points = as_points(points)
     y = np.asarray(y, dtype=float).reshape(-1)
     if points.shape[0] < 1:
@@ -110,8 +110,6 @@ def _data(points, y, jitter: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("points and responses length mismatch")
     if np.any(~np.isfinite(y)):
         raise FitError("responses contain NaN or infinity")
-    if jitter < 0:
-        raise ValueError("jitter must be nonnegative")
     return points, y
 
 
@@ -121,24 +119,28 @@ class _Panel:
 
     ``full`` decomposes the whole matrix (r = n).  ``low_rank`` takes the
     r leading eigenpairs of ``C^T C + jitter*I`` from the thin SVD of the
-    factor ``C``, and scores at O(n r) per lambda; the other n - r
-    directions have eigenvalue ``jitter`` and hold ``perp``, the part of
-    y outside ``Q``.  Only full panels have ``coeffs``, ``hat_trace`` and
-    ``model`` called.
+    factor ``C``, and scores at O(n r) per lambda; its other ``n_out`` =
+    n - r directions have eigenvalue ``jitter`` and hold ``perp``, the part
+    of y outside ``Q``, and ``perp_lev``, that of each leverage: zeros when
+    r = n.  Only ``model`` needs a full panel, as KO reads all n eigenpairs.
     """
 
     def __init__(self, y, w, Q, jitter, points=None, spec=None):
         self.y, self.n, self.w, self.Q, self.jitter = y, y.shape[0], w, Q, jitter
         self.points, self.spec = points, spec
         self.qty = Q.T @ y
-        self.perp = y - Q @ self.qty if w.size < self.n else None
+        self.n_out = self.n - w.size
+        self.perp, self.perp_lev = ((y - Q @ self.qty, 1.0 - np.sum(Q * Q, axis=1))
+                                    if self.n_out else (np.zeros(self.n), np.zeros(self.n)))
 
     @classmethod
     def full(cls, points, y, spec: KernelSpec, jitter: float = DEFAULT_JITTER,
              gram: np.ndarray | None = None) -> _Panel:
         """``gram`` is the unjittered ``kernels.gram`` of the points when the
         caller already has it."""
-        points, y = _data(points, y, jitter)
+        points, y = _data(points, y)
+        if jitter < 0:
+            raise ValueError("jitter must be nonnegative")
         K = kernels.gram(spec, kernels.sqdist(points)) if gram is None else gram
         if jitter:
             K = K + jitter * np.eye(y.shape[0])
@@ -146,9 +148,9 @@ class _Panel:
         return cls(y, w, Q, jitter, points, spec)
 
     @classmethod
-    def low_rank(cls, factor: np.ndarray, y: np.ndarray, jitter: float) -> _Panel:
+    def low_rank(cls, factor: np.ndarray, y: np.ndarray) -> _Panel:
         Q, s, _ = np.linalg.svd(factor.T, full_matrices=False)
-        return cls(y, s * s + jitter, Q, jitter)
+        return cls(y, s * s + DEFAULT_JITTER, Q, DEFAULT_JITTER)
 
     def _shift(self, lam) -> np.ndarray:
         """``w + n*lam`` for a scalar or, row by row, an ``(L, 1)`` column of
@@ -156,8 +158,8 @@ class _Panel:
         shifted = self.w + self.n * lam
         tol = self.n * np.finfo(float).eps * np.maximum(shifted.max(axis=-1), 1.0)
         # with r < n the least shifted eigenvalue is jitter + n*lam, as w >= jitter
-        low = (np.atleast_1d(shifted.min(axis=-1)) if self.perp is None
-               else np.ravel(self.jitter + self.n * lam))
+        low = (np.ravel(self.jitter + self.n * lam) if self.n_out
+               else np.atleast_1d(shifted.min(axis=-1)))
         singular = np.flatnonzero(low <= tol)
         if singular.size:
             raise FitError(
@@ -165,38 +167,30 @@ class _Panel:
                 f"eigenvalue {low[singular[0]]:.3e} (Gram eigenvalue {self.w.min():.3e})")
         return shifted
 
+    def _outside(self, lam: float) -> float:  # the smoother's eigenvalue outside Q
+        return self.jitter / (self.jitter + self.n * lam)
+
     def coeffs(self, lam: float) -> np.ndarray:
-        return self.Q @ (self.qty / self._shift(lam))
+        return self.Q @ (self.qty / self._shift(lam)) + self.perp / (self.jitter + self.n * lam)
 
     def fitted(self, lam: float) -> np.ndarray:
-        fit = self.Q @ (self.w * self.qty / self._shift(lam))
-        if self.perp is None:
-            return fit
-        return fit + (self.jitter / (self.jitter + self.n * lam)) * self.perp
+        return self.Q @ (self.w * self.qty / self._shift(lam)) + self._outside(lam) * self.perp
 
     def hat_trace(self, lam: float) -> float:
-        return float(np.sum(self.w / self._shift(lam)))
+        return float(np.sum(self.w / self._shift(lam)) + self.n_out * self._outside(lam))
 
     def hat_diag(self, lam: float) -> np.ndarray:
-        Q2 = self.Q * self.Q
-        diag = Q2 @ (self.w / self._shift(lam))
-        if self.perp is None:
-            return diag
-        return diag + (self.jitter / (self.jitter + self.n * lam)) * (1.0 - Q2.sum(axis=1))
+        diag = (self.Q * self.Q) @ (self.w / self._shift(lam))
+        return diag + self._outside(lam) * self.perp_lev
 
     def gcv_scores(self, grid: tuple[float, ...]) -> np.ndarray:
-        """GCV score of every lambda in ``grid``, one row per lambda."""
+        """GCV score of every lambda in ``grid``, one row per lambda; overflow scores +inf."""
         lams = np.asarray(grid)[:, None]
         shrink = self.n * lams / self._shift(lams)
-        rss = np.sum((shrink * self.qty) ** 2, axis=1)
-        trace = np.sum(shrink, axis=1)
-        if self.perp is not None:
-            rest = (self.n * lams / (self.jitter + self.n * lams))[:, 0]
-            rss = rss + rest ** 2 * (self.perp @ self.perp)
-            trace = trace + (self.n - self.w.size) * rest
-        m = trace / self.n
-        denom = m * m
-        with np.errstate(divide="ignore", invalid="ignore"):
+        rest = (self.n * lams / (self.jitter + self.n * lams))[:, 0]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            rss = np.sum((shrink * self.qty) ** 2, axis=1) + rest ** 2 * (self.perp @ self.perp)
+            denom = ((np.sum(shrink, axis=1) + self.n_out * rest) / self.n) ** 2
             return np.where(denom > 0.0, rss / self.n / denom, np.inf)
 
     def model(self, lam: float) -> KrrModel:
@@ -259,13 +253,14 @@ def _loo_score(panel, lam: float) -> float:
     """Mean squared leave-one-out residual at ``lam``.
 
     The closed form ``e_i / (1 - A_ii)`` avoids refits; a candidate with
-    any ``A_ii >= 1 - 1e-12`` scores +inf rather than raising.
+    any ``A_ii >= 1 - 1e-12`` or an overflowing mean scores +inf.
     """
     diag = panel.hat_diag(lam)
     if np.any(diag >= 1.0 - 1e-12):
         return np.inf
     resid = (panel.y - panel.fitted(lam)) / (1.0 - diag)
-    return float(np.mean(resid * resid))
+    with np.errstate(over="ignore"):
+        return float(np.mean(resid * resid))
 
 
 def _pivoted_cholesky(K: np.ndarray, tol: float, max_rank: int) -> np.ndarray | None:
@@ -317,7 +312,7 @@ def loo_cv_phi(points, y, config: KernelConfig) -> KrrModel:
     get a full panel.  The winner gets a full panel of its own after the
     sweep, from its Gram matrix, with lambda picked again by GCV.
     """
-    points, y = _data(points, y, DEFAULT_JITTER)
+    points, y = _data(points, y)
     d2 = kernels.sqdist(points)
     grid, n = config.lambda_grid, y.shape[0]
     low_rank, best_score, best = True, np.inf, None
@@ -328,7 +323,7 @@ def loo_cv_phi(points, y, config: KernelConfig) -> KrrModel:
         score, low_rank = np.inf, factor is not None
         if low_rank:
             with suppress(FitError):
-                score = _score(_Panel.low_rank(factor, y, DEFAULT_JITTER), grid)
+                score = _score(_Panel.low_rank(factor, y), grid)
         if not np.isfinite(score):
             score = _score(_Panel.full(points, y, spec, gram=K), grid)
         if score < best_score:

@@ -281,6 +281,32 @@ class TestCalibrateCommand:
         assert rows["OLS"].rstrip().endswith("ok")
         assert rows["KO"].endswith(",error: FitError: GP calibration needs at least 3 observations")
 
+    @pytest.mark.parametrize("scale,ols_status", [
+        (1e150, "ok"),
+        (10 ** 152.5, "error: FitError: OLS sandwich covariance is non-finite"),
+        (10 ** 153.5, "error: FitError: objective is non-finite on the whole coarse grid"),
+        (1e155, "error: FitError: objective is non-finite on the whole coarse grid")],
+        ids=["1e150", "1e152.5", "1e153.5", "1e155"])
+    def test_huge_responses_give_values_or_error_rows(self, tmp_path, scale, ols_status):
+        # finite responses whose squares overflow: first in KO's final
+        # profile, then in the sandwich, the leave-one-out mean and the GCV sweep
+        rng = np.random.default_rng(0)
+        x = np.sort(rng.uniform(0.0, 6.28, 40))
+        y = scale * (np.sin(x) + 0.1 * rng.standard_normal(40))
+        data = write_data_csv(tmp_path / "d.csv", x[:, None], y)
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["calibrate", "--data", str(data), "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["L2", "OLS", "KO"]
+        for meth, *cells, status in rows:
+            if status == "ok":
+                assert all(np.isfinite(float(c)) for c in cells if c), meth
+            else:
+                assert status.startswith("error: FitError: "), meth
+        assert rows[1][-1] == ols_status
+
     def test_standard_errors_emitted_for_smooth_model(self, tmp_path):
         system = testbed.make_system("example2", 0.01)
         data = write_data_csv(tmp_path / "d.csv", *testbed.generate(system, 3, 0))

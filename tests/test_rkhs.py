@@ -351,8 +351,8 @@ class TestVectorizedGcv:
         grid = rkhs.DEFAULT_LAMBDA_GRID
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.any(np.isfinite([scalar_gcv(panel, lam) for lam in grid]))
-            with pytest.raises(rkhs.FitError, match="all GCV scores are non-finite"):
-                rkhs._gcv_pick(panel, grid)
+        with pytest.raises(rkhs.FitError, match="all GCV scores are non-finite"):
+            rkhs._gcv_pick(panel, grid)
 
     def test_tie_goes_to_the_larger_lambda(self):
         # zero responses score 0 at every lambda
@@ -429,13 +429,16 @@ class TestLowRankSweep:
         pts, y = testbed.generate(
             testbed.make_system("example2", 0.1, "uniform_random", 201), 0, 0)
         K = gram(KernelSpec("gaussian", phi), sqdist(pts))
-        low = rkhs._Panel.low_rank(rkhs._pivoted_cholesky(K, rkhs.PIVOT_TOL, 201), y,
-                                   rkhs.DEFAULT_JITTER)
+        low = rkhs._Panel.low_rank(rkhs._pivoted_cholesky(K, rkhs.PIVOT_TOL, 201), y)
         full = rkhs._Panel.full(pts, y, KernelSpec("gaussian", phi), gram=K)
         grid = rkhs.DEFAULT_LAMBDA_GRID
         assert np.allclose(low.gcv_scores(grid), full.gcv_scores(grid), rtol=1e-6)
         lam = rkhs._gcv_pick(full, grid)[0]
         assert rkhs._loo_score(low, lam) == pytest.approx(rkhs._loo_score(full, lam), rel=1e-6)
+        # the complement's jitter directions carry the rest of the coefficients
+        for quantity in ("coeffs", "fitted", "hat_trace"):
+            got, want = getattr(low, quantity)(lam), getattr(full, quantity)(lam)
+            assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want)), quantity
 
     def test_exceptional_low_rank_scores_defer_to_the_full_panel(self):
         # every GCV score is 0/0 at lambda = 1e-300; the full panel raises
