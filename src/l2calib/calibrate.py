@@ -13,9 +13,12 @@
   from the same fitted surface.
 
 All three reduce one residual, data minus simulator, and are searched
-over the box by the same grid-plus-refinement minimizer.  A simulator is
-its batched ``eval`` alone: the sandwich takes its theta-derivatives by
-central differences of it.
+over the box by the same grid-plus-refinement minimizer.  Each takes the
+simulator's outputs on the minimizer's coarse grid (:func:`coarse_block`)
+as an optional ``block`` and reduces it as its objective would: the same
+estimate from fewer simulator rows.  A simulator is its batched ``eval``
+alone: the sandwich takes its theta-derivatives by central differences
+of it.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import numpy as np
 from . import rkhs
 # perfbench's tracer patches calibrate._scipy_minimize, which no estimator
 # calls; it imports scipy only when called
-from .numerics import (BoxDomain, FitError, OptimizerConfig, QuadratureRule, _scipy_minimize,
-                       as_points, design_rule, minimize)
+from .numerics import (SCAN_BLOCK_ROWS, BoxDomain, FitError, OptimizerConfig, QuadratureRule,
+                       _scipy_minimize, as_points, design_rule, minimize, tensor_grid)
 # cli fits every surface through calibrate.fit_response_surface
 from .rkhs import KrrModel, fit_response_surface
 
@@ -92,26 +95,58 @@ def _residual_objective(model: ComputerModel, points: np.ndarray, target: np.nda
     return lambda thetas: reduce(target - model.batch(points, thetas))
 
 
+def coarse_block(model: ComputerModel, points, opt: OptimizerConfig = OptimizerConfig()
+                 ) -> np.ndarray | None:
+    """``model.batch(points, tensor_grid(model.theta_domain, opt.grid_points))``,
+    the block an estimator's ``block`` argument takes, under the errstate of
+    the minimizer's evaluations: overflow gives non-finite outputs, not warnings.
+    None where the grid is more rows than one scan call (``SCAN_BLOCK_ROWS``),
+    so a block never holds more than the scan it replaces."""
+    if opt.grid_points ** model.q > SCAN_BLOCK_ROWS:
+        return None
+    grid = tensor_grid(model.theta_domain, opt.grid_points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return model.batch(points, grid)
+
+
+def _minimize_residual(model: ComputerModel, points: np.ndarray, target: np.ndarray,
+                       reduce: Callable, opt: OptimizerConfig, block: np.ndarray | None):
+    """:func:`minimize` of ``_residual_objective(model, points, target, reduce)``
+    over the model's box; a ``block`` at ``points`` gives the coarse values."""
+    coarse = None
+    if block is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # as minimize's evaluations
+            coarse = reduce(target - block)
+    return minimize(_residual_objective(model, points, target, reduce), model.theta_domain,
+                    opt, coarse=coarse)
+
+
+def _squares(weights: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Each row's weighted residual sum ``(diff * diff) @ weights``."""
+    return lambda diff: (diff * diff) @ weights
+
+
 def l2_objective(zeta_nodes: np.ndarray, model: ComputerModel,
                  rule: QuadratureRule) -> Callable[[np.ndarray], np.ndarray]:
     """Batched weighted residual sum ``sum_i w_i (zeta_i - y^s(x_i, theta))^2``
     over ``rule``, ``zeta`` given at ``rule.nodes``: ``(k, q)`` parameters to
     ``(k,)`` values.  A Gauss-Legendre rule gives the squared L2 distance over its
     box (raw ``dz``); unit weights at the design give the residual sum of squares."""
-    return _residual_objective(model, rule.nodes, zeta_nodes,
-                               lambda diff: (diff * diff) @ rule.weights)
+    return _residual_objective(model, rule.nodes, zeta_nodes, _squares(rule.weights))
 
 
 def l2_calibrate(surface: KrrModel, model: ComputerModel, rule: QuadratureRule,
-                 opt: OptimizerConfig = OptimizerConfig()) -> CalibrationEstimate:
+                 opt: OptimizerConfig = OptimizerConfig(),
+                 block: np.ndarray | None = None) -> CalibrationEstimate:
     """L2 calibration: project the fitted surface onto the simulator sweep.
 
     The reported objective value is the achieved L2 distance (square
     root of the minimized squared distance).  ``meta`` records the
-    surface's tuning parameters and flags boundary solutions.
+    surface's tuning parameters and flags boundary solutions.  ``block``
+    is the optional :func:`coarse_block` at ``rule.nodes``.
     """
-    objective = l2_objective(rkhs.predict(surface, rule.nodes), model, rule)
-    res = minimize(objective, model.theta_domain, opt)
+    res = _minimize_residual(model, rule.nodes, rkhs.predict(surface, rule.nodes),
+                             _squares(rule.weights), opt, block)
     return CalibrationEstimate(
         theta_hat=res.x, method="L2",
         objective_value=float(np.sqrt(max(res.fun, 0.0))),
@@ -120,11 +155,12 @@ def l2_calibrate(surface: KrrModel, model: ComputerModel, rule: QuadratureRule,
     )
 
 
-def ols_calibrate(points, y, model: ComputerModel,
-                  opt: OptimizerConfig = OptimizerConfig()) -> CalibrationEstimate:
-    """Least-squares calibration; the objective value is the minimized RSS."""
+def ols_calibrate(points, y, model: ComputerModel, opt: OptimizerConfig = OptimizerConfig(),
+                  block: np.ndarray | None = None) -> CalibrationEstimate:
+    """Least-squares calibration; the objective value is the minimized RSS.
+    ``block`` is the optional :func:`coarse_block` at ``points``."""
     pts, yv = rkhs._data(points, y)
-    res = minimize(l2_objective(yv, model, design_rule(pts)), model.theta_domain, opt)
+    res = _minimize_residual(model, pts, yv, _squares(design_rule(pts).weights), opt, block)
     return CalibrationEstimate(
         theta_hat=res.x, method="OLS", objective_value=res.fun,
         meta={"iterations": res.iterations, "boundary": res.on_boundary},
@@ -149,8 +185,7 @@ class _ProfiledGpLikelihood:
         if self.rho.min() <= 0:
             raise FitError("GP correlation matrix is not positive definite "
                            f"after jitter (smallest eigenvalue {self.rho.min():.3e})")
-        self.residual_sq = _residual_objective(  # s^2 for each theta, shape (k, n)
-            model, surface.design, surface.y, lambda r: (r @ self.Q) ** 2)
+        self.model, self.design, self.y = model, surface.design, surface.y
         self.u_bounds = np.log(ETA_BOUNDS)
         self.u_grid = np.linspace(*self.u_bounds, ETA_GRID_POINTS)
         d_grid = self.rho + np.exp(self.u_grid)[:, None]
@@ -180,12 +215,16 @@ class _ProfiledGpLikelihood:
         return f, f1, f2, tau2
 
     def profile(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(f, u, tau2)`` at the profiled ``u`` of each row of the ``(k, q)``
-        ``thetas``.  Newton steps are clipped to +-1 and to the bounds and kept
-        only where they lower ``f``; where ``f'' <= 0`` the step is 1 downhill.
-        The loop ends early once a step moves no row, since from the same
-        ``u`` every later step would be the same."""
-        s2 = self.residual_sq(thetas)
+        """``(f, u, tau2)`` for each row of the ``(k, q)`` ``thetas``."""
+        return self.profile_residuals(self.y - self.model.batch(self.design, thetas))
+
+    def profile_residuals(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(f, u, tau2)`` at the profiled ``u`` of each row of the ``(k, n)``
+        residuals ``r``.  Newton steps are clipped to +-1 and to the bounds and
+        kept only where they lower ``f``; where ``f'' <= 0`` the step is 1
+        downhill.  The loop ends early once a step moves no row, since from
+        the same ``u`` every later step would be the same."""
+        s2 = (r @ self.Q) ** 2
         grid_f = self._f(s2 @ self.inv_d_grid.T, self.logdet_grid)[0]
         u = self.u_grid[np.argmin(grid_f, axis=1)]
         parts = self._newton_parts(s2, u)
@@ -203,7 +242,8 @@ class _ProfiledGpLikelihood:
 
 
 def ko_calibrate(surface: KrrModel, model: ComputerModel,
-                 opt: OptimizerConfig = OptimizerConfig()) -> CalibrationEstimate:
+                 opt: OptimizerConfig = OptimizerConfig(),
+                 block: np.ndarray | None = None) -> CalibrationEstimate:
     """Gaussian-process calibration by profiled maximum likelihood.
 
     The data, the kernel (its phi picked by leave-one-out) and the
@@ -212,11 +252,13 @@ def ko_calibrate(surface: KrrModel, model: ComputerModel,
     are profiled out at each theta, and the profiled likelihood is
     minimized over the box by :func:`minimize`, as L2 and OLS are.  The
     objective value is the concentrated negative log likelihood at theta.
+    ``block`` is the optional :func:`coarse_block` at ``surface.design``.
     """
     if surface.n < 3:
         raise FitError("GP calibration needs at least 3 observations")
     nll = _ProfiledGpLikelihood(surface, model)
-    res = minimize(lambda thetas: nll.profile(thetas)[0], model.theta_domain, opt)
+    res = _minimize_residual(model, surface.design, surface.y,
+                             lambda r: nll.profile_residuals(r)[0], opt, block)
     with np.errstate(over="ignore", invalid="ignore"):  # as minimize's evaluations
         _, u, tau2 = nll.profile(res.x[None])
     eta, tau2 = float(np.exp(u[0])), float(tau2[0])

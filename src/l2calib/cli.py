@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibrate, inference, numerics, testbed
-from .calibrate import (CalibrationEstimate, ComputerModel, ko_calibrate,
+from .calibrate import (CalibrationEstimate, ComputerModel, coarse_block, ko_calibrate,
                         l2_calibrate, ols_calibrate)
 from .numerics import (MAX_QUADRATURE_NODES, BoxDomain, FitError, OptimizerConfig,
                        QuadratureRule, gauss_legendre, scan)
@@ -317,26 +317,46 @@ class SimulationReport:
                      for r in self.rows])
 
 
-# A rule takes 6-10 ms to build, 10-20% of a one-replication run: share it.
+# Rules and L2 node blocks are shared by every run of the process, keyed by the
+# config values that determine them.  A rule takes 6-10 ms to build, 10-20% of
+# a one-replication run; a node block is the coarse scan of every L2 fit.
 @lru_cache(maxsize=4)
 def _cached_rule(m: int) -> QuadratureRule:
     return gauss_legendre(testbed.OMEGA, m)
 
 
+@lru_cache(maxsize=4)
+def _cached_node_block(example: str, theta_domain: tuple[float, float], grid_points: int,
+                       quadrature_m: int) -> np.ndarray | None:
+    """The L2 estimator's coarse block at the rule's nodes, read-only as it is shared."""
+    box = BoxDomain(theta_domain[:1], theta_domain[1:])
+    block = coarse_block(testbed.EXAMPLES[example][0](box), _cached_rule(quadrature_m).nodes,
+                         OptimizerConfig(grid_points=grid_points))
+    if block is not None:
+        block.flags.writeable = False
+    return block
+
+
 @dataclass(frozen=True)
 class _Plan:
     """What a run builds once and each replication reads: the config, the
-    computer model, the quadrature rule and one system per noise variance."""
+    computer model, the quadrature rule, one system per noise variance and,
+    when L2 runs, the L2 estimator's coarse block at the rule's nodes."""
     config: RunConfig
     model: ComputerModel
     rule: QuadratureRule
     systems: tuple[SyntheticSystem, ...]
+    node_block: np.ndarray | None
 
     @classmethod
     def of(cls, config: RunConfig) -> _Plan:
         systems = tuple(config.system(sigma2) for sigma2 in config.sigma2)
+        node_block = None
+        if "L2" in config.methods:
+            node_block = _cached_node_block(config.example, config.theta_domain,
+                                            config.optimizer.grid_points, config.quadrature_m)
         return cls(config, systems[0].computer_model, _cached_rule(config.quadrature_m),
-                   systems)
+                   systems, node_block)
 
 
 # The numerical failures a method reports in its row; anything else propagates.
@@ -362,8 +382,9 @@ def _run_methods(plan: _Plan, pts: np.ndarray, y: np.ndarray, sandwich: bool = F
     Returns ``method -> MethodRun``.  The one fitted surface goes to L2, KO
     and, with ``sandwich``, the L2/OLS standard errors, so a method's
     seconds exclude the tuning.  If that tuning fails, L2 and KO report its
-    error and OLS runs without standard errors.  No method draws random
-    numbers.
+    error and OLS runs without standard errors.  L2 takes the plan's node
+    block, and OLS and KO share one coarse block at the design, built
+    before either is timed.  No method draws random numbers.
     """
     config, model = plan.config, plan.model
     with_se = sandwich and model.smooth_in_theta
@@ -375,6 +396,9 @@ def _run_methods(plan: _Plan, pts: np.ndarray, y: np.ndarray, sandwich: bool = F
         except NUMERICAL_ERRORS as e:
             fit_error = f"{type(e).__name__}: {e}"
             _log(log, f"[calibrate] shared surface fit failed: {e}")
+    design_block = None
+    if {"OLS", "KO"} & set(config.methods):
+        design_block = coarse_block(model, pts, config.optimizer)
     out: dict[str, MethodRun] = {}
     for meth in config.methods:
         if meth != "OLS" and zeta_hat is None:
@@ -383,11 +407,12 @@ def _run_methods(plan: _Plan, pts: np.ndarray, y: np.ndarray, sandwich: bool = F
         t0 = time.perf_counter()
         try:
             if meth == "L2":
-                est = l2_calibrate(zeta_hat, model, plan.rule, config.optimizer)
+                est = l2_calibrate(zeta_hat, model, plan.rule, config.optimizer,
+                                   block=plan.node_block)
             elif meth == "OLS":
-                est = ols_calibrate(pts, y, model, config.optimizer)
+                est = ols_calibrate(pts, y, model, config.optimizer, block=design_block)
             else:
-                est = ko_calibrate(zeta_hat, model, config.optimizer)
+                est = ko_calibrate(zeta_hat, model, config.optimizer, block=design_block)
             if with_se and meth != "KO" and zeta_hat is not None:
                 sand = inference.estimate_sandwich(zeta_hat, model, est.theta_hat)
                 cov = sand.cov_l2 if meth == "L2" else sand.cov_ols
@@ -414,8 +439,9 @@ def simulate(config: RunConfig, workers: int = 1,
     report is independent of the worker count.  Every (sigma2, r) task
     goes to one worker pool of at most one worker per task and per CPU
     this process may use; results are gathered in task order before
-    aggregation.  The model, the quadrature rule and the systems are
-    built once, in the parent, and the plan goes with each chunk of tasks.
+    aggregation.  The model, the quadrature rule, the systems and the L2
+    node block are built once, in the parent, and the plan goes with each
+    chunk of tasks.
     The parent runs under ``one_blas_thread``, and the pool initializer
     applies the same cap in each worker, whatever the start method.
     The first ``log`` line gives the worker count, the BLAS thread
@@ -646,7 +672,10 @@ class _Parser(argparse.ArgumentParser):
         raise CliConfigError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: building it takes
+    over 10 times as long as parsing a command line."""
     p = _Parser(prog="l2calib",
                 description="Calibration toolkit for imperfect computer models")
     sub = p.add_subparsers(dest="command", required=True)
@@ -672,7 +701,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         with one_blas_thread():
             config = load_config(args.config) if args.config else RunConfig()
             out = args.out or ("discrepancy.csv" if args.command == "discrepancy"

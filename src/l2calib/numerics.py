@@ -5,8 +5,8 @@ Gauss-Legendre rules over rectangular domains, the unit-weight rule at
 a design, a deterministic grid-scan-plus-refinement minimizer, and
 central-difference derivatives from one batched stencil.  One-parameter
 refinement zooms in on the best grid cell by batched rounds through
-:func:`scan`, so an objective sees a few large batches rather than many
-single rows.
+:func:`scan` and ends with one safeguarded parabolic step, so an
+objective sees a few large batches rather than many single rows.
 
 Objectives passed to :func:`scan` and :func:`minimize` are batched: they
 take a ``(k, q)`` array of parameter vectors and return ``(k,)`` values.
@@ -34,6 +34,11 @@ SCAN_BLOCK_ROWS = 401
 # Interior points of the bracket one one-parameter zoom round scans.  Odd,
 # so the middle point is the previous best; the bracket shrinks 8x a round.
 REFINE_POINTS = 15
+# Bracket width at which one-parameter zoom rounds hand over to one
+# parabolic step (three rounds from the default grid's bracket on [-2, 2]),
+# and the relative curvature error the probes beside its vertex may show.
+PARABOLA_BRACKET = 1e-4
+PARABOLA_AGREEMENT = 0.1
 
 
 class FitError(ValueError):
@@ -201,21 +206,27 @@ def scan(objective: Objective, thetas: np.ndarray) -> np.ndarray:
 
 
 def minimize(objective: Objective, box: BoxDomain,
-             config: OptimizerConfig = OptimizerConfig()) -> MinimizeResult:
+             config: OptimizerConfig = OptimizerConfig(),
+             coarse: np.ndarray | None = None) -> MinimizeResult:
     """Minimize a batched objective over a box: grid scan, then local refinement.
 
     ``objective`` maps a ``(k, q)`` array of parameter vectors to ``(k,)``
     values.  The coarse :func:`scan` evaluates a full tensor grid
     (``grid_points`` per dimension, endpoints included), and refinement
-    starts from the best grid point.
+    starts from the best grid point.  A caller holding the objective's
+    values on that grid passes them as ``coarse`` and the scan is skipped;
+    they go through the scan's rules, so the result is the same bit for bit.
 
     * One parameter: zoom rounds on a bracket that starts as the best grid
       point's two neighbours.  Each round scans ``REFINE_POINTS`` equally
       spaced interior points of the bracket as one batch and narrows it
-      to the best point's two neighbours, until the bracket is at most
-      ``tolerance`` wide or after ``max_iterations`` rounds.  The result
-      is the best point of the last round (or the grid best, if no round
-      beat it), and ``iterations`` counts rounds.
+      to the best point's two neighbours.  Once the bracket is at most
+      ``PARABOLA_BRACKET`` wide, one :func:`_parabola_step` call tries the
+      vertex of the parabola through the best point and the bracket ends;
+      where the step is not confirmed, rounds go on until the bracket is at
+      most ``tolerance`` wide.  At most ``max_iterations`` calls follow the
+      scan, and ``iterations`` counts them.  The result is the vertex or
+      the best point of the last round, or the grid best if neither beat it.
     * Two or more: Nelder-Mead clamped to the box, one ``(1, q)`` batch
       per evaluation, at most ``10 q max_iterations`` iterations.
 
@@ -223,21 +234,30 @@ def minimize(objective: Objective, box: BoxDomain,
     """
     q = box.dim
     pts = tensor_grid(box, config.grid_points)
-    vals = scan(objective, pts)
+    vals = scan(objective, pts) if coarse is None else _evaluate(lambda _: coarse, pts)
     if not np.any(np.isfinite(vals)):
         raise FitError("objective is non-finite on the whole coarse grid")
     best = int(np.argmin(vals))
 
     if q == 1:
         ax = pts[:, 0]
-        lo, hi = ax[max(best - 1, 0)], ax[min(best + 1, len(ax) - 1)]
-        xs, fs, it = None, np.inf, 0
-        while hi - lo > config.tolerance and it < config.max_iterations:
-            ts = np.linspace(lo, hi, REFINE_POINTS + 2)
-            rvals = scan(objective, ts[1:-1, None])
-            i = int(np.argmin(rvals)) + 1
-            lo, hi, it = ts[i - 1], ts[i + 1], it + 1
-            xs, fs = ts[i:i + 1], float(rvals[i - 1])
+        i, j = max(best - 1, 0), min(best + 1, len(ax) - 1)
+        # the bracket, its best point, and their values
+        ts, fts = (ax[i], ax[best], ax[j]), (vals[i], vals[best], vals[j])
+        xs, fs, it, tried = None, np.inf, 0, False
+        while ts[2] - ts[0] > config.tolerance and it < config.max_iterations:
+            it += 1
+            if ts[2] - ts[0] <= PARABOLA_BRACKET and not tried:
+                tried, step = True, _parabola_step(objective, ts, fts, config.tolerance)
+                if step is not None:
+                    xs, fs = np.array(step[:1]), step[1]
+                    break
+                continue
+            grid = np.linspace(ts[0], ts[2], REFINE_POINTS + 2)
+            fgrid = np.concatenate([fts[:1], scan(objective, grid[1:-1, None]), fts[2:]])
+            k = int(np.argmin(fgrid[1:-1])) + 1
+            ts, fts = tuple(grid[k - 1:k + 2]), tuple(fgrid[k - 1:k + 2])
+            xs, fs = grid[k:k + 1], float(fgrid[k])
     else:
         x0 = pts[best]
         def clamped(t):
@@ -252,6 +272,41 @@ def minimize(objective: Objective, box: BoxDomain,
 
     return MinimizeResult(x=np.asarray(xs, dtype=float), fun=float(fs),
                           iterations=it, on_boundary=box.on_boundary(xs))
+
+
+def _parabola_step(objective: Objective, ts: tuple, fs: tuple,
+                   tolerance: float) -> tuple[float, float] | None:
+    """``(v, f(v))`` for the vertex ``v`` of the parabola through the points
+    ``ts = (lo, mid, hi)`` with values ``fs``, or None where it is not
+    confirmed.
+
+    The step needs ``lo < mid < hi``, ``mid`` the lowest of the three and a
+    finite positive curvature ``c``, so that ``v`` lies in the middle half
+    of the bracket.  One call evaluates ``v`` and probes ``v +- s``,
+    ``s = (hi - lo)/16``.  It is confirmed when the three values are finite,
+    the probes' second difference is within ``PARABOLA_AGREEMENT * c`` of
+    ``c``, and the vertex of the parabola through the probes is within
+    ``tolerance`` of ``v``.  A non-finite or lower bracket end, a flat
+    bracket, a cusp or a kink fails one of these: a safeguarded parabolic
+    step, as in Brent, *Algorithms for Minimization without Derivatives*
+    (1973), ch. 5.
+    """
+    (lo, mid, hi), (f_lo, f_mid, f_hi) = ts, fs
+    if not (lo < mid < hi and f_mid <= min(f_lo, f_hi)):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails a check below
+        slope_lo, slope_hi = (f_mid - f_lo) / (mid - lo), (f_hi - f_mid) / (hi - mid)
+        c = 2.0 * (slope_hi - slope_lo) / (hi - lo)
+        if not 0.0 < c < np.inf:  # a flat bracket, or a non-finite end
+            return None
+        v = 0.5 * (lo + mid) - slope_lo / c
+        s = (hi - lo) / 16.0
+        f_minus, f_v, f_plus = _evaluate(objective, np.array([[v - s], [v], [v + s]]))
+        c_v = (f_minus - 2.0 * f_v + f_plus) / s ** 2
+        confirmed = (np.isfinite(f_minus + f_v + f_plus)
+                     and abs(c_v - c) <= PARABOLA_AGREEMENT * c
+                     and abs(f_plus - f_minus) <= 2.0 * s * c_v * tolerance)
+    return (float(v), float(f_v)) if confirmed else None
 
 
 def fd_step(x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from l2calib import cli, kernels, rkhs, testbed
-from l2calib.calibrate import (ETA_BOUNDS, ComputerModel, _ProfiledGpLikelihood,
+from l2calib.calibrate import (ETA_BOUNDS, ComputerModel, _ProfiledGpLikelihood, coarse_block,
                                ko_calibrate, l2_calibrate, l2_objective, ols_calibrate)
 from l2calib.numerics import (BoxDomain, OptimizerConfig, design_rule, fd_derivatives,
                               gauss_legendre, minimize, scan, tensor_grid)
@@ -429,3 +429,49 @@ class TestBatchedObjectives:
         est = ols_calibrate(pts, y, model, opt)
         assert np.array_equal(est.theta_hat, res.x)
         assert est.objective_value == res.fun
+
+
+class TestCoarseBlock:
+    """An estimator given the simulator's block on the minimizer's coarse grid
+    gives the estimate it gives without it, bit for bit, from that many
+    fewer simulator rows."""
+
+    @pytest.mark.parametrize("method", ["L2", "OLS", "KO"])
+    @pytest.mark.parametrize("example", ["example1", "example2"])
+    def test_same_estimate_from_fewer_rows(self, method, example):
+        system = testbed.make_system(example, 0.1, "uniform_random", 60)
+        pts, y = testbed.generate(system, 33, 0)
+        rows = []
+
+        def counted_eval(p, ths):
+            rows.append(len(ths))
+            return system.computer_model.eval(p, ths)
+        model = replace(system.computer_model, eval=counted_eval)
+        surface = fit_response_surface(pts, y, KernelConfig())
+        points, run = {
+            "L2": (RULE.nodes, lambda **kw: l2_calibrate(surface, model, RULE, OPT, **kw)),
+            "OLS": (pts, lambda **kw: ols_calibrate(pts, y, model, OPT, **kw)),
+            "KO": (surface.design, lambda **kw: ko_calibrate(surface, model, OPT, **kw)),
+        }[method]
+        without = run()
+        rows_without = sum(rows)
+        block = coarse_block(model, points, OPT)
+        rows.clear()
+        given = run(block=block)
+        assert np.array_equal(given.theta_hat, without.theta_hat)
+        assert given.objective_value == without.objective_value
+        assert given.meta == without.meta
+        assert sum(rows) == rows_without - OPT.grid_points
+
+    def test_no_block_past_one_scan_call(self):
+        # at q = 2 the default grid has 160,801 rows
+        model = ComputerModel(eval=lambda p, ths: ths[:, :1] * p[:, 0] + ths[:, 1:],
+                              theta_domain=BoxDomain((-1.0, -1.0), (1.0, 1.0)))
+        assert coarse_block(model, np.zeros((3, 1))) is None
+        assert coarse_block(model, np.zeros((3, 1)), OptimizerConfig(grid_points=20)).shape == (400, 3)
+
+    def test_overflow_is_a_value_not_a_warning(self):
+        system, pts, _ = noisy_example2()
+        model = replace(system.computer_model, theta_domain=BoxDomain((-1e300,), (1e300,)))
+        block = coarse_block(model, pts)  # warnings are errors in this suite
+        assert not np.all(np.isfinite(block))

@@ -15,7 +15,7 @@ from l2calib import calibrate, cli, kernels, rkhs, testbed
 from l2calib.calibrate import fit_response_surface
 from l2calib.cli import (CliConfigError, RunConfig, check_report, cmd_calibrate,
                          load_config, main, read_data_csv, simulate)
-from l2calib.numerics import MAX_QUADRATURE_NODES
+from l2calib.numerics import MAX_QUADRATURE_NODES, SCAN_BLOCK_ROWS, OptimizerConfig
 
 
 BUNDLED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
@@ -847,7 +847,77 @@ class TestConfigErrors:
         assert lines == ["error: config must be a JSON object"]
 
 
+class TestCoarseBlocks:
+    """The L2 estimator's coarse block at the quadrature nodes is built once
+    per process and config; OLS and KO share one coarse block at the design
+    of each dataset.  The estimates are the same bits as without them."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        cli._cached_node_block.cache_clear()
+        yield
+        cli._cached_node_block.cache_clear()
+
+    @staticmethod
+    def simulator_shapes(monkeypatch, example="example2"):
+        """The output shape of each simulator call from now on."""
+        shapes, fn = [], getattr(testbed, f"ys_{example}")
+
+        def wrapper(x, theta):
+            out = fn(x, theta)
+            shapes.append(out.shape)
+            return out
+        monkeypatch.setattr(testbed, f"ys_{example}", wrapper)
+        return shapes
+
+    def test_one_node_block_per_process_and_config(self, monkeypatch):
+        shapes = self.simulator_shapes(monkeypatch)
+        cfg = RunConfig(methods=("L2",), sigma2=(0.01, 0.1), replications=3, quadrature_m=64)
+        simulate(cfg, log=None)
+        simulate(cfg, log=None)
+        assert [s for s in shapes if s[0] == 401] == [(401, 64)]
+        simulate(replace(cfg, quadrature_m=32), log=None)
+        assert [s for s in shapes if s[0] == 401] == [(401, 64), (401, 32)]
+
+    def test_ols_and_ko_share_one_design_block_per_dataset(self, monkeypatch):
+        shapes = self.simulator_shapes(monkeypatch)
+        cfg = RunConfig(methods=("OLS", "KO"), sigma2=(0.1,), replications=3, quadrature_m=64)
+        simulate(cfg, log=None)
+        assert [s for s in shapes if s[0] == 401] == [(401, testbed.FIXED_GRID_N)] * 3
+
+    def test_no_block_past_one_scan_call(self, monkeypatch):
+        # a block holds no more rows than the scan call it replaces
+        shapes = self.simulator_shapes(monkeypatch)
+        cfg = RunConfig(sigma2=(0.1,), replications=1, quadrature_m=64,
+                        optimizer=OptimizerConfig(grid_points=SCAN_BLOCK_ROWS + 2))
+        simulate(cfg, log=None)
+        assert max(s[0] for s in shapes) == SCAN_BLOCK_ROWS
+
+    @pytest.mark.parametrize("example", ["example1", "example2"])
+    def test_calibrate_csv_is_the_same_without_blocks(self, tmp_path, monkeypatch, example):
+        system = testbed.make_system(example, 0.1, "uniform_random", 60)
+        data = write_data_csv(tmp_path / "d.csv", *testbed.generate(system, 3, 0))
+        cfg = write_config(tmp_path / "c.json", example=example, methods=["L2", "OLS", "KO"])
+        shapes = self.simulator_shapes(monkeypatch, example)
+        outs = []
+        for blocks in (True, False):
+            if not blocks:
+                monkeypatch.setattr(cli, "coarse_block", lambda *args: None)
+                cli._cached_node_block.cache_clear()
+            outs.append(tmp_path / f"blocks-{blocks}.csv")
+            assert main(["calibrate", "--config", str(cfg), "--data", str(data),
+                         "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        # the grid's rows: two blocks, then one scan per method
+        assert [s[0] for s in shapes].count(201) == 2 + 3
+
+
 class TestExitCodes:
+    def test_the_parser_is_built_once_and_keeps_no_state(self, tmp_path):
+        assert cli._parser() is cli._parser()
+        assert main(["simulate", "--workers", "two"]) == 1
+        assert main(["discrepancy", "--steps", "11", "--out", str(tmp_path / "d.csv")]) == 0
+
     @pytest.mark.parametrize("argv,prefix", [
         (["discrepancy", "--seed", "3"], "error: l2calib"),
         (["calibrate", "--seed", "3", "--data", "d.csv"], "error: l2calib"),

@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from l2calib import rkhs, testbed
 from l2calib.calibrate import ComputerModel, _ProfiledGpLikelihood, ko_calibrate, l2_objective
-from l2calib.numerics import (MAX_GRID_POINTS, MAX_QUADRATURE_NODES, REFINE_POINTS,
-                              SCAN_BLOCK_ROWS, BoxDomain, OptimizerConfig, fd_derivatives,
-                              fd_step, gauss_legendre, minimize, scan, tensor_grid)
+from l2calib.numerics import (MAX_GRID_POINTS, MAX_QUADRATURE_NODES, PARABOLA_BRACKET,
+                              REFINE_POINTS, SCAN_BLOCK_ROWS, BoxDomain, OptimizerConfig,
+                              fd_derivatives, fd_step, gauss_legendre, minimize, scan,
+                              tensor_grid)
 from l2calib.rkhs import KernelConfig, fit_response_surface
 
 UNIT = BoxDomain((0.0,), (1.0,))
@@ -202,6 +203,8 @@ class TestMinimize:
         assert res.on_boundary
 
     def test_q1_grid_is_one_objective_call(self):
+        # the grid, zoom rounds of REFINE_POINTS rows, and one parabolic
+        # step: its vertex and two probes
         calls = []
 
         def f(t):
@@ -209,8 +212,9 @@ class TestMinimize:
             return (t[:, 0] - 0.3) ** 2
         res = minimize(f, THETA_BOX)
         assert calls[0] == (401, 1)
-        assert calls[1:] == [(REFINE_POINTS, 1)] * (len(calls) - 1)
-        assert len(calls) <= 10
+        assert calls[1:-1] == [(REFINE_POINTS, 1)] * (len(calls) - 2)
+        assert calls[-1] == (3, 1)
+        assert len(calls) <= 6
         assert res.iterations == len(calls) - 1
 
     def test_non_finite_rows_are_skipped(self):
@@ -259,30 +263,163 @@ class TestMinimize:
         assert res.x[0] == grid[best, 0] and res.fun == f(grid)[best]
 
 
+def counted(f):
+    """``f`` and the list of the row counts of its calls."""
+    rows = []
+
+    def wrapper(t):
+        rows.append(len(t))
+        return f(t)
+    return wrapper, rows
+
+
+class TestPrecomputedCoarseValues:
+    """``minimize(..., coarse=values)`` skips the scan and is otherwise the
+    same call: the values go through the scan's rules."""
+
+    @pytest.mark.parametrize("objective,box,config", [
+        (closed_form_discrepancy, THETA_BOX, OptimizerConfig()),
+        (lambda t: np.where(t[:, 0] < 0.05, np.nan, (t[:, 0] - 0.7) ** 2), UNIT,
+         OptimizerConfig(grid_points=11)),
+        (lambda t: np.cos(5.0 * t[:, 0]), BoxDomain((0.0,), (2.0,)), OptimizerConfig(tolerance=1e-3)),
+        (lambda t: (t[:, 0] - 0.4) ** 2 + 2.0 * (t[:, 1] + 0.7) ** 2,
+         BoxDomain((-2.0, -2.0), (2.0, 2.0)), OptimizerConfig(grid_points=21, tolerance=1e-10)),
+    ], ids=["closed_form", "nan_rows", "cos5t", "q2"])
+    def test_same_result_bit_for_bit(self, objective, box, config):
+        want = minimize(objective, box, config)
+        f, rows = counted(objective)
+        with np.errstate(invalid="ignore"):
+            coarse = objective(tensor_grid(box, config.grid_points))
+        got = minimize(f, box, config, coarse=coarse)
+        assert np.array_equal(got.x, want.x)
+        assert got.fun == want.fun and got.iterations == want.iterations
+        assert got.on_boundary == want.on_boundary
+        assert config.grid_points ** box.dim not in rows  # no scan
+
+    @pytest.mark.parametrize("coarse", [np.zeros(400), np.zeros((401, 1)), np.float64(0.0)],
+                             ids=["short", "column", "scalar"])
+    def test_wrong_shape_is_a_value_error(self, coarse):
+        with pytest.raises(ValueError, match="objective returned shape .* for 401 parameter"):
+            minimize(lambda t: t[:, 0] ** 2, THETA_BOX, coarse=coarse)
+
+    def test_all_non_finite_values_raise(self):
+        with pytest.raises(ValueError, match="non-finite on the whole coarse grid"):
+            minimize(lambda t: t[:, 0] ** 2, THETA_BOX, coarse=np.full(401, np.inf))
+
+
+class TestParabolicStep:
+    """One-parameter zoom rounds end, once the bracket is at most
+    ``PARABOLA_BRACKET`` wide, with one call at the vertex of the parabola
+    through the best point and the bracket ends; where the probes beside
+    the vertex do not confirm it, rounds go on down to ``tolerance``."""
+
+    @pytest.mark.parametrize("c", [-0.123456789, 0.30371, 1.0000123])
+    @pytest.mark.parametrize("right", [1.0, 2.0], ids=["symmetric", "asymmetric"])
+    def test_off_grid_kinks_fall_back_to_rounds(self, c, right):
+        # max(x - c, -2 (x - c)) is the asymmetric V; no parabola fits a V,
+        # so rounds narrow the bracket to the tolerance
+        f, rows = counted(lambda t: np.maximum(t[:, 0] - c, -right * (t[:, 0] - c)))
+        cfg = OptimizerConfig()
+        res = minimize(f, THETA_BOX, cfg)
+        assert abs(res.x[0] - c) <= cfg.tolerance
+        assert rows.count(3) == 1 and len(rows) > 6
+
+    def test_kink_beside_the_vertex_falls_back(self):
+        # the minimum is the kink at c; it bends the parabola through the
+        # bracket, while the probes beside the vertex see one smooth piece,
+        # with the curvature of the parabola but not its minimizer
+        c = 0.91501
+        f = lambda t: (t[:, 0] - c + 3e-6) ** 2 + 1e-5 * np.abs(t[:, 0] - c)
+        res = minimize(f, THETA_BOX)
+        assert abs(res.x[0] - c) <= OptimizerConfig().tolerance
+
+    def test_cusp_falls_back(self):
+        # the probes of this cusp place the vertex, but their curvature is not the parabola's
+        c = 0.7634507528931951
+        f = lambda t: np.sqrt(np.abs(np.maximum(1.5 * (t[:, 0] - c), -(t[:, 0] - c))))
+        res = minimize(f, THETA_BOX)
+        assert abs(res.x[0] - c) <= OptimizerConfig().tolerance
+
+    def test_no_vertex_call_beside_a_non_finite_end(self):
+        # the zoom's upper bracket ends past 0.35 are NaN, ranked +inf
+        f, rows = counted(lambda t: np.where(t[:, 0] > 0.35, np.nan, (t[:, 0] - 0.4) ** 2))
+        res = minimize(f, UNIT, OptimizerConfig(grid_points=11))
+        assert 3 not in rows
+        assert res.x[0] == pytest.approx(0.35, abs=1e-9)
+
+    def test_minimum_past_the_box_edge_stays_in_the_box(self):
+        # the best point of each round is its first, and the bracket end
+        # below it, the box edge, is lower: no parabola is fitted there
+        seen = []
+
+        def f(t):
+            seen.append(t[:, 0].copy())
+            return (t[:, 0] + 2.0005) ** 2
+        res = minimize(f, THETA_BOX)
+        assert min(x.min() for x in seen) >= THETA_BOX.lower[0]
+        assert 3 not in [len(x) for x in seen]
+        assert res.x[0] == THETA_BOX.lower[0] and res.on_boundary
+
+    def test_grid_best_on_the_edge_of_a_narrow_box(self):
+        # the grid's bracket is narrow enough for the parabola at once, but
+        # its best point is its lower end, where no parabola is fitted
+        f, rows = counted(lambda t: (t[:, 0] + 1.0) ** 2)
+        res = minimize(f, BoxDomain((0.0,), (0.01,)))
+        assert 3 not in rows
+        assert res.x[0] == 0.0 and res.on_boundary
+
+    def test_values_near_the_largest_float_give_no_warning(self):
+        # the bracket ends and the best point differ by more than the
+        # largest float: the step's arithmetic overflows and it falls back
+        c = 0.30371
+        f = lambda t: 1.797e308 * (np.minimum(((t[:, 0] - c) / 1e-6) ** 2,
+                                              1.0 + 100.0 * np.abs(t[:, 0] - c)) - 1.0)
+        res = minimize(f, THETA_BOX)  # warnings are errors in this suite
+        assert abs(res.x[0] - c) <= OptimizerConfig().tolerance
+
+    def test_no_vertex_call_when_the_tolerance_is_coarser(self):
+        f, rows = counted(lambda t: (t[:, 0] - 0.3) ** 2)
+        res = minimize(f, THETA_BOX, OptimizerConfig(tolerance=PARABOLA_BRACKET))
+        assert rows[1:] == [REFINE_POINTS] * (len(rows) - 1)
+        assert abs(res.x[0] - 0.3) <= PARABOLA_BRACKET
+
+    def test_iteration_cap_counts_the_vertex_call(self):
+        f, rows = counted(lambda t: np.maximum(t[:, 0] - 0.30371, -(t[:, 0] - 0.30371)))
+        res = minimize(f, THETA_BOX, OptimizerConfig(max_iterations=5))
+        assert len(rows) == 6 and res.iterations == 5
+
+
 def _assert_zoom_matches_golden(objective, box, config=OptimizerConfig()):
-    res = minimize(objective, box, config)
+    """Checks ``minimize`` against the oracle; returns its objective calls."""
+    f, rows = counted(objective)
+    res = minimize(f, box, config)
     x, fx = golden_minimize(objective, box, config)
     assert res.fun <= fx + 1e-12 * max(1.0, abs(fx))
     assert abs(res.x[0] - x) <= 1e-7
+    return len(rows)
 
 
 class TestZoomMatchesGoldenSection:
-    """One-parameter zoom rounds against golden-section from the same grid
-    bracket: never a higher value beyond rounding, the same minimizer."""
+    """One-parameter zoom rounds and the parabolic step against
+    golden-section from the same grid bracket: never a higher value beyond
+    rounding, the same minimizer; a smooth objective takes at most 6 calls."""
 
     @pytest.mark.parametrize("objective,box", [
         (closed_form_discrepancy, THETA_BOX),
         (lambda t: (t[:, 0] - 0.3) ** 2, THETA_BOX),
         (lambda t: np.cos(5.0 * t[:, 0]), BoxDomain((0.0,), (2.0,))),
-    ], ids=["closed_form", "quadratic", "cos5t"])
+        (lambda t: np.exp(t[:, 0]) - 2.0 * t[:, 0], THETA_BOX),
+    ], ids=["closed_form", "quadratic", "cos5t", "exp"])
     def test_closed_forms(self, objective, box):
-        _assert_zoom_matches_golden(objective, box)
+        assert _assert_zoom_matches_golden(objective, box) <= 6
 
     @pytest.mark.parametrize("example,seed", DATASETS)
     @pytest.mark.parametrize("method", ["L2", "OLS", "KO"])
     def test_estimator_objectives(self, method, example, seed):
         objective = estimator_objectives(example, seed)[method]
-        _assert_zoom_matches_golden(objective, testbed.DEFAULT_THETA_DOMAIN)
+        calls = _assert_zoom_matches_golden(objective, testbed.DEFAULT_THETA_DOMAIN)
+        if example == "example2":  # example1's minima sit on its kink at theta = -1
+            assert calls <= 6
 
     @settings(max_examples=40, deadline=None)
     @given(center=st.floats(-1.9, 1.9), curvature=st.floats(0.1, 10.0),
