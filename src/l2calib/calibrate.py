@@ -29,8 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import rkhs
-# perfbench's tracer patches calibrate._scipy_minimize, which no estimator
-# calls; it imports scipy only when called
+# nothing calls _scipy_minimize; ROADMAP item 1 drops it with perfbench's patch of it
 from .numerics import (SCAN_BLOCK_ROWS, BoxDomain, FitError, OptimizerConfig, QuadratureRule,
                        _scipy_minimize, as_points, design_rule, minimize, tensor_grid)
 # cli fits every surface through calibrate.fit_response_surface

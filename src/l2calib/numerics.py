@@ -3,10 +3,9 @@
 Shared numerical machinery for the calibrators: tensor-product
 Gauss-Legendre rules over rectangular domains, the unit-weight rule at
 a design, a deterministic grid-scan-plus-refinement minimizer, and
-central-difference derivatives from one batched stencil.  One-parameter
-refinement zooms in on the best grid cell by batched rounds through
-:func:`scan` and ends with one safeguarded parabolic step, so an
-objective sees a few large batches rather than many single rows.
+central-difference derivatives from one batched stencil.  Refinement is
+one loop for every q, batched zoom rounds ended by one confirmed Newton
+step, so an objective sees a few large batches, not many single rows.
 
 Objectives passed to :func:`scan` and :func:`minimize` are batched: they
 take a ``(k, q)`` array of parameter vectors and return ``(k,)`` values.
@@ -16,6 +15,7 @@ A non-finite value counts as ``+inf``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -31,12 +31,12 @@ MAX_GRID_POINTS = 401 ** 2
 MAX_QUADRATURE_NODES = 1024
 # Most parameter vectors one objective call receives during a grid scan.
 SCAN_BLOCK_ROWS = 401
-# Interior points of the bracket one one-parameter zoom round scans.  Odd,
-# so the middle point is the previous best; the bracket shrinks 8x a round.
+# Most interior points a coordinate of a zoom round's lattice has.  Odd, so
+# the middle point is the previous best; the box shrinks 8x a round.
 REFINE_POINTS = 15
-# Bracket width at which one-parameter zoom rounds hand over to one
-# parabolic step (three rounds from the default grid's bracket on [-2, 2]),
-# and the relative curvature error the probes beside its vertex may show.
+# Box width at which zoom rounds hand over to one Newton step (three rounds
+# from the default grid's bracket on [-2, 2]), and the curvature error the
+# stencil at the step may show, relative to the model's.
 PARABOLA_BRACKET = 1e-4
 PARABOLA_AGREEMENT = 0.1
 
@@ -46,8 +46,8 @@ class FitError(ValueError):
 
 
 def _scipy_minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first call: only q >= 2 needs
-    it, and importing it takes longer than a one-parameter calibration."""
+    """``scipy.optimize.minimize``, imported on first call.  Nothing calls it;
+    ROADMAP item 1 drops it with perfbench's patch of its ``calibrate`` re-export."""
     from scipy.optimize import minimize as scipy_minimize
     return scipy_minimize(*args, **kwargs)
 
@@ -94,12 +94,8 @@ class BoxDomain:
 
     def on_boundary(self, x) -> bool:
         """True when some coordinate of ``x`` is within 1e-12 of a face."""
-        x = np.asarray(x, dtype=float)
-        return bool(np.any(np.abs(x - np.asarray(self.lower)) <= 1e-12)
-                    or np.any(np.abs(x - np.asarray(self.upper)) <= 1e-12))
-
-    def clip(self, x) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
+        return any(min(abs(v - a), abs(v - b)) <= 1e-12
+                   for v, a, b in zip(np.ravel(x).tolist(), self.lower, self.upper))
 
 
 @dataclass(frozen=True)
@@ -122,7 +118,7 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Grid-scan plus local-refinement settings for :func:`minimize`."""
+    """:func:`minimize`'s grid points per axis, stopping box width and call cap."""
 
     grid_points: int = 401
     tolerance: float = 1e-9
@@ -183,8 +179,10 @@ def tensor_grid(box: BoxDomain, per_axis: int) -> np.ndarray:
     if total > MAX_GRID_POINTS:
         raise ValueError(f"a tensor grid over q={q} parameters with {per_axis} points per "
                          f"axis has {total} points; the cap is {MAX_GRID_POINTS}")
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(box.lower, box.upper)]
-    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    grid = np.empty((per_axis,) * q + (q,))
+    for j, (lo, hi) in enumerate(zip(box.lower, box.upper)):
+        grid[..., j] = np.linspace(lo, hi, per_axis).reshape((-1,) + (1,) * (q - 1 - j))
+    return grid.reshape(-1, q)
 
 
 def _evaluate(objective: Objective, thetas: np.ndarray) -> np.ndarray:
@@ -208,30 +206,19 @@ def scan(objective: Objective, thetas: np.ndarray) -> np.ndarray:
 def minimize(objective: Objective, box: BoxDomain,
              config: OptimizerConfig = OptimizerConfig(),
              coarse: np.ndarray | None = None) -> MinimizeResult:
-    """Minimize a batched objective over a box: grid scan, then local refinement.
+    """Minimize a batched objective over a box: grid scan, then refinement.
 
-    ``objective`` maps a ``(k, q)`` array of parameter vectors to ``(k,)``
-    values.  The coarse :func:`scan` evaluates a full tensor grid
-    (``grid_points`` per dimension, endpoints included), and refinement
-    starts from the best grid point.  A caller holding the objective's
-    values on that grid passes them as ``coarse`` and the scan is skipped;
-    they go through the scan's rules, so the result is the same bit for bit.
-
-    * One parameter: zoom rounds on a bracket that starts as the best grid
-      point's two neighbours.  Each round scans ``REFINE_POINTS`` equally
-      spaced interior points of the bracket as one batch and narrows it
-      to the best point's two neighbours.  Once the bracket is at most
-      ``PARABOLA_BRACKET`` wide, one :func:`_parabola_step` call tries the
-      vertex of the parabola through the best point and the bracket ends;
-      where the step is not confirmed, rounds go on until the bracket is at
-      most ``tolerance`` wide.  At most ``max_iterations`` calls follow the
-      scan, and ``iterations`` counts them.  The result is the vertex or
-      the best point of the last round, or the grid best if neither beat it.
-    * Two or more: Nelder-Mead clamped to the box, one ``(1, q)`` batch
-      per evaluation, at most ``10 q max_iterations`` iterations.
-
-    Deterministic given the config.
-    """
+    :func:`scan` evaluates the ``grid_points``-per-axis :func:`tensor_grid`,
+    unless the caller passes the objective's values there as ``coarse``
+    (same rules, same result bit for bit).  Refinement, one loop for every
+    q, starts from the box spanned by the best grid point's neighbours.
+    Zoom rounds, one batch each (p = 15 at q = 1 and 2, 5 at q = 3), narrow
+    it to the best point's neighbours, or move and widen it (:func:`_recentred`)
+    around a better point on a face and while such moves improve, as a pattern
+    search does (Torczon, SIAM J. Optim. 7, 1997).  A ``PARABOLA_BRACKET`` box
+    gets one :func:`_newton_step`, which may end the loop; else rounds go on to
+    a ``tolerance`` box.  The result is the step's point or the last round's
+    best, or the grid best where lower; ``iterations`` counts rounds and step."""
     q = box.dim
     pts = tensor_grid(box, config.grid_points)
     vals = scan(objective, pts) if coarse is None else _evaluate(lambda _: coarse, pts)
@@ -239,74 +226,86 @@ def minimize(objective: Objective, box: BoxDomain,
         raise FitError("objective is non-finite on the whole coarse grid")
     best = int(np.argmin(vals))
 
-    if q == 1:
-        ax = pts[:, 0]
-        i, j = max(best - 1, 0), min(best + 1, len(ax) - 1)
-        # the bracket, its best point, and their values
-        ts, fts = (ax[i], ax[best], ax[j]), (vals[i], vals[best], vals[j])
-        xs, fs, it, tried = None, np.inf, 0, False
-        while ts[2] - ts[0] > config.tolerance and it < config.max_iterations:
-            it += 1
-            if ts[2] - ts[0] <= PARABOLA_BRACKET and not tried:
-                tried, step = True, _parabola_step(objective, ts, fts, config.tolerance)
-                if step is not None:
-                    xs, fs = np.array(step[:1]), step[1]
-                    break
-                continue
-            grid = np.linspace(ts[0], ts[2], REFINE_POINTS + 2)
-            fgrid = np.concatenate([fts[:1], scan(objective, grid[1:-1, None]), fts[2:]])
-            k = int(np.argmin(fgrid[1:-1])) + 1
-            ts, fts = tuple(grid[k - 1:k + 2]), tuple(fgrid[k - 1:k + 2])
-            xs, fs = grid[k:k + 1], float(fgrid[k])
-    else:
-        x0 = pts[best]
-        def clamped(t):
-            return float(_evaluate(objective, box.clip(t)[None])[0])
-        res = _scipy_minimize(clamped, x0, method="Nelder-Mead",
-                              options={"xatol": config.tolerance,
-                                       "fatol": 1e-14,
-                                       "maxiter": config.max_iterations * q * 10})
-        xs, fs, it = box.clip(res.x), float(res.fun), int(res.nit)
+    # a round's batch: p + 2 points a coordinate less the 2^q corners, p odd
+    p = max([3] + [k for k in range(3, REFINE_POINTS + 1, 2)
+                   if (k + 2) ** q - 2 ** q <= SCAN_BLOCK_ROWS])
+    index = np.indices((p + 2,) * q).reshape(q, -1).T
+    ends = index % (p + 1) == 0  # where a lattice point is on a face of the box
+    corner, fresh = ends.all(axis=1), np.flatnonzero(~ends.all(axis=1))
+    lo, hi, near = _neighbourhood(pts, vals.reshape((config.grid_points,) * q),
+                                  np.unravel_index(best, (config.grid_points,) * q))
+    xs, fs, it, tried, moved = pts[best], float(vals[best]), 0, False, False
+    while (width := (hi - lo).max()) > config.tolerance and it < config.max_iterations:
+        it += 1
+        if width <= PARABOLA_BRACKET and not tried:
+            tried, step = True, _newton_step(objective, lo, xs, hi, near, config.tolerance)
+            if step is not None:
+                xs, fs = step
+                break
+            continue
+        # np.linspace(lo_j, hi_j, p + 2) in each coordinate, to the bit
+        grid = np.where(index == p + 1, hi, lo + index * ((hi - lo) / (p + 1)))
+        values = np.empty(len(grid))
+        values[corner] = near[tuple(slice(None, None, m - 1) for m in near.shape)].ravel()
+        values[fresh] = scanned = scan(objective, grid[fresh])
+        k = int(fresh[np.argmin(scanned)])
+        moved = values[k] < fs and (moved or ends[k].any()) and _recentred(box, lo, hi, grid[k], p)
+        lo, hi, near = moved or _neighbourhood(grid, values.reshape((p + 2,) * q),
+                                               index[k].tolist())
+        xs, fs = grid[k], float(values[k])
     if vals[best] < fs:
         xs, fs, it = pts[best], float(vals[best]), 0
 
-    return MinimizeResult(x=np.asarray(xs, dtype=float), fun=float(fs),
-                          iterations=it, on_boundary=box.on_boundary(xs))
+    return MinimizeResult(np.asarray(xs, dtype=float), float(fs), it, box.on_boundary(xs))
 
 
-def _parabola_step(objective: Objective, ts: tuple, fs: tuple,
-                   tolerance: float) -> tuple[float, float] | None:
-    """``(v, f(v))`` for the vertex ``v`` of the parabola through the points
-    ``ts = (lo, mid, hi)`` with values ``fs``, or None where it is not
-    confirmed.
+def _recentred(box: BoxDomain, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, p: int):
+    """``(lo, hi, near)``, corners unknown, of a box twice as wide as ``[lo, hi]`` where ``box``
+    has room, its lattice point ``x`` near the centre; None unless it passes ``x``'s faces."""
+    up, down, s = box.upper - x, x - box.lower, (hi - lo) / (p + 1)
+    at, face = np.rint((x - lo) / s), (x == lo) | (x == hi)
+    s = np.where(np.floor(down / (2 * s)) + np.floor(up / (2 * s)) >= p + 1, 2 * s, s)
+    below = np.clip((p + 1) // 2, p + 1 - np.floor(up / s), np.floor(down / s))  # steps below x
+    return (None if face.any() and np.all((below == at)[face]) else
+            (np.maximum(x - below * s, box.lower), np.minimum(x + (p + 1 - below) * s, box.upper),
+             np.full((2,) * x.size, np.inf)))
 
-    The step needs ``lo < mid < hi``, ``mid`` the lowest of the three and a
-    finite positive curvature ``c``, so that ``v`` lies in the middle half
-    of the bracket.  One call evaluates ``v`` and probes ``v +- s``,
-    ``s = (hi - lo)/16``.  It is confirmed when the three values are finite,
-    the probes' second difference is within ``PARABOLA_AGREEMENT * c`` of
-    ``c``, and the vertex of the parabola through the probes is within
-    ``tolerance`` of ``v``.  A non-finite or lower bracket end, a flat
-    bracket, a cusp or a kink fails one of these: a safeguarded parabolic
-    step, as in Brent, *Algorithms for Minimization without Derivatives*
-    (1973), ch. 5.
-    """
-    (lo, mid, hi), (f_lo, f_mid, f_hi) = ts, fs
-    if not (lo < mid < hi and f_mid <= min(f_lo, f_hi)):
+
+def _neighbourhood(grid: np.ndarray, values: np.ndarray, at) -> tuple:
+    """``(lo, hi, near)``: the box spanned by a lattice point's neighbours, and their values."""
+    near = tuple(slice(max(i - 1, 0), i + 2) for i in at)
+    box = grid.reshape(values.shape + grid.shape[1:])[near]
+    return box[(0,) * len(at)], box[(-1,) * len(at)], values[near]
+
+
+def _newton_step(objective: Objective, lo: np.ndarray, x: np.ndarray, hi: np.ndarray,
+                 near: np.ndarray, tolerance: float) -> tuple[np.ndarray, float] | None:
+    """``(v, f(v))`` for the Newton step v from the lattice point ``x``, or
+    None unless confirmed.  The model's g and H are the :func:`fd_derivatives`
+    formula on the values ``near`` of x's ``3^q`` neighbours, which span
+    ``[lo, hi]``; x must be their lowest and H positive definite.  One call
+    of the stencil at v (clipped to the box's middle half, steps a sixteenth
+    of the box) confirms v: its Hessian within ``PARABOLA_AGREEMENT`` times
+    H's least eigenvalue (Frobenius norm) of H, its own Newton step within
+    ``tolerance``; Brent's safeguard (1973, ch. 5) on a quadratic model."""
+    q = near.ndim
+    if near.shape != (3,) * q or near.min() < near[(1,) * q]:
         return None
     with np.errstate(over="ignore", invalid="ignore"):  # overflow fails a check below
-        slope_lo, slope_hi = (f_mid - f_lo) / (mid - lo), (f_hi - f_mid) / (hi - mid)
-        c = 2.0 * (slope_hi - slope_lo) / (hi - lo)
-        if not 0.0 < c < np.inf:  # a flat bracket, or a non-finite end
+        # x lowest on each axis line bounds |g_j| by H_jj (hi_j - lo_j) / 4
+        _, g, H = fd_derivatives(lambda _: near[tuple(_stencil(q).T + 1)], x, 0.5 * (hi - lo))
+        if not np.isfinite(H).all():
             return None
-        v = 0.5 * (lo + mid) - slope_lo / c
-        s = (hi - lo) / 16.0
-        f_minus, f_v, f_plus = _evaluate(objective, np.array([[v - s], [v], [v + s]]))
-        c_v = (f_minus - 2.0 * f_v + f_plus) / s ** 2
-        confirmed = (np.isfinite(f_minus + f_v + f_plus)
-                     and abs(c_v - c) <= PARABOLA_AGREEMENT * c
-                     and abs(f_plus - f_minus) <= 2.0 * s * c_v * tolerance)
-    return (float(v), float(f_v)) if confirmed else None
+        w, V = np.linalg.eigh(H)
+        if not w[0] > 0.0:
+            return None
+        quarter = 0.25 * (hi - lo)
+        v = np.minimum(np.maximum(x - V @ (V.T @ g / w), lo + quarter), hi - quarter)
+        f_v, G_v, H_v = fd_derivatives(lambda t: _evaluate(objective, t), v, 0.0625 * (hi - lo))
+        # a non-finite stencil value makes H_v or G_v non-finite, and fails
+        confirmed = (np.linalg.norm(H_v - H) <= PARABOLA_AGREEMENT * w[0]
+                     and np.abs(np.linalg.solve(H_v, G_v)).max() <= tolerance)
+    return (v, float(f_v)) if confirmed else None
 
 
 def fd_step(x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -315,23 +314,28 @@ def fd_step(x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return np.maximum(h, h * np.abs(x))
 
 
+@lru_cache
+def _stencil(q: int) -> np.ndarray:
+    """Read-only row offsets, in steps: ``0``, ``+-e_i``, ``+-e_i +-e_j`` (i < j)."""
+    E = np.eye(q, dtype=int)
+    offsets = np.concatenate([np.zeros((1, q), dtype=int), E, -E] + [
+        np.stack([E[i] + E[j], E[i] - E[j], -E[i] + E[j], -E[i] - E[j]])
+        for i in range(q) for j in range(i + 1, q)])
+    offsets.setflags(write=False)
+    return offsets
+
+
 def fd_derivatives(f: Callable[[np.ndarray], np.ndarray], x,
-                   h: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(f(x), G, H)``: value, central-difference gradient ``f(x).shape + (q,)``
-    and symmetric Hessian ``f(x).shape + (q, q)`` of a batched ``f``,
-    ``(k, q) -> (k, ...)``.  One call evaluates the stencil ``x``, ``x +- e_i``
-    and, for ``i < j``, ``x +- e_i +- e_j`` (``e_i`` the :func:`fd_step` of
-    coordinate ``i``), under :func:`_evaluate`'s errstate: a non-finite output
-    gives a non-finite derivative, not a warning."""
+                   steps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(f(x), G, H)``: value, central-difference gradient ``f(x).shape + (q,)`` and
+    symmetric Hessian ``f(x).shape + (q, q)`` of a batched ``f``, ``(k, q) -> (k, ...)``, from
+    one call at the ``2 q^2 + 1`` :func:`_stencil` rows with ``steps`` (:func:`fd_step` by
+    default), under :func:`_evaluate`'s errstate: non-finite output, non-finite derivatives."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    q, steps = x.size, fd_step(x, h)
-    E = np.diag(steps)
+    q, steps = x.size, fd_step(x) if steps is None else steps
     pairs = [(j, k) for j in range(q) for k in range(j + 1, q)]
-    rows = [x[None], x + E, x - E] + [
-        np.stack([x + E[j] + E[k], x + E[j] - E[k], x - E[j] + E[k], x - E[j] - E[k]])
-        for j, k in pairs]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.asarray(f(np.concatenate(rows)), dtype=float)
+        out = np.asarray(f(x + _stencil(q) * steps), dtype=float)
         f0, plus, minus, mixed = out[0], out[1:q + 1], out[q + 1:2 * q + 1], out[2 * q + 1:]
         G = np.empty(f0.shape + (q,))
         H = np.empty(f0.shape + (q, q))

@@ -19,11 +19,8 @@ rank r Gram matrix (the full-rank formulas, with the jitter as the
 eigenvalue of the other n - r directions); the candidates it cannot score
 that way, and the winner after the sweep, are decomposed in full.  At
 n = 51 that costs about 3% more than one eigh per candidate.  Only
-``numpy.linalg`` is called: numpy and scipy each bundle their own
-OpenBLAS, and their busy-waiting threads contend on a small host.
-``cli`` runs cap numpy's copy at one thread (``cli.one_blas_thread``);
-scipy's is left alone, as it loads only for q >= 2 and its Nelder-Mead
-makes no BLAS call of its own.
+``numpy.linalg`` is called, so one OpenBLAS is loaded, and ``cli`` runs
+cap its busy-waiting threads at one (``cli.one_blas_thread``).
 
 The tuning policy lives here too: ``KernelConfig`` holds the phi and
 lambda grids, and ``fit_response_surface`` picks from both in one pass.

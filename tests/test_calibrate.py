@@ -205,6 +205,22 @@ class TestKo:
                            opt=OptimizerConfig(grid_points=45))
         assert est.theta_hat == pytest.approx([0.5, 0.3], abs=1e-4)
 
+    def test_two_parameter_box_in_few_simulator_calls(self):
+        # the scan's 6 blocks, the refinement rounds and KO's profile at
+        # theta hat; a search by single points took thousands of calls here
+        calls = []
+
+        def simulator(p, ths):
+            calls.append(len(ths))
+            return ths[:, :1] * np.sin(p[:, 0]) + ths[:, 1:]
+        model = ComputerModel(eval=simulator, theta_domain=BoxDomain((-2.0, -2.0), (2.0, 2.0)))
+        x = np.linspace(0.0, 6.0, 12)[:, None]
+        opt = OptimizerConfig(grid_points=45)
+        est = ko_calibrate(fit_response_surface(x, 0.5 * np.sin(x[:, 0]) + 0.3,
+                                                KernelConfig(phi_grid=(1.0,))), model, opt=opt)
+        assert len(calls) <= 40
+        assert 0 < est.meta["iterations"] <= opt.max_iterations
+
     def test_deterministic(self):
         system, pts, y = noisy_example2(seed=14)
         surface = fit_response_surface(pts, y, KernelConfig())

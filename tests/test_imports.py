@@ -1,5 +1,5 @@
-"""What a fresh interpreter imports: scipy only for a box of two or more
-parameters, multiprocessing only for a worker pool.
+"""What a fresh interpreter imports: no scipy, and multiprocessing only for
+a worker pool.
 
 The pytest session has usually imported both already, so each check runs
 in a child interpreter started with ``sys.executable``.
@@ -10,18 +10,29 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from l2calib import testbed
-from l2calib.numerics import BoxDomain, OptimizerConfig, minimize
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Two parameters, so minimize refines by Nelder-Mead; the sine term keeps
-# the minimum off the grid.
-OBJECTIVE = "lambda t: (t[:, 0] - 0.4) ** 2 + 2.0 * (t[:, 1] + 0.7) ** 2 + 0.1 * np.sin(3.0 * t[:, 0] * t[:, 1])"
-BOX = BoxDomain((-2.0, -1.5), (2.0, 1.0))
-CONFIG = OptimizerConfig(grid_points=21, tolerance=1e-10)
+# A two-parameter minimize, whose sine term keeps the minimum off the grid,
+# and a two-parameter KO fit; both leave their results in ``got``.
+TWO_PARAMETERS = """
+import numpy as np
+from l2calib.calibrate import ComputerModel, ko_calibrate
+from l2calib.numerics import BoxDomain, OptimizerConfig, minimize
+from l2calib.rkhs import KernelConfig, fit_response_surface
+res = minimize(lambda t: (t[:, 0] - 0.4) ** 2 + 2.0 * (t[:, 1] + 0.7) ** 2
+               + 0.1 * np.sin(3.0 * t[:, 0] * t[:, 1]),
+               BoxDomain((-2.0, -1.5), (2.0, 1.0)), OptimizerConfig(grid_points=21, tolerance=1e-10))
+model = ComputerModel(eval=lambda p, ths: ths[:, :1] * np.sin(p[:, 0]) + ths[:, 1:],
+                      theta_domain=BoxDomain((-2.0, -2.0), (2.0, 2.0)))
+x = np.linspace(0.0, 6.0, 12)[:, None]
+surface = fit_response_surface(x, 0.5 * np.sin(x[:, 0]) + 0.3 + 0.05 * np.cos(2.0 * x[:, 0]),
+                               KernelConfig(phi_grid=(1.0,)))
+est = ko_calibrate(surface, model, OptimizerConfig(grid_points=21))
+got = {"x": [v.hex() for v in res.x], "fun": res.fun.hex(), "iterations": res.iterations,
+       "ko": [v.hex() for v in est.theta_hat], "ko_fun": est.objective_value.hex()}
+"""
 
 
 def run_fresh(code: str, *args: str) -> dict:
@@ -61,17 +72,10 @@ print(json.dumps({"codes": codes, "loaded": loaded()}))
     assert (tmp_path / "c.csv").read_text().count(",ok\n") == 3
 
 
-def test_two_parameter_minimize_imports_scipy_on_first_use_with_the_same_result():
-    code = LOADED + f"""
-import numpy as np
-from l2calib.numerics import BoxDomain, OptimizerConfig, minimize
-before = loaded()
-res = minimize({OBJECTIVE}, BoxDomain({BOX.lower!r}, {BOX.upper!r}), {CONFIG!r})
-print(json.dumps({{"before": before, "after": loaded(), "x": [v.hex() for v in res.x],
-                  "fun": res.fun.hex(), "iterations": res.iterations}}))
-"""
-    got = run_fresh(code)
-    res = minimize(eval(OBJECTIVE), BOX, CONFIG)
-    assert got == {"before": [], "after": ["scipy"], "x": [v.hex() for v in res.x],
-                   "fun": res.fun.hex(), "iterations": res.iterations}
-    assert res.iterations > 0  # Nelder-Mead beat the grid point
+def test_two_parameter_minimize_and_ko_calibrate_load_neither_scipy_nor_multiprocessing():
+    got = run_fresh(LOADED + TWO_PARAMETERS
+                    + 'print(json.dumps({"loaded": loaded(), **got}))')
+    here = {}
+    exec(TWO_PARAMETERS, here)
+    assert got == {"loaded": [], **here["got"]}
+    assert here["got"]["iterations"] > 0  # refinement beat the grid point

@@ -9,7 +9,7 @@ from l2calib.inference import (SingularCurvatureError, design_rule,
                                efficiency_gap, estimate_sandwich, expand,
                                l2_cov, ols_cov)
 from l2calib.kernels import KernelSpec
-from l2calib.numerics import BoxDomain, fd_derivatives, gauss_legendre
+from l2calib.numerics import BoxDomain, fd_derivatives, fd_step, gauss_legendre
 from l2calib.rkhs import KernelConfig, fit_response_surface, sigma2_hat
 
 RULE = gauss_legendre(testbed.OMEGA, 512)
@@ -129,7 +129,7 @@ class TestV:
             return float(d @ d) / pts.shape[0]
 
         _, _, H = fd_derivatives(lambda ths: np.array([objective(th) for th in ths]), theta,
-                                 h=1e-4)
+                                 fd_step(theta, 1e-4))
         assert V[0, 0] == pytest.approx(H[0, 0], rel=1e-3)
 
     def test_population_curvature_positive_at_minimum(self):

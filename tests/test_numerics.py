@@ -78,12 +78,11 @@ class TestBoxDomain:
         with pytest.raises(ValueError):
             BoxDomain((1.0,), (0.0,))
 
-    def test_on_boundary_and_clip(self):
+    def test_on_boundary(self):
         box = BoxDomain((0.0, -1.0), (1.0, 1.0))
         assert not box.on_boundary([0.5, 0.0])
         assert box.on_boundary([0.5, 1.0]) and box.on_boundary([0.0, 0.0])
         assert box.on_boundary([1.0 + 1e-13, 0.0])
-        assert box.clip(np.array([1.5, -2.0])).tolist() == [1.0, -1.0]
 
 
 class TestGaussLegendre:
@@ -188,7 +187,7 @@ class TestMinimize:
         res2 = minimize(f, narrow, cfg)
         assert res2.fun >= res.fun - cfg.tolerance
 
-    def test_two_dimensional_nelder_mead(self):
+    def test_two_dimensional_quadratic(self):
         box = BoxDomain((-2.0, -2.0), (2.0, 2.0))
         f = lambda t: (t[:, 0] - 0.4) ** 2 + 2.0 * (t[:, 1] + 0.7) ** 2
         res = minimize(f, box, OptimizerConfig(grid_points=21, tolerance=1e-10))
@@ -246,8 +245,9 @@ class TestMinimize:
             return (t[:, 0] - 0.4) ** 2 + 2.0 * (t[:, 1] + 0.7) ** 2
         box = BoxDomain((-2.0, -2.0), (2.0, 2.0))
         res = minimize(f, box)
+        scan_calls = -(-MAX_GRID_POINTS // SCAN_BLOCK_ROWS)
         assert max(rows) == SCAN_BLOCK_ROWS
-        assert sum(r for r in rows if r > 1) == MAX_GRID_POINTS
+        assert sum(rows[:scan_calls]) == MAX_GRID_POINTS
         assert np.allclose(res.x, [0.4, -0.7], atol=1e-6)
 
     def test_closed_form_minimizer_to_high_accuracy(self):
@@ -261,6 +261,70 @@ class TestMinimize:
         best = int(np.argmin(f(grid)))
         assert res.iterations == 0
         assert res.x[0] == grid[best, 0] and res.fun == f(grid)[best]
+
+
+class TestSeveralParameters:
+    """At q >= 2 refinement is the same loop as at q = 1: zoom rounds of one
+    batch each, moved and widened along a valley, and one confirmed Newton step."""
+
+    def test_iteration_cap_counts_rounds(self):
+        f, rows = counted(lambda t: (t[:, 0] - 0.4) ** 2 + 2.0 * (t[:, 1] + 0.7) ** 2)
+        res = minimize(f, BoxDomain((-2.0, -1.5), (2.0, 1.0)),
+                       OptimizerConfig(grid_points=21, max_iterations=3))
+        assert rows[:2] == [SCAN_BLOCK_ROWS, 21 ** 2 - SCAN_BLOCK_ROWS]
+        assert len(rows) == 5 and res.iterations == 3
+
+    def test_round_batches_fit_one_scan_call(self):
+        # 17 x 17 and 7 x 7 x 7 lattices less their corners
+        for q, batch in [(2, 17 ** 2 - 4), (3, 7 ** 3 - 8)]:
+            f, rows = counted(lambda t: ((t - 0.3) ** 2).sum(axis=1))
+            minimize(f, BoxDomain((-1.0,) * q, (1.0,) * q),
+                     OptimizerConfig(grid_points=5, max_iterations=1))
+            assert rows[-1] == batch <= SCAN_BLOCK_ROWS
+
+    @pytest.mark.parametrize("grid_points", [41, 401])
+    def test_off_grid_curved_valley(self, grid_points):
+        # the valley's floor is the parabola t1 = t0**2 + b - a**2; the
+        # minimum (a, b) lies off both grids, and rounds that never move
+        # the box end 3e-7 and 5e-5 from it
+        a, b = 0.3137, 0.0917
+        f = lambda t: (a - t[:, 0]) ** 2 + 100.0 * (t[:, 1] - t[:, 0] ** 2 - b + a ** 2) ** 2
+        res = minimize(f, BoxDomain((-2.0, -2.0), (2.0, 2.0)),
+                       OptimizerConfig(grid_points=grid_points))
+        assert np.abs(res.x - [a, b]).max() <= 1e-9
+
+    @pytest.mark.parametrize("grid_points", [41, 401])
+    def test_long_curved_valley_is_followed(self, grid_points):
+        # the floor t1 = t0**2 + b - a**2 leaves the box below t0 = -0.68,
+        # and the search travels along it to (a, b); boxes moved at one
+        # width stalled at the iteration cap, 1e-3 and 8e-3 away
+        a, b = -1.358, -0.621
+        f = lambda t: (a - t[:, 0]) ** 2 + 100.0 * (t[:, 1] - t[:, 0] ** 2 - b + a ** 2) ** 2
+        cfg = OptimizerConfig(grid_points=grid_points)
+        res = minimize(f, BoxDomain((-2.0, -2.0), (2.0, 2.0)), cfg)
+        assert res.iterations < cfg.max_iterations
+        assert np.abs(res.x - [a, b]).max() <= 1e-7
+
+    def test_three_parameter_quadratic_with_a_cross_term(self):
+        f = lambda t: ((t[:, 0] - 0.4) ** 2 + 2.0 * (t[:, 1] + 0.73) ** 2
+                       + 3.0 * (t[:, 2] - 0.07) ** 2 + 0.5 * t[:, 0] * t[:, 2])
+        # its gradient is zero where A t = (0.8, -2.92, 0.42)
+        A = np.array([[2.0, 0.0, 0.5], [0.0, 4.0, 0.0], [0.5, 0.0, 6.0]])
+        want = np.linalg.solve(A, [0.8, -2.92, 0.42])
+        res = minimize(f, BoxDomain((-1.0,) * 3, (1.0,) * 3), OptimizerConfig(grid_points=21))
+        assert np.abs(res.x - want).max() <= 1e-8
+
+    def test_minimum_on_the_box_face(self):
+        # zero on the face t1 = -2 at t0 = 0.37, and rising into the box
+        f = lambda t: (t[:, 0] - 0.37) ** 2 + (t[:, 1] + 2.0) * (t[:, 1] + 3.0)
+        res = minimize(f, BoxDomain((-2.0, -2.0), (2.0, 2.0)), OptimizerConfig(grid_points=21))
+        assert res.x[1] == -2.0 and res.on_boundary
+        assert abs(res.x[0] - 0.37) <= 1e-9
+
+    def test_flat_objective_stops(self):
+        f, rows = counted(lambda t: np.zeros(len(t)))
+        res = minimize(f, BoxDomain((-1.0, -1.0), (1.0, 1.0)), OptimizerConfig(grid_points=11))
+        assert res.fun == 0.0 and len(rows) < 20
 
 
 def counted(f):
