@@ -170,25 +170,29 @@ class _ProfiledGpLikelihood:
     """Concentrated negative log marginal likelihood of the GP calibrator,
     a batched function of theta alone.
 
-    With ``(rho, Q)`` the eigenpairs of the surface's jittered Gram matrix,
-    ``s = Q^T r(theta)`` for the residual ``r``, ``u = log eta`` (the
-    noise-to-process ratio) and ``d = rho + e^u``, the process variance
-    profiles to ``tau2 = a / n`` with ``a = sum s^2 / d``, and the objective
-    is ``f(u) = (n/2) log tau2 + (1/2) sum log d``.  ``u`` is profiled out per
-    theta by Newton steps from the best of a grid over ``ETA_BOUNDS``.
+    With ``(rho, Q)`` the r <= n eigenpairs of the surface's jittered Gram matrix,
+    ``s = Q^T r(theta)`` for the residual ``r``, ``u = log eta`` (the noise-to-process
+    ratio) and ``d = rho + e^u``, the process variance profiles to ``tau2 = a / n``
+    with ``a = sum s^2 / d``, and the objective is
+    ``f(u) = (n/2) log tau2 + (1/2) sum log d``.  ``u`` is profiled out per theta by
+    Newton steps from the best of a grid over ``ETA_BOUNDS``.  The other n - r
+    directions are one more column: eigenvalue the jitter, counted ``mult`` = n - r
+    times in the sums over ``d``, and ``s^2 = |r - Q s|^2``, zero on a full panel.
     """
 
     def __init__(self, surface: KrrModel, model: ComputerModel):
         self.n = surface.n
-        self.rho, self.Q = surface.gram_eig
-        if self.rho.min() <= 0:
+        w, self.Q = surface.gram_eig
+        if w.min() <= 0:
             raise FitError("GP correlation matrix is not positive definite "
-                           f"after jitter (smallest eigenvalue {self.rho.min():.3e})")
+                           f"after jitter (smallest eigenvalue {w.min():.3e})")
+        self.rho = np.append(w, rkhs.DEFAULT_JITTER)
+        self.mult = np.append(np.ones(w.size), self.n - w.size)
         self.model, self.design, self.y = model, surface.design, surface.y
         self.u_bounds = np.log(ETA_BOUNDS)
         self.u_grid = np.linspace(*self.u_bounds, ETA_GRID_POINTS)
         d_grid = self.rho + np.exp(self.u_grid)[:, None]
-        self.inv_d_grid, self.logdet_grid = 1.0 / d_grid, np.log(d_grid).sum(axis=1)
+        self.inv_d_grid, self.logdet_grid = 1.0 / d_grid, np.log(d_grid) @ self.mult
 
     def _f(self, a: np.ndarray, logdet: np.ndarray):
         """``(f, tau2)``; ``tau2`` is floored at the smallest normal float where
@@ -205,12 +209,12 @@ class _ProfiledGpLikelihood:
         inv = 1.0 / d
         w1 = s2 * inv
         w2 = w1 * inv
-        f, tau2 = self._f(w1.sum(axis=1), np.log(d).sum(axis=1))
+        f, tau2 = self._f(w1.sum(axis=1), np.log(d) @ self.mult)
         a = self.n * tau2  # floored where s = 0 (m2 = m3 = 0) or f = +inf (no step kept)
         m2, m3 = w2.sum(axis=1) / a, (w2 * inv).sum(axis=1) / a
-        f1 = eta * (0.5 * inv.sum(axis=1) - 0.5 * self.n * m2)
+        f1 = eta * (0.5 * (inv @ self.mult) - 0.5 * self.n * m2)
         f2 = f1 + eta ** 2 * (0.5 * self.n * (2.0 * m3 - m2 ** 2)
-                              - 0.5 * (inv * inv).sum(axis=1))
+                              - 0.5 * ((inv * inv) @ self.mult))
         return f, f1, f2, tau2
 
     def profile(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -223,7 +227,9 @@ class _ProfiledGpLikelihood:
         kept only where they lower ``f``; where ``f'' <= 0`` the step is 1
         downhill.  The loop ends early once a step moves no row, since from
         the same ``u`` every later step would be the same."""
-        s2 = (r @ self.Q) ** 2
+        s = r @ self.Q
+        out = r - s @ self.Q.T if self.mult[-1] else np.zeros((len(r), 1))  # as _Panel's perp
+        s2 = np.column_stack([s * s, np.sum(out * out, axis=1)])
         grid_f = self._f(s2 @ self.inv_d_grid.T, self.logdet_grid)[0]
         u = self.u_grid[np.argmin(grid_f, axis=1)]
         parts = self._newton_parts(s2, u)

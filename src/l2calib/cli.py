@@ -38,27 +38,26 @@ import numpy as np
 from . import calibrate, inference, numerics, testbed
 from .calibrate import (CalibrationEstimate, ComputerModel, coarse_block, ko_calibrate,
                         l2_calibrate, ols_calibrate)
-from .numerics import (MAX_QUADRATURE_NODES, BoxDomain, FitError, OptimizerConfig,
-                       QuadratureRule, gauss_legendre, scan)
+from .numerics import (MAX_DESIGN_POINTS, MAX_QUADRATURE_NODES, BoxDomain, FitError,
+                       OptimizerConfig, QuadratureRule, gauss_legendre, scan)
 from .rkhs import KernelConfig
 from .testbed import DEFAULT_THETA_DOMAIN, SyntheticSystem, generate, make_system
 
 METHODS = ("L2", "OLS", "KO")
 MAX_FAILURE_FRACTION = 0.01
+# Most replications per noise variance: a study keeps every task and result in memory.
+MAX_REPLICATIONS = 100_000
 
 
 class CliConfigError(ValueError):
     """Configuration or input parsing problem (exit code 1)."""
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _csv(header: str, rows) -> str:
-    """CSV text: a string cell as it is, None as an empty cell, a number through ``_fmt``."""
+    """CSV text: a string cell as it is, None as an empty cell, a number to 17 digits."""
     return "\n".join([header] + [",".join(c if isinstance(c, str) else "" if c is None
-                                           else _fmt(c) for c in row) for row in rows]) + "\n"
+                                           else f"{float(c):.17g}" for c in row)
+                                  for row in rows]) + "\n"
 
 
 def _read_text(path: str | Path, what: str) -> str:
@@ -182,8 +181,9 @@ class RunConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise CliConfigError(f"unknown method {m!r}; expected subset of {METHODS}")
-        if self.replications < 1:
-            raise CliConfigError("replications must be at least 1")
+        if not 1 <= self.replications <= MAX_REPLICATIONS:
+            raise CliConfigError(f"replications must be 1 to {MAX_REPLICATIONS}, "
+                                 f"got {self.replications}")
         if not 1 <= self.quadrature_m <= MAX_QUADRATURE_NODES:
             raise CliConfigError(f"quadrature_m must be 1 to {MAX_QUADRATURE_NODES}, "
                                  f"got {self.quadrature_m}")
@@ -536,6 +536,8 @@ def read_data_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
+        if len(xs) == MAX_DESIGN_POINTS:
+            raise CliConfigError(f"{path}: more than {MAX_DESIGN_POINTS} data rows")
         def parse(idx: int, name: str) -> float:
             cell = row[idx] if idx < len(row) else "<missing>"
             try:

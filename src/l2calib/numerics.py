@@ -29,6 +29,8 @@ MAX_GRID_POINTS = 401 ** 2
 # Most Gauss-Legendre nodes per dimension: leggauss eigendecomposes an m x m
 # matrix, which takes 0.2 s at m = 1,024 and fills 7 GB near m = 30,000.
 MAX_QUADRATURE_NODES = 1024
+# Most design points: the phi sweep's n x n arrays (distances, Gram, eigh) take 134 MB each.
+MAX_DESIGN_POINTS = 4096
 # Most parameter vectors one objective call receives during a grid scan.
 SCAN_BLOCK_ROWS = 401
 # Most interior points a coordinate of a zoom round's lattice has.  Odd, so

@@ -16,9 +16,9 @@ diagonal.  A phi sweep computes the pairwise squared distances once,
 builds each candidate's Gram matrix from them and scores it from a
 pivoted Cholesky factor and its thin SVD, at O(n r) per lambda for a
 rank r Gram matrix (the full-rank formulas, with the jitter as the
-eigenvalue of the other n - r directions); the candidates it cannot score
-that way, and the winner after the sweep, are decomposed in full.  At
-n = 51 that costs about 3% more than one eigh per candidate.  Only
+eigenvalue of the other n - r directions); only the candidates it cannot
+score that way are decomposed in full.  The winner's model comes from the
+panel it was scored on, so no candidate is decomposed twice.  Only
 ``numpy.linalg`` is called, so one OpenBLAS is loaded, and ``cli`` runs
 cap its busy-waiting threads at one (``cli.one_blas_thread``).
 
@@ -87,7 +87,7 @@ class KrrModel:
     lam: float
     fitted: np.ndarray      # (n,)
     hat_trace: float
-    gram_eig: tuple[np.ndarray, np.ndarray]  # eigenpairs (w, Q) of the jittered Gram matrix
+    gram_eig: tuple[np.ndarray, np.ndarray]  # (w, Q) on r <= n directions, jitter on the rest
 
     @property
     def n(self) -> int:
@@ -119,10 +119,10 @@ class _Panel:
     factor ``C``, and scores at O(n r) per lambda; its other ``n_out`` =
     n - r directions have eigenvalue ``jitter`` and hold ``perp``, the part
     of y outside ``Q``, and ``perp_lev``, that of each leverage: zeros when
-    r = n.  Only ``model`` needs a full panel, as KO reads all n eigenpairs.
+    r = n.  ``model`` serves either rank, its ``gram_eig`` the panel's ``(w, Q)``.
     """
 
-    def __init__(self, y, w, Q, jitter, points=None, spec=None):
+    def __init__(self, y, w, Q, jitter, points, spec):
         self.y, self.n, self.w, self.Q, self.jitter = y, y.shape[0], w, Q, jitter
         self.points, self.spec = points, spec
         self.qty = Q.T @ y
@@ -145,9 +145,9 @@ class _Panel:
         return cls(y, w, Q, jitter, points, spec)
 
     @classmethod
-    def low_rank(cls, factor: np.ndarray, y: np.ndarray) -> _Panel:
+    def low_rank(cls, factor: np.ndarray, y: np.ndarray, points, spec: KernelSpec) -> _Panel:
         Q, s, _ = np.linalg.svd(factor.T, full_matrices=False)
-        return cls(y, s * s + DEFAULT_JITTER, Q, DEFAULT_JITTER)
+        return cls(y, s * s + DEFAULT_JITTER, Q, DEFAULT_JITTER, points, spec)
 
     def _shift(self, lam) -> np.ndarray:
         """``w + n*lam`` for a scalar or, row by row, an ``(L, 1)`` column of
@@ -291,11 +291,6 @@ PIVOT_TOL = 1e-14
 RANK_CAP_DIVISOR = 3
 
 
-def _score(panel, grid: tuple[float, ...]) -> float:
-    """The leave-one-out score of one phi candidate at its GCV lambda."""
-    return _loo_score(panel, _gcv_pick(panel, grid)[0])
-
-
 def loo_cv_phi(points, y, config: KernelConfig) -> KrrModel:
     """Fit at the phi in ``config.phi_grid`` with the least leave-one-out
     score, lambda per candidate by GCV over ``config.lambda_grid``.
@@ -306,13 +301,13 @@ def loo_cv_phi(points, y, config: KernelConfig) -> KrrModel:
     one's rank passes ``n // RANK_CAP_DIVISOR``; that candidate, every
     larger phi (rank grows with phi) and any candidate whose low-rank
     scores meet a singular shift, no finite GCV score or a unit leverage
-    get a full panel.  The winner gets a full panel of its own after the
-    sweep, from its Gram matrix, with lambda picked again by GCV.
+    get a full panel.  The winner's model comes from the panel it was
+    scored on, at the lambda it was scored at.
     """
     points, y = _data(points, y)
     d2 = kernels.sqdist(points)
     grid, n = config.lambda_grid, y.shape[0]
-    low_rank, best_score, best = True, np.inf, None
+    low_rank, best = True, (np.inf, None, None)
     for phi in sorted(config.phi_grid):
         spec = config.spec(phi)
         K = kernels.gram(spec, d2)
@@ -320,16 +315,17 @@ def loo_cv_phi(points, y, config: KernelConfig) -> KrrModel:
         score, low_rank = np.inf, factor is not None
         if low_rank:
             with suppress(FitError):
-                score = _score(_Panel.low_rank(factor, y), grid)
+                panel = _Panel.low_rank(factor, y, points, spec)
+                score = _loo_score(panel, lam := _gcv_pick(panel, grid)[0])
         if not np.isfinite(score):
-            score = _score(_Panel.full(points, y, spec, gram=K), grid)
-        if score < best_score:
-            best_score, best = score, (spec, K)
-    if best is None:
+            panel = _Panel.full(points, y, spec, gram=K)
+            score = _loo_score(panel, lam := _gcv_pick(panel, grid)[0])
+        if score < best[0]:
+            best = score, panel, lam
+    _, panel, lam = best
+    if panel is None:
         raise FitError("all leave-one-out scores are non-finite")
-    spec, K = best
-    panel = _Panel.full(points, y, spec, gram=K)
-    return panel.model(_gcv_pick(panel, grid)[0])
+    return panel.model(lam)
 
 
 def fit_response_surface(points, y, config: KernelConfig) -> KrrModel:

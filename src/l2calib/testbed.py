@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibrate import ComputerModel
-from .numerics import BoxDomain, as_points
+from .numerics import MAX_DESIGN_POINTS, BoxDomain, as_points
 
 OMEGA = BoxDomain(lower=(0.0,), upper=(2.0 * np.pi,))
 DEFAULT_THETA_DOMAIN = BoxDomain(lower=(-2.0,), upper=(2.0,))
@@ -143,8 +143,8 @@ class SyntheticSystem:
             raise ValueError(f"the fixed grid has {FIXED_GRID_N} points, got n={self.n}")
         if not (np.isfinite(self.noise_sigma2) and self.noise_sigma2 >= 0):
             raise ValueError(f"noise variance must be finite and >= 0, got {self.noise_sigma2}")
-        if self.n < 1:
-            raise ValueError("need at least one design point")
+        if not 1 <= self.n <= MAX_DESIGN_POINTS:
+            raise ValueError(f"need 1 to {MAX_DESIGN_POINTS} design points, got n={self.n}")
 
 
 # name -> (simulator wrapper, theta*, closed-form squared L2 discrepancy)

@@ -269,25 +269,34 @@ class TestSharedSurface:
         _, pts, y = noisy_example2(seed=22)
         surface = fit_response_surface(pts, y, KernelConfig())
         w, Q = surface.gram_eig
-        K = kernels.gram(surface.kernel, kernels.sqdist(pts)) + rkhs.DEFAULT_JITTER * np.eye(len(y))
+        n, jitter = len(y), rkhs.DEFAULT_JITTER
+        K = kernels.gram(surface.kernel, kernels.sqdist(pts)) + jitter * np.eye(n)
         assert surface.kernel.phi in rkhs.DEFAULT_PHI_GRID
-        assert np.allclose(Q @ np.diag(w) @ Q.T, K, atol=1e-10)
+        # r <= n pairs; the other n - r directions have the jitter as eigenvalue
+        spanned = Q @ np.diag(w) @ Q.T + jitter * (np.eye(n) - Q @ Q.T)
+        assert np.max(np.abs(spanned - K)) <= 1e-10
 
     @pytest.mark.parametrize("example", ["example1", "example2"])
     @pytest.mark.parametrize("design", [("fixed_grid", 51), ("uniform_random", 101)],
                              ids=["grid51", "unif101"])
     def test_loo_winner_is_bit_identical_to_a_fresh_fit(self, example, design):
-        # the LOO sweep returns the winner's model from its own panel; a
-        # second decomposition at the chosen phi gives the same bits
+        # the LOO sweep returns the winner's model from the panel it was
+        # scored on, low-rank or full; a full decomposition at the chosen
+        # phi picks the same lambda and agrees to the low-rank panel's bound
         system = testbed.make_system(example, 0.1, *design)
         pts, y = testbed.generate(system, 9, 0)
         kcfg = KernelConfig()
         surface = fit_response_surface(pts, y, kcfg)
         fresh = rkhs.fit_with_rule(pts, y, surface.kernel, kcfg.lambda_grid)
-        assert surface.lam == fresh.lam and surface.hat_trace == fresh.hat_trace
-        for got, want in ((surface.coeffs, fresh.coeffs), (surface.fitted, fresh.fitted),
-                          *zip(surface.gram_eig, fresh.gram_eig)):
-            assert np.array_equal(got, want)
+        assert surface.kernel == fresh.kernel and surface.lam == fresh.lam
+        for quantity in ("coeffs", "fitted", "hat_trace"):
+            got, want = getattr(surface, quantity), getattr(fresh, quantity)
+            assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want)), quantity
+        w, Q = surface.gram_eig
+        n, jitter = len(y), rkhs.DEFAULT_JITTER
+        K = kernels.gram(surface.kernel, kernels.sqdist(pts)) + jitter * np.eye(n)
+        spanned = Q @ np.diag(w) @ Q.T + jitter * (np.eye(n) - Q @ Q.T)
+        assert np.max(np.abs(spanned - K)) <= 1e-10
 
     def test_loo_scores_phi_under_the_config_lambda_rule(self):
         _, pts, y = noisy_example2(seed=4)
@@ -305,13 +314,18 @@ class TestSharedSurface:
     @staticmethod
     def joint_nll(surface, model, theta, log_etas):
         """The joint (theta, log eta) objective, process variance profiled out,
-        at one theta and each of ``log_etas``."""
+        at one theta and each of ``log_etas``.  The n - r directions outside
+        the surface's r eigenvectors have the jitter as eigenvalue."""
         rho, Q = surface.gram_eig
-        qtr2 = (Q.T @ (surface.y - model(surface.design, theta))) ** 2
+        r = surface.y - model(surface.design, theta)
+        qtr = Q.T @ r
+        outside = r - Q @ qtr
         denom = rho + np.exp(log_etas)[:, None]
-        tau2 = np.sum(qtr2 / denom, axis=1) / surface.n
+        rest = rkhs.DEFAULT_JITTER + np.exp(log_etas)
+        tau2 = (np.sum(qtr ** 2 / denom, axis=1) + outside @ outside / rest) / surface.n
         tau2 = np.where(np.isfinite(tau2) & (tau2 > 0.0), tau2, np.finfo(float).tiny)
-        return 0.5 * surface.n * np.log(tau2) + 0.5 * np.sum(np.log(denom), axis=1)
+        logdet = np.sum(np.log(denom), axis=1) + (surface.n - rho.size) * np.log(rest)
+        return 0.5 * surface.n * np.log(tau2) + 0.5 * logdet
 
     @pytest.mark.parametrize("example", ["example1", "example2"])
     @pytest.mark.parametrize("seed", [0, 7])
@@ -333,6 +347,33 @@ class TestSharedSurface:
             # never above the scan, beyond rounding where both land on a bound
             assert -1e-13 * abs(best) <= best - value <= 1e-9 * abs(best)
             assert lo <= log_eta <= hi
+
+    @pytest.mark.parametrize("example", ["example1", "example2"])
+    def test_ko_on_a_low_rank_surface_matches_the_full_panel(self, monkeypatch, example):
+        # the same (phi, lambda) and data: the surface the sweep returns,
+        # low-rank at seed 7, against one full decomposition
+        system = testbed.make_system(example, 0.1)
+        pts, y = testbed.generate(system, 7, 0)
+        model = system.computer_model
+        low = fit_response_surface(pts, y, KernelConfig())
+        full = rkhs.fit_with_rule(pts, y, low.kernel, (low.lam,))
+        assert low.gram_eig[0].size < len(y) == full.gram_eig[0].size
+        thetas = np.linspace(-2.0, 2.0, 41)[:, None]
+        want = _ProfiledGpLikelihood(full, model).profile(thetas)
+        got = _ProfiledGpLikelihood(low, model).profile(thetas)
+        # where eta nears its 1e-8 bound, eigh's own rounding of the full
+        # panel's jitter eigenvalues (7e-15 of 1e-10) moves d by up to 1e-6
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-5, atol=0)
+        est_low, est_full = ko_calibrate(low, model), ko_calibrate(full, model)
+        assert np.max(np.abs(est_low.theta_hat - est_full.theta_hat)) <= 1e-6
+        assert est_low.objective_value == pytest.approx(est_full.objective_value, rel=1e-10)
+        # on a full panel the column of the other directions adds exactly
+        # nothing: its eigenvalue, here moved from the jitter to 1, is unread
+        monkeypatch.setattr(rkhs, "DEFAULT_JITTER", 1.0)
+        for got, want in zip(_ProfiledGpLikelihood(full, model).profile(thetas), want):
+            assert np.array_equal(got, want)
+        assert not np.allclose(_ProfiledGpLikelihood(low, model).profile(thetas)[0],
+                               got[0], rtol=1e-6)
 
     def test_profiled_eta_stays_in_its_bounds(self):
         # noiseless data from the perfect model: the residual vanishes at

@@ -15,7 +15,8 @@ from l2calib import calibrate, cli, kernels, rkhs, testbed
 from l2calib.calibrate import fit_response_surface
 from l2calib.cli import (CliConfigError, RunConfig, check_report, cmd_calibrate,
                          load_config, main, read_data_csv, simulate)
-from l2calib.numerics import MAX_QUADRATURE_NODES, SCAN_BLOCK_ROWS, OptimizerConfig
+from l2calib.numerics import (MAX_DESIGN_POINTS, MAX_QUADRATURE_NODES, SCAN_BLOCK_ROWS,
+                              OptimizerConfig)
 
 
 BUNDLED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
@@ -199,6 +200,22 @@ class TestDataCsv:
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert str(data) in lines[0] and f"line 3, column '{column}'" in lines[0]
+        assert not (tmp_path / "fit.csv").exists()
+
+    def test_rows_past_the_design_cap_fail_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        rows = "".join(f"{0.001 * i},{i % 7}\n" for i in range(MAX_DESIGN_POINTS))
+        at_cap = tmp_path / "at_cap.csv"
+        at_cap.write_text("x1,y\n" + rows + "\n\n")  # blank lines are not rows
+        assert read_data_csv(at_cap)[0].shape == (MAX_DESIGN_POINTS, 1)
+        data = tmp_path / "d.csv"
+        data.write_text("x1,y\n" + rows + "7.5,1.0\n")
+        fits = counting(monkeypatch, calibrate, "fit_response_surface")
+        cfg = write_config(tmp_path / "c.json", methods=["L2", "OLS", "KO"])
+        code = main(["calibrate", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "fit.csv")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and not fits
+        assert lines == [f"error: {data}: more than {MAX_DESIGN_POINTS} data rows"]
         assert not (tmp_path / "fit.csv").exists()
 
     def test_good_file(self, tmp_path):
@@ -821,12 +838,16 @@ class TestConfigErrors:
         {"methods": ["L2", "L2"]},
         {"methods": "OLS"},
         {"sigma2": []},
+        {"replications": cli.MAX_REPLICATIONS + 1},
+        {"design": {"kind": "uniform_random", "n": MAX_DESIGN_POINTS + 1}},
+        {"replications": 10 ** 12, "design": {"kind": "uniform_random", "n": 10 ** 9}},
     ], ids=["theta_domain", "replications", "quadrature_m", "quadrature_m_over_cap",
             "design_n", "kernel_string", "kernel_family", "replications_infinity",
             "theta_domain_nan", "sigma2_nan", "sigma2_inf", "phi_grid_nan",
             "lambda_grid_nan", "phi_grid_empty", "lambda_grid_unsorted", "tolerance_nan",
             "seed_negative", "fixed_grid_n", "grid_points_over_cap",
-            "methods_repeated", "methods_string", "sigma2_empty"])
+            "methods_repeated", "methods_string", "sigma2_empty", "replications_over_cap",
+            "design_n_over_cap", "sizes_far_over_cap"])
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path / "c.json", **override)
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
@@ -835,6 +856,13 @@ class TestConfigErrors:
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_sizes_at_their_caps_are_accepted(self):
+        # building the config allocates nothing of the design's size
+        config = RunConfig(design="uniform_random", design_n=MAX_DESIGN_POINTS,
+                           replications=cli.MAX_REPLICATIONS)
+        assert (config.design_n, config.replications) == (MAX_DESIGN_POINTS,
+                                                          cli.MAX_REPLICATIONS)
 
     @pytest.mark.parametrize("doc", [[], "example2", 3, None],
                              ids=["list", "string", "number", "null"])
@@ -1037,9 +1065,12 @@ class TestParserFuzz:
         path = tmp_path_factory.getbasetemp() / "fuzz_config.json"
         path.write_text(json.dumps(doc))
         try:
-            assert isinstance(load_config(path), RunConfig)
+            config = load_config(path)
         except CliConfigError:
-            pass
+            return
+        assert isinstance(config, RunConfig)
+        assert config.design_n <= MAX_DESIGN_POINTS
+        assert config.replications <= cli.MAX_REPLICATIONS
 
     @settings(max_examples=150, deadline=None)
     @given(header=st.sampled_from(["x1,y", "y,x1", "x1,x2,y", "x2,y", "x1", "", "y",

@@ -389,16 +389,36 @@ def full_eigh_sweep(points, y, config, jitter=rkhs.DEFAULT_JITTER):
 
 
 def assert_same_model(got, want):
-    assert got.kernel == want.kernel
-    assert got.lam == want.lam and got.hat_trace == want.hat_trace
-    for a, b in ((got.coeffs, want.coeffs), (got.fitted, want.fitted),
-                 *zip(got.gram_eig, want.gram_eig)):
-        assert np.array_equal(a, b)
+    """The same phi and lambda exactly; ``coeffs``, ``fitted`` and
+    ``hat_trace`` within 1e-6 of the oracle's largest entry, the bound the
+    low-rank panel's scores meet; and ``gram_eig``'s r <= n pairs, with the
+    jitter on the other n - r directions, give the jittered Gram matrix."""
+    assert got.kernel == want.kernel and got.lam == want.lam
+    for quantity in ("coeffs", "fitted", "hat_trace"):
+        a, b = getattr(got, quantity), getattr(want, quantity)
+        assert np.max(np.abs(a - b)) <= 1e-6 * np.max(np.abs(b)), quantity
+    w, Q = got.gram_eig
+    n, jitter = got.n, rkhs.DEFAULT_JITTER
+    K = gram(got.kernel, sqdist(got.design)) + jitter * np.eye(n)
+    spanned = Q @ np.diag(w) @ Q.T + jitter * (np.eye(n) - Q @ Q.T)
+    assert np.max(np.abs(spanned - K)) <= 1e-10
+
+
+def eigh_free_candidates(points, y, config):
+    """The phi candidates, ascending, that the sweep scores on a low-rank
+    panel: those before the first whose factor passes the rank cap."""
+    d2, cap = sqdist(points), len(y) // rkhs.RANK_CAP_DIVISOR
+    low = []
+    for phi in sorted(config.phi_grid):
+        if rkhs._pivoted_cholesky(gram(config.spec(phi), d2), rkhs.PIVOT_TOL, cap) is None:
+            break
+        low.append(phi)
+    return low
 
 
 class TestLowRankSweep:
-    """The sweep scores candidates from pivoted Cholesky factors, yet
-    returns the model of the full-eigh sweep bit for bit."""
+    """The sweep scores candidates from pivoted Cholesky factors and keeps
+    the panel each was scored on; its model matches the full-eigh sweep's."""
 
     @pytest.mark.parametrize("example", ["example1", "example2"])
     @pytest.mark.parametrize("design,n", [("fixed_grid", 51), ("uniform_random", 101),
@@ -428,9 +448,10 @@ class TestLowRankSweep:
     def test_low_rank_scores_match_the_full_panel(self, phi):
         pts, y = testbed.generate(
             testbed.make_system("example2", 0.1, "uniform_random", 201), 0, 0)
-        K = gram(KernelSpec("gaussian", phi), sqdist(pts))
-        low = rkhs._Panel.low_rank(rkhs._pivoted_cholesky(K, rkhs.PIVOT_TOL, 201), y)
-        full = rkhs._Panel.full(pts, y, KernelSpec("gaussian", phi), gram=K)
+        spec = KernelSpec("gaussian", phi)
+        K = gram(spec, sqdist(pts))
+        low = rkhs._Panel.low_rank(rkhs._pivoted_cholesky(K, rkhs.PIVOT_TOL, 201), y, pts, spec)
+        full = rkhs._Panel.full(pts, y, spec, gram=K)
         grid = rkhs.DEFAULT_LAMBDA_GRID
         assert np.allclose(low.gcv_scores(grid), full.gcv_scores(grid), rtol=1e-6)
         lam = rkhs._gcv_pick(full, grid)[0]
@@ -439,6 +460,21 @@ class TestLowRankSweep:
         for quantity in ("coeffs", "fitted", "hat_trace"):
             got, want = getattr(low, quantity)(lam), getattr(full, quantity)(lam)
             assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want)), quantity
+
+    @pytest.mark.parametrize("seed,winner", [(1, "low-rank"), (0, "full")])
+    def test_the_winner_costs_no_eigh(self, monkeypatch, seed, winner):
+        # one eigh per candidate past the rank cap; the winner's model comes
+        # from the panel it was scored on, whichever rank that is
+        pts, y = testbed.generate(testbed.make_system("example2", 0.01), seed, 0)
+        config = KernelConfig()
+        low = eigh_free_candidates(pts, y, config)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        model = rkhs.fit_response_surface(pts, y, config)
+        assert len(calls) == len(config.phi_grid) - len(low) > 0
+        assert (model.kernel.phi in low) == (winner == "low-rank")
+        assert (model.gram_eig[0].size < len(y)) == (winner == "low-rank")
 
     def test_exceptional_low_rank_scores_defer_to_the_full_panel(self):
         # every GCV score is 0/0 at lambda = 1e-300; the full panel raises
