@@ -170,24 +170,20 @@ class _ProfiledGpLikelihood:
     """Concentrated negative log marginal likelihood of the GP calibrator,
     a batched function of theta alone.
 
-    With ``(rho, Q)`` the r <= n eigenpairs of the surface's jittered Gram matrix,
-    ``s = Q^T r(theta)`` for the residual ``r``, ``u = log eta`` (the noise-to-process
-    ratio) and ``d = rho + e^u``, the process variance profiles to ``tau2 = a / n``
-    with ``a = sum s^2 / d``, and the objective is
-    ``f(u) = (n/2) log tau2 + (1/2) sum log d``.  ``u`` is profiled out per theta by
-    Newton steps from the best of a grid over ``ETA_BOUNDS``.  The other n - r
-    directions are one more column: eigenvalue the jitter, counted ``mult`` = n - r
-    times in the sums over ``d``, and ``s^2 = |r - Q s|^2``, zero on a full panel.
+    With ``(rho, mult, Q)`` the surface's jittered Gram spectrum (``rkhs.gram_spectrum``),
+    ``s^2`` the squares of ``Q^T r`` and of ``|r - Q Q^T r|`` for the residual ``r(theta)``,
+    ``u = log eta`` (the noise-to-process ratio) and ``d = rho + e^u``, the process variance
+    profiles to ``tau2 = a / n`` with ``a = sum s^2 / d``, and the objective is
+    ``f(u) = (n/2) log tau2 + (1/2) sum mult log d``.  ``u`` is profiled out per theta by
+    Newton steps from the best of a grid over ``ETA_BOUNDS``.
     """
 
     def __init__(self, surface: KrrModel, model: ComputerModel):
         self.n = surface.n
-        w, self.Q = surface.gram_eig
-        if w.min() <= 0:
+        self.rho, self.mult, self.Q = rkhs.gram_spectrum(surface)
+        if self.rho.min() <= 0:
             raise FitError("GP correlation matrix is not positive definite "
-                           f"after jitter (smallest eigenvalue {w.min():.3e})")
-        self.rho = np.append(w, rkhs.DEFAULT_JITTER)
-        self.mult = np.append(np.ones(w.size), self.n - w.size)
+                           f"after jitter (smallest eigenvalue {self.rho.min():.3e})")
         self.model, self.design, self.y = model, surface.design, surface.y
         self.u_bounds = np.log(ETA_BOUNDS)
         self.u_grid = np.linspace(*self.u_bounds, ETA_GRID_POINTS)

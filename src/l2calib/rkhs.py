@@ -197,6 +197,12 @@ class _Panel:
                         gram_eig=(self.w, self.Q))
 
 
+def gram_spectrum(model: KrrModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``gram_eig`` as ``(rho, mult, Q)``: r eigenvalues, then the jitter counted n - r times."""
+    w, Q = model.gram_eig
+    return np.append(w, DEFAULT_JITTER), np.append(np.ones(w.size), model.n - w.size), Q
+
+
 def predict(model: KrrModel, x) -> np.ndarray:
     """Evaluate ``sum_i u_i K(x_i, x)`` at one or many points."""
     pts = as_points(x, model.design.shape[1])

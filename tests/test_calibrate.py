@@ -265,38 +265,26 @@ class TestSharedSurface:
                 assert est.objective_value == alone.objective_value
                 assert est.meta == alone.meta
 
-    def test_fit_keeps_gram_eigenpairs(self):
+    def test_fit_keeps_gram_eigenpairs(self, assert_same_model):
         _, pts, y = noisy_example2(seed=22)
         surface = fit_response_surface(pts, y, KernelConfig())
-        w, Q = surface.gram_eig
-        n, jitter = len(y), rkhs.DEFAULT_JITTER
-        K = kernels.gram(surface.kernel, kernels.sqdist(pts)) + jitter * np.eye(n)
         assert surface.kernel.phi in rkhs.DEFAULT_PHI_GRID
         # r <= n pairs; the other n - r directions have the jitter as eigenvalue
-        spanned = Q @ np.diag(w) @ Q.T + jitter * (np.eye(n) - Q @ Q.T)
-        assert np.max(np.abs(spanned - K)) <= 1e-10
+        assert_same_model(surface, rkhs.fit_with_rule(pts, y, surface.kernel))
 
     @pytest.mark.parametrize("example", ["example1", "example2"])
     @pytest.mark.parametrize("design", [("fixed_grid", 51), ("uniform_random", 101)],
                              ids=["grid51", "unif101"])
-    def test_loo_winner_is_bit_identical_to_a_fresh_fit(self, example, design):
+    def test_loo_winner_is_bit_identical_to_a_fresh_fit(self, assert_same_model, example,
+                                                         design):
         # the LOO sweep returns the winner's model from the panel it was
-        # scored on, low-rank or full; a full decomposition at the chosen
-        # phi picks the same lambda and agrees to the low-rank panel's bound
+        # scored on: a full one gives a fresh fit's bits, a low-rank one
+        # agrees with it to the low-rank panel's bound
         system = testbed.make_system(example, 0.1, *design)
         pts, y = testbed.generate(system, 9, 0)
         kcfg = KernelConfig()
         surface = fit_response_surface(pts, y, kcfg)
-        fresh = rkhs.fit_with_rule(pts, y, surface.kernel, kcfg.lambda_grid)
-        assert surface.kernel == fresh.kernel and surface.lam == fresh.lam
-        for quantity in ("coeffs", "fitted", "hat_trace"):
-            got, want = getattr(surface, quantity), getattr(fresh, quantity)
-            assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want)), quantity
-        w, Q = surface.gram_eig
-        n, jitter = len(y), rkhs.DEFAULT_JITTER
-        K = kernels.gram(surface.kernel, kernels.sqdist(pts)) + jitter * np.eye(n)
-        spanned = Q @ np.diag(w) @ Q.T + jitter * (np.eye(n) - Q @ Q.T)
-        assert np.max(np.abs(spanned - K)) <= 1e-10
+        assert_same_model(surface, rkhs.fit_with_rule(pts, y, surface.kernel, kcfg.lambda_grid))
 
     def test_loo_scores_phi_under_the_config_lambda_rule(self):
         _, pts, y = noisy_example2(seed=4)
@@ -359,21 +347,22 @@ class TestSharedSurface:
         full = rkhs.fit_with_rule(pts, y, low.kernel, (low.lam,))
         assert low.gram_eig[0].size < len(y) == full.gram_eig[0].size
         thetas = np.linspace(-2.0, 2.0, 41)[:, None]
-        want = _ProfiledGpLikelihood(full, model).profile(thetas)
-        got = _ProfiledGpLikelihood(low, model).profile(thetas)
+        full_f = _ProfiledGpLikelihood(full, model).profile(thetas)
+        low_f = _ProfiledGpLikelihood(low, model).profile(thetas)[0]
         # where eta nears its 1e-8 bound, eigh's own rounding of the full
         # panel's jitter eigenvalues (7e-15 of 1e-10) moves d by up to 1e-6
-        np.testing.assert_allclose(got[0], want[0], rtol=1e-5, atol=0)
+        np.testing.assert_allclose(low_f, full_f[0], rtol=1e-5, atol=0)
         est_low, est_full = ko_calibrate(low, model), ko_calibrate(full, model)
         assert np.max(np.abs(est_low.theta_hat - est_full.theta_hat)) <= 1e-6
         assert est_low.objective_value == pytest.approx(est_full.objective_value, rel=1e-10)
         # on a full panel the column of the other directions adds exactly
-        # nothing: its eigenvalue, here moved from the jitter to 1, is unread
+        # nothing: its eigenvalue, here moved from the jitter to 1, is unread;
+        # a low-rank panel reads it
         monkeypatch.setattr(rkhs, "DEFAULT_JITTER", 1.0)
-        for got, want in zip(_ProfiledGpLikelihood(full, model).profile(thetas), want):
+        for got, want in zip(_ProfiledGpLikelihood(full, model).profile(thetas), full_f):
             assert np.array_equal(got, want)
         assert not np.allclose(_ProfiledGpLikelihood(low, model).profile(thetas)[0],
-                               got[0], rtol=1e-6)
+                               low_f, rtol=1e-6)
 
     def test_profiled_eta_stays_in_its_bounds(self):
         # noiseless data from the perfect model: the residual vanishes at

@@ -388,22 +388,6 @@ def full_eigh_sweep(points, y, config, jitter=rkhs.DEFAULT_JITTER):
     return panel.model(lam)
 
 
-def assert_same_model(got, want):
-    """The same phi and lambda exactly; ``coeffs``, ``fitted`` and
-    ``hat_trace`` within 1e-6 of the oracle's largest entry, the bound the
-    low-rank panel's scores meet; and ``gram_eig``'s r <= n pairs, with the
-    jitter on the other n - r directions, give the jittered Gram matrix."""
-    assert got.kernel == want.kernel and got.lam == want.lam
-    for quantity in ("coeffs", "fitted", "hat_trace"):
-        a, b = getattr(got, quantity), getattr(want, quantity)
-        assert np.max(np.abs(a - b)) <= 1e-6 * np.max(np.abs(b)), quantity
-    w, Q = got.gram_eig
-    n, jitter = got.n, rkhs.DEFAULT_JITTER
-    K = gram(got.kernel, sqdist(got.design)) + jitter * np.eye(n)
-    spanned = Q @ np.diag(w) @ Q.T + jitter * (np.eye(n) - Q @ Q.T)
-    assert np.max(np.abs(spanned - K)) <= 1e-10
-
-
 def eigh_free_candidates(points, y, config):
     """The phi candidates, ascending, that the sweep scores on a low-rank
     panel: those before the first whose factor passes the rank cap."""
@@ -423,7 +407,7 @@ class TestLowRankSweep:
     @pytest.mark.parametrize("example", ["example1", "example2"])
     @pytest.mark.parametrize("design,n", [("fixed_grid", 51), ("uniform_random", 101),
                                           ("uniform_random", 201)])
-    def test_matches_the_full_eigh_oracle(self, example, design, n):
+    def test_matches_the_full_eigh_oracle(self, assert_same_model, example, design, n):
         config = KernelConfig()
         for sigma2 in (0.01, 0.1, 1.0):
             system = testbed.make_system(example, sigma2, design, n)
@@ -437,7 +421,7 @@ class TestLowRankSweep:
         KernelConfig(phi_grid=(1.0,)), KernelConfig(phi_grid=(31.6,))],
         ids=["matern15", "matern25", "one-phi-low-rank", "one-phi-full-rank"])
     @pytest.mark.parametrize("n", [101, 201])
-    def test_matches_the_oracle_for_other_kernels_and_grids(self, config, n):
+    def test_matches_the_oracle_for_other_kernels_and_grids(self, assert_same_model, config, n):
         pts, y = testbed.generate(
             testbed.make_system("example2", 0.1, "uniform_random", n), 0, 0)
         assert_same_model(rkhs.fit_response_surface(pts, y, config),
