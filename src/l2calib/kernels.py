@@ -81,9 +81,8 @@ def sqdist(points) -> np.ndarray:
 
 
 def gram(spec: KernelSpec, d2: np.ndarray) -> np.ndarray:
-    """Symmetric correlation matrix with exact unit diagonal, from the
-    squared distances ``sqdist(points)`` of a point set."""
+    """Symmetric correlation matrix with exact unit diagonal from squared
+    distances ``d2``, which must come from ``sqdist``: it is exactly symmetric."""
     K = _corr_from_sqdist(spec, d2)
-    K = 0.5 * (K + K.T)
     np.fill_diagonal(K, 1.0)
     return K

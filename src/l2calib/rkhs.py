@@ -13,14 +13,14 @@ Every fitted model comes from one symmetric eigendecomposition of the
 Gram matrix; a GCV sweep then scores the whole lambda grid in one
 (L x n) array pass, and a leave-one-out score costs one hat-matrix
 diagonal.  A phi sweep computes the pairwise squared distances once,
-builds each candidate's Gram matrix from them and scores it from a
-pivoted Cholesky factor and its thin SVD, at O(n r) per lambda for a
-rank r Gram matrix (the full-rank formulas, with the jitter as the
-eigenvalue of the other n - r directions); only the candidates it cannot
-score that way are decomposed in full.  The winner's model comes from the
-panel it was scored on, so no candidate is decomposed twice.  Only
-``numpy.linalg`` is called, so one OpenBLAS is loaded, and ``cli`` runs
-cap its busy-waiting threads at one (``cli.one_blas_thread``).
+builds each candidate's Gram matrix from them and scores it, by
+Woodbury, from a pivoted Cholesky factor C and the eigendecomposition
+of its r x r Gram C C^T, at O(n r) per lambda; the candidates it cannot
+score that way are decomposed in full.  The winner's model comes from
+that full panel or from its factor's thin SVD (the jitter is then the
+eigenvalue of the other n - r directions).  Only ``numpy.linalg`` is
+called, so one OpenBLAS is loaded, and ``cli`` runs cap its busy-waiting
+threads at one (``cli.one_blas_thread``).
 
 The tuning policy lives here too: ``KernelConfig`` holds the phi and
 lambda grids, and ``fit_response_surface`` picks from both in one pass.
@@ -30,6 +30,7 @@ so the calibrators and the sandwich read a dataset only through it.
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -134,13 +135,12 @@ class _Panel:
     def full(cls, points, y, spec: KernelSpec, jitter: float = DEFAULT_JITTER,
              gram: np.ndarray | None = None) -> _Panel:
         """``gram`` is the unjittered ``kernels.gram`` of the points when the
-        caller already has it."""
+        caller already has it; its diagonal takes the jitter in place."""
         points, y = _data(points, y)
         if jitter < 0:
             raise ValueError("jitter must be nonnegative")
         K = kernels.gram(spec, kernels.sqdist(points)) if gram is None else gram
-        if jitter:
-            K = K + jitter * np.eye(y.shape[0])
+        K.flat[::K.shape[0] + 1] += jitter
         w, Q = np.linalg.eigh(K)
         return cls(y, w, Q, jitter, points, spec)
 
@@ -195,6 +195,44 @@ class _Panel:
                         coeffs=self.coeffs(lam), lam=float(lam),
                         fitted=self.fitted(lam), hat_trace=self.hat_trace(lam),
                         gram_eig=(self.w, self.Q))
+
+
+class _FactorPanel:
+    """A candidate scored by Woodbury from its factor ``C`` (r x n): with
+    ``C C^T = V diag(L) V^T``, ``B = V^T C`` and ``c = jitter + n*lam``,
+    ``(C^T C + c I)^{-1} = (I - B^T diag(1/(L + c)) B) / c``.  It serves ``_gcv_pick``
+    and ``_loo_score`` like a ``_Panel``; ``model`` is the factor's ``_Panel.low_rank``."""
+
+    def __init__(self, factor, y, points, spec: KernelSpec):
+        self.factor, self.y, self.n, self.points, self.spec = factor, y, y.shape[0], points, spec
+        self.L, V = np.linalg.eigh(factor @ factor.T)
+        self.B = V.T @ factor
+
+    def _resid(self, lam) -> tuple:
+        """``c``, ``n*lam/c`` and ``(I - A) y = (n*lam/c) (y - B^T (B y / (L + c)))``
+        for a scalar or, one row each, an ``(L, 1)`` column of lambdas."""
+        c = DEFAULT_JITTER + self.n * lam
+        s = self.n * lam / c
+        return c, s, s * (self.y - (self.B @ self.y / (self.L + c)) @ self.B)
+
+    def fitted(self, lam: float) -> np.ndarray:
+        return self.y - self._resid(lam)[2]
+
+    def hat_diag(self, lam: float) -> np.ndarray:  # 1 - (n*lam/c) (1 - sum_j B_ji^2 / (L_j + c))
+        c = DEFAULT_JITTER + self.n * lam
+        return 1.0 - self.n * lam / c * (1.0 - (1.0 / (self.L + c)) @ (self.B * self.B))
+
+    def gcv_scores(self, grid: tuple[float, ...]) -> np.ndarray:
+        """As ``_Panel.gcv_scores``, with ``tr(I - A) = (n*lam/c) (n - sum L / (L + c))``."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            c, s, resid = self._resid(np.asarray(grid)[:, None])
+            if np.any(c <= self.n * np.finfo(float).eps * np.maximum(self.L[-1] + c, 1.0)):
+                raise FitError("penalized system is numerically singular")  # as _Panel._shift
+            denom = (s[:, 0] * (self.n - np.sum(self.L / (self.L + c), axis=1)) / self.n) ** 2
+            return np.where(denom > 0.0, np.sum(resid * resid, axis=1) / self.n / denom, np.inf)
+
+    def model(self, lam: float) -> KrrModel:
+        return _Panel.low_rank(self.factor, self.y, self.points, self.spec).model(lam)
 
 
 def gram_spectrum(model: KrrModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -277,12 +315,13 @@ def _pivoted_cholesky(K: np.ndarray, tol: float, max_rank: int) -> np.ndarray | 
     """
     d = K.diagonal().copy()
     C = np.empty((max_rank, K.shape[0]))
-    for k in range(max_rank):
-        p = int(np.argmax(d))
-        if d[p] <= tol:
+    for k, c in enumerate(C):
+        p = d.argmax()
+        if (dp := float(d[p])) <= tol:  # a Python float: numpy scalars are slower
             return C[:k]
-        C[k] = (K[p] - C[:k, p] @ C[:k]) / np.sqrt(d[p])
-        d -= C[k] * C[k]
+        np.subtract(K[p], C[:k, p] @ C[:k], out=c)
+        c /= math.sqrt(dp)
+        d -= c * c
     return C if d.max() <= tol else None
 
 
@@ -292,9 +331,10 @@ def _pivoted_cholesky(K: np.ndarray, tol: float, max_rank: int) -> np.ndarray | 
 # backward error, and the default phi grid's Gram matrices on one n = 201
 # example2 design have rank 9 to 130.
 PIVOT_TOL = 1e-14
-# It gives up past n // RANK_CAP_DIVISOR rows: at n = 201 a rank-63 factor
-# took 0.4-0.8 ms and its SVD 0.8-1.8 ms, against 2.7-3.2 ms for eigh.
-RANK_CAP_DIVISOR = 3
+# It gives up past RANK_CAP_FRACTION * n rows, near where a factor and the
+# eigh of its r x r Gram cost one n x n eigh: at n = 201 a rank-130 factor
+# took 0.8 ms and that eigh 1.3-1.5 ms, against 2.0-3.2 ms for the n x n one.
+RANK_CAP_FRACTION = 0.75
 
 
 def loo_cv_phi(points, y, config: KernelConfig) -> KrrModel:
@@ -304,7 +344,7 @@ def loo_cv_phi(points, y, config: KernelConfig) -> KrrModel:
     The grid is scanned in ascending-phi order and the first minimum
     wins, so ties break toward the smaller (smoother) phi.  Candidates
     are scored from a pivoted Cholesky factor of their Gram matrix until
-    one's rank passes ``n // RANK_CAP_DIVISOR``; that candidate, every
+    one's rank passes ``RANK_CAP_FRACTION * n``; that candidate, every
     larger phi (rank grows with phi) and any candidate whose low-rank
     scores meet a singular shift, no finite GCV score or a unit leverage
     get a full panel.  The winner's model comes from the panel it was
@@ -312,16 +352,16 @@ def loo_cv_phi(points, y, config: KernelConfig) -> KrrModel:
     """
     points, y = _data(points, y)
     d2 = kernels.sqdist(points)
-    grid, n = config.lambda_grid, y.shape[0]
+    grid, cap = config.lambda_grid, int(RANK_CAP_FRACTION * y.shape[0])
     low_rank, best = True, (np.inf, None, None)
     for phi in sorted(config.phi_grid):
         spec = config.spec(phi)
         K = kernels.gram(spec, d2)
-        factor = _pivoted_cholesky(K, PIVOT_TOL, n // RANK_CAP_DIVISOR) if low_rank else None
+        factor = _pivoted_cholesky(K, PIVOT_TOL, cap) if low_rank else None
         score, low_rank = np.inf, factor is not None
         if low_rank:
             with suppress(FitError):
-                panel = _Panel.low_rank(factor, y, points, spec)
+                panel = _FactorPanel(factor, y, points, spec)
                 score = _loo_score(panel, lam := _gcv_pick(panel, grid)[0])
         if not np.isfinite(score):
             panel = _Panel.full(points, y, spec, gram=K)

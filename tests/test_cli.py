@@ -56,6 +56,11 @@ def counting(monkeypatch, owner, name):
     return calls
 
 
+def n_by_n(calls, n):
+    """How many of the recorded calls took an ``(n, n)`` matrix first."""
+    return sum(args[0].shape == (n, n) for args in calls)
+
+
 def type_bug(*args, **kwargs):
     raise TypeError("bug in a calibrator")
 
@@ -393,27 +398,28 @@ class TestTuneOnce:
         assert main(["calibrate", "--config", str(cfg), "--data", str(data),
                      "--out", str(tmp_path / "o.csv")]) == 0
         assert len(loo) == 1
-        assert len(eigh) <= len(rkhs.DEFAULT_PHI_GRID) + 1
+        # the two candidates past the rank cap; the factors' r x r Grams are not counted
+        assert n_by_n(eigh, 101) == 2
         rows = (tmp_path / "o.csv").read_text().strip().splitlines()[1:]
         assert all(r.endswith(",ok") for r in rows)
 
     def test_uniform201_sweep_decomposes_few_gram_matrices(self, monkeypatch):
-        # the low-rank sweep leaves eigh to the capped candidates and the
-        # winner; a silent fall back to one eigh per candidate reads 15
+        # every factor stays below the rank cap, so only r x r Grams are
+        # decomposed; a silent fall back to one n x n eigh per candidate reads 15
         system = testbed.make_system("example2", 0.1, "uniform_random", 201)
         pts, y = testbed.generate(system, 0, 0)
         grams = counting(monkeypatch, kernels, "gram")
         eigh = counting(monkeypatch, np.linalg, "eigh")
         fit_response_surface(pts, y, rkhs.KernelConfig())
         assert len(grams) == len(rkhs.DEFAULT_PHI_GRID)
-        assert 1 <= len(eigh) <= 5
+        assert n_by_n(eigh, 201) == 0 and len(eigh) == len(rkhs.DEFAULT_PHI_GRID)
 
     def test_grid51_sweep_scores_candidates_from_a_factor(self, monkeypatch):
-        # small designs take the low-rank sweep too; one eigh per candidate reads 15
+        # small designs take the low-rank sweep too; one n x n eigh per candidate reads 15
         pts, y = testbed.generate(testbed.make_system("example2", 0.01), 0, 0)
         eigh = counting(monkeypatch, np.linalg, "eigh")
         fit_response_surface(pts, y, rkhs.KernelConfig())
-        assert pts.shape[0] == 51 and 1 <= len(eigh) < len(rkhs.DEFAULT_PHI_GRID)
+        assert pts.shape[0] == 51 and n_by_n(eigh, 51) == 5
 
     def test_replication_tunes_once_for_l2_and_ko(self, monkeypatch):
         loo = counting(monkeypatch, rkhs, "loo_cv_phi")

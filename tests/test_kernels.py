@@ -134,6 +134,17 @@ class TestProperties:
         b = corr(spec, s + h, t + h)
         assert a == pytest.approx(b, abs=1e-12)
 
+    @settings(max_examples=50, deadline=None)
+    @given(pts=st.sampled_from([1, 3]).flatmap(lambda d: st.lists(
+        st.lists(points_1d, min_size=d, max_size=d), min_size=1, max_size=30)))
+    def test_sqdist_and_gram_are_exactly_symmetric(self, pts):
+        # gram does not symmetrize its values: it relies on sqdist's exact symmetry
+        d2 = kernels.sqdist(pts)
+        assert np.array_equal(d2, d2.T)
+        for spec in (GAUSS, KernelSpec("matern", 1.0, 1.5), KernelSpec("matern", 1.0, 2.5)):
+            K = kernels.gram(spec, d2)
+            assert np.array_equal(K, K.T)
+
     @settings(max_examples=30, deadline=None)
     @given(spec=specs, n=st.integers(min_value=2, max_value=50),
            seed=st.integers(min_value=0, max_value=2 ** 16))

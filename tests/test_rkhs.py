@@ -391,7 +391,7 @@ def full_eigh_sweep(points, y, config, jitter=rkhs.DEFAULT_JITTER):
 def eigh_free_candidates(points, y, config):
     """The phi candidates, ascending, that the sweep scores on a low-rank
     panel: those before the first whose factor passes the rank cap."""
-    d2, cap = sqdist(points), len(y) // rkhs.RANK_CAP_DIVISOR
+    d2, cap = sqdist(points), int(rkhs.RANK_CAP_FRACTION * len(y))
     low = []
     for phi in sorted(config.phi_grid):
         if rkhs._pivoted_cholesky(gram(config.spec(phi), d2), rkhs.PIVOT_TOL, cap) is None:
@@ -445,28 +445,65 @@ class TestLowRankSweep:
             got, want = getattr(low, quantity)(lam), getattr(full, quantity)(lam)
             assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want)), quantity
 
-    @pytest.mark.parametrize("seed,winner", [(1, "low-rank"), (0, "full")])
+    @pytest.mark.parametrize("seed,winner", [(1, "low-rank"), (19, "full")])
     def test_the_winner_costs_no_eigh(self, monkeypatch, seed, winner):
-        # one eigh per candidate past the rank cap; the winner's model comes
-        # from the panel it was scored on, whichever rank that is
+        # one n x n eigh per candidate past the rank cap (the factors' r x r
+        # Grams are not counted); the winner's model comes from the panel it
+        # was scored on, whichever rank that is
         pts, y = testbed.generate(testbed.make_system("example2", 0.01), seed, 0)
         config = KernelConfig()
         low = eigh_free_candidates(pts, y, config)
-        calls = []
+        shapes = []
         eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
         model = rkhs.fit_response_surface(pts, y, config)
-        assert len(calls) == len(config.phi_grid) - len(low) > 0
+        assert shapes.count((len(y), len(y))) == len(config.phi_grid) - len(low) > 0
         assert (model.kernel.phi in low) == (winner == "low-rank")
         assert (model.gram_eig[0].size < len(y)) == (winner == "low-rank")
 
-    def test_exceptional_low_rank_scores_defer_to_the_full_panel(self):
+    def test_exceptional_low_rank_scores_defer_to_the_full_panel(self, monkeypatch):
         # every GCV score is 0/0 at lambda = 1e-300; the full panel raises
         pts, y = testbed.generate(
             testbed.make_system("example2", 0.1, "uniform_random", 101), 0, 0)
         config = KernelConfig(lambda_grid=(1e-300,))
+        full, built = rkhs._Panel.full, []
+        monkeypatch.setattr(rkhs._Panel, "full", lambda *a, **k: built.append(a) or full(*a, **k))
         with pytest.raises(rkhs.FitError, match="all GCV scores are non-finite"):
             rkhs.fit_response_surface(pts, y, config)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("n", [101, 201])
+    @pytest.mark.parametrize("family,nu", [("gaussian", None), ("matern", 1.5), ("matern", 2.5)])
+    def test_factor_scores_agree_with_both_panels(self, family, nu, n):
+        pts, y = testbed.generate(
+            testbed.make_system("example2", 0.1, "uniform_random", n), 0, 0)
+        d2, grid = sqdist(pts), rkhs.DEFAULT_LAMBDA_GRID
+        for phi in rkhs.DEFAULT_PHI_GRID:
+            spec = KernelSpec(family, phi, nu)
+            K = gram(spec, d2)
+            factor = rkhs._pivoted_cholesky(K, rkhs.PIVOT_TOL, n)
+            scorer = rkhs._FactorPanel(factor, y, pts, spec)
+            low = rkhs._Panel.low_rank(factor, y, pts, spec)
+            full = rkhs._Panel.full(pts, y, spec, gram=K)
+            gcv = scorer.gcv_scores(grid)
+            assert np.allclose(gcv, low.gcv_scores(grid), rtol=1e-7, atol=0.0), phi
+            assert np.allclose(gcv, full.gcv_scores(grid), rtol=1e-6, atol=0.0), phi
+            lam = rkhs._gcv_pick(full, grid)[0]
+            loo = rkhs._loo_score(scorer, lam)
+            assert loo == pytest.approx(rkhs._loo_score(low, lam), rel=1e-7), phi
+            assert loo == pytest.approx(rkhs._loo_score(full, lam), rel=1e-6), phi
+
+    @pytest.mark.parametrize("scale", [1e150, 1e155])
+    def test_huge_responses_give_a_model_or_a_fit_error(self, scale):
+        # warnings are errors here; at 1e155 the scorer's GCV overflows to +inf
+        pts, y = testbed.generate(
+            testbed.make_system("example2", 0.1, "uniform_random", 101), 0, 0)
+        try:
+            model = rkhs.fit_response_surface(pts, scale * y, KernelConfig())
+        except rkhs.FitError as e:
+            assert str(e) == "all GCV scores are non-finite"
+        else:
+            assert np.all(np.isfinite(model.fitted))
 
 
 class TestPivotedCholesky:
@@ -483,7 +520,7 @@ class TestPivotedCholesky:
         assert np.max(np.diag(K) - np.sum(C * C, axis=0)) <= tol + rank * np.finfo(float).eps
         assert np.linalg.norm(K - C.T @ C, 2) <= n * tol
         assert rkhs._pivoted_cholesky(K, tol, rank - 1) is None
-        cap = n // rkhs.RANK_CAP_DIVISOR
+        cap = int(rkhs.RANK_CAP_FRACTION * n)
         capped = rkhs._pivoted_cholesky(K, tol, cap)
         if rank > cap:
             assert capped is None
